@@ -126,7 +126,7 @@ let quorum_planning () =
 let sandbox_crash_run () =
   let o =
     Sandbox.run ~seed:3 ~crashes:[ (0, 10) ] ~max_steps:1500
-      ~proto:Sandbox.P_three_pc ~sites:3 ~votes:[| true; true; true |] ()
+      ~proto:Config.Three_phase ~sites:3 ~votes:[| true; true; true |] ()
   in
   assert o.agreement
 
@@ -184,7 +184,7 @@ let tests =
     [
       Test.make ~name:"T1 sandbox 2PC commit round"
         (Staged.stage
-           (one_sandbox_commit (Sandbox.P_two_pc Two_pc.Presumed_abort)));
+           (one_sandbox_commit (Config.Two_phase Two_pc.Presumed_abort)));
       Test.make ~name:"T2 cluster update txn (ROWA)"
         (Staged.stage (fun () ->
              one_cluster_txn Rt_replica.Replica_control.rowa ()));
@@ -206,7 +206,8 @@ let tests =
       Test.make ~name:"F5 sandbox QC commit round"
         (Staged.stage
            (one_sandbox_commit
-              (Sandbox.P_quorum { commit_quorum = 2; abort_quorum = 2 })));
+              (Config.Quorum_commit
+                 { commit_quorum = Some 2; abort_quorum = Some 2 })));
       Test.make ~name:"F6 weighted min read sets" (Staged.stage min_read_sets);
       Test.make ~name:"F7 lock acquire/detect/release" (Staged.stage lock_cycle);
       Test.make ~name:"F8 partitioned broadcast" (Staged.stage partitioned_send);
@@ -224,7 +225,7 @@ let tests =
         (Staged.stage (fun () ->
              let o =
                Sandbox.run ~read_only:[| false; true; true |]
-                 ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites:3
+                 ~proto:(Config.Two_phase Two_pc.Presumed_abort) ~sites:3
                  ~votes:[| true; true; true |] ()
              in
              assert o.agreement));
@@ -303,16 +304,6 @@ type probe = {
   committed : int;
   aborted : int;
 }
-
-let json_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
 
 let json_placements =
   [
@@ -447,7 +438,7 @@ let run_json () =
                ]
              else []))
           json_placements)
-      json_protocols
+      Rt_commit.Commit_protocol.all
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": 1,\n  \"probes\": [\n";

@@ -56,7 +56,7 @@ let experiment_n1 ~seed ~sites ~clients ~duration =
             (txn_rate r.r_committed duration)
             (abort_pct r.r_committed r.r_aborted))
         drops)
-    Campaign.default_protocols;
+    Rt_commit.Commit_protocol.all;
   !violations
 
 (* N2: termination time and message overhead under flapping and
@@ -87,7 +87,7 @@ let experiment_n2 ~seed ~sites ~clients ~duration =
             | Some d -> Printf.sprintf "%dms" (d / Time.ms 1))
             r.r_sent
             (if txns = 0 then 0. else float_of_int r.r_sent /. float_of_int txns))
-        Campaign.default_protocols)
+        Rt_commit.Commit_protocol.all)
     scenarios;
   !violations
 
@@ -129,12 +129,7 @@ let run seed sites clients duration_ms rc_name scenario_names experiment =
                same invariants. *)
             let batched =
               Campaign.run ~seed ~sites ~clients ~duration ~rc ~scenarios
-                ~tune:(fun c ->
-                  {
-                    c with
-                    Rt_core.Config.group_commit_window = Rt_sim.Time.us 20;
-                    batch_window = Some (Rt_sim.Time.us 10);
-                  })
+                ~tune:Rt_core.Config.batched
                 ~placements:[ ("full+gcb", None) ]
                 ()
             in

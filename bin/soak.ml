@@ -9,16 +9,12 @@ open Cmdliner
 open Rt_core
 module Mix = Rt_workload.Mix
 module Time = Rt_sim.Time
+module Commit_protocol = Rt_commit.Commit_protocol
 
-let commit_protocol_of_string = function
-  | "2pc-prn" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_nothing)
-  | "2pc-pra" | "2pc" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_abort)
-  | "2pc-prc" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_commit)
-  | "3pc" -> Ok Config.Three_phase
-  | "qc" ->
-      Ok (Config.Quorum_commit { commit_quorum = None; abort_quorum = None })
-  | "paxos" -> Ok (Config.Paxos_commit { f = None })
-  | s -> Error (Printf.sprintf "unknown commit protocol %S" s)
+let commit_protocol_of_string s =
+  match Commit_protocol.of_name (if s = "2pc" then "2pc-pra" else s) with
+  | Some p -> Ok p
+  | None -> Error (Printf.sprintf "unknown commit protocol %S" s)
 
 let rc_of_string ~sites = function
   | "rowa" -> Ok Rt_replica.Replica_control.rowa
@@ -94,7 +90,7 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
       Printf.printf
         "configuration: %d sites, %s over %s, %s CC, %d clients, %dms%s%s\n"
         sites
-        (Config.commit_protocol_name commit_protocol)
+        (Commit_protocol.name commit_protocol)
         (Rt_replica.Replica_control.name replica_control)
         (Config.concurrency_name concurrency)
         clients duration_ms

@@ -7,21 +7,15 @@
 
    Part 2 kills the coordinator mid-protocol and shows which protocols
    leave survivors blocked (2PC) and which terminate on their own (3PC,
-   quorum commit with a live majority).
+   quorum commit with a live majority, Paxos Commit with a live acceptor
+   quorum).
 
      dune exec examples/protocol_tour.exe *)
 
 open Rt_commit
 module P = Protocol
 
-let protos =
-  [
-    Sandbox.P_two_pc Two_pc.Presumed_nothing;
-    Sandbox.P_two_pc Two_pc.Presumed_abort;
-    Sandbox.P_two_pc Two_pc.Presumed_commit;
-    Sandbox.P_three_pc;
-    Sandbox.P_quorum { commit_quorum = 2; abort_quorum = 2 };
-  ]
+let protos = List.map snd Commit_protocol.all
 
 let () =
   let sites = 3 in
@@ -36,14 +30,16 @@ let () =
         Sandbox.run_fifo ~proto ~sites ~votes:(Array.make sites true) ()
       in
       assert (o.agreement && o.all_decided);
-      Printf.printf "  %-10s %10d %14d %12d\n" (Sandbox.proto_name proto)
+      Printf.printf "  %-10s %10d %14d %12d\n"
+        (Commit_protocol.label proto ~sites)
         o.messages o.forced_writes o.lazy_writes)
     protos;
   Printf.printf
     "\n  Reading the table: presumed commit (PrC) drops the ack round\n\
     \  (fewer messages) and the participants' forced commit records;\n\
     \  3PC and quorum commit pay an extra round and extra forces for\n\
-    \  their pre-commit phase.\n\n";
+    \  their pre-commit phase; Paxos Commit keeps 2PC's forces but adds\n\
+    \  the acceptors' message fan-out.\n\n";
 
   Printf.printf
     "Part 2: coordinator crashes mid-protocol, never recovers (30 crash \
@@ -67,13 +63,13 @@ let () =
         done
       done;
       Printf.printf "  %-10s %11d%% %11d%% %11d%%\n"
-        (Sandbox.proto_name proto)
+        (Commit_protocol.label proto ~sites)
         (100 * !blocked / !runs)
         (100 * !undecided / !runs)
         (100 * !agree / !runs))
     protos;
   Printf.printf
     "\n  2PC participants caught in the uncertainty window stay blocked\n\
-    \  until the coordinator returns; 3PC and quorum commit elect a\n\
-    \  leader and terminate.  Agreement is never violated by any\n\
-    \  protocol, at any crash point.\n"
+    \  until the coordinator returns; 3PC, quorum commit and Paxos\n\
+    \  Commit elect a leader and terminate.  Agreement is never violated\n\
+    \  by any protocol, at any crash point.\n"

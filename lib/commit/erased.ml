@@ -1,131 +1,47 @@
 open Protocol
 
-type t = {
-  step : input -> t * action list;
-  decision : decision option;
-  pstate : participant_state;
-  blocked : bool;
-  describe : unit -> string;
+type 'm machine = {
+  step : 'm -> input -> 'm * action list;
+  decision : 'm -> decision option;
+  blocked : 'm -> bool;
+  describe : 'm -> string;
 }
 
-let rec of_2pc_coord c =
-  {
-    step =
-      (fun i ->
-        let c', a = Two_pc.coord_step c i in
-        (of_2pc_coord c', a));
-    decision = Two_pc.coord_decision c;
-    pstate = P_uncertain;
-    blocked = false;
-    describe = (fun () -> Two_pc.describe_coord c);
-  }
+type t = T : 'm machine * 'm -> t
 
-let rec of_2pc_part p =
-  {
-    step =
-      (fun i ->
-        let p', a = Two_pc.part_step p i in
-        (of_2pc_part p', a));
-    decision = Two_pc.part_decision p;
-    pstate = Two_pc.part_state p;
-    blocked = Two_pc.part_blocked p;
-    describe = (fun () -> Two_pc.describe_part p);
-  }
+let make k m = T (k, m)
 
-let rec of_3pc_coord c =
-  {
-    step =
-      (fun i ->
-        let c', a = Three_pc.coord_step c i in
-        (of_3pc_coord c', a));
-    decision = Three_pc.coord_decision c;
-    pstate = P_uncertain;
-    blocked = false;
-    describe = (fun () -> Three_pc.describe_coord c);
-  }
+let step (T (k, m)) i =
+  let m', actions = k.step m i in
+  (T (k, m'), actions)
 
-let rec of_3pc_part p =
-  {
-    step =
-      (fun i ->
-        let p', a = Three_pc.part_step p i in
-        (of_3pc_part p', a));
-    decision = Three_pc.part_decision p;
-    pstate = Three_pc.part_state p;
-    blocked = Three_pc.part_blocked p;
-    describe = (fun () -> Three_pc.describe_part p);
-  }
+let decision (T (k, m)) = k.decision m
+let blocked (T (k, m)) = k.blocked m
+let describe (T (k, m)) = k.describe m
 
-let rec of_qc_coord c =
-  {
-    step =
-      (fun i ->
-        let c', a = Quorum_commit.coord_step c i in
-        (of_qc_coord c', a));
-    decision = Quorum_commit.coord_decision c;
-    pstate = P_uncertain;
-    blocked = Quorum_commit.coord_blocked c;
-    describe = (fun () -> Quorum_commit.describe_coord c);
-  }
+let state_of = function Commit -> P_committed | Abort -> P_aborted
 
-let rec of_qc_part p =
+let finished_machine =
   {
     step =
-      (fun i ->
-        let p', a = Quorum_commit.part_step p i in
-        (of_qc_part p', a));
-    decision = Quorum_commit.part_decision p;
-    pstate = Quorum_commit.part_state p;
-    blocked = Quorum_commit.part_blocked p;
-    describe = (fun () -> Quorum_commit.describe_part p);
-  }
-
-let rec of_paxos_coord c =
-  {
-    step =
-      (fun i ->
-        let c', a = Paxos_commit.coord_step c i in
-        (of_paxos_coord c', a));
-    decision = Paxos_commit.coord_decision c;
-    pstate = P_uncertain;
-    blocked = Paxos_commit.coord_blocked c;
-    describe = (fun () -> Paxos_commit.describe_coord c);
-  }
-
-let rec of_paxos_part p =
-  {
-    step =
-      (fun i ->
-        let p', a = Paxos_commit.part_step p i in
-        (of_paxos_part p', a));
-    decision = Paxos_commit.part_decision p;
-    pstate = Paxos_commit.part_state p;
-    blocked = Paxos_commit.part_blocked p;
-    describe = (fun () -> Paxos_commit.describe_part p);
-  }
-
-let rec finished d =
-  {
-    step =
-      (fun i ->
+      (fun d i ->
         match i with
-        | Recv (src, Decision_req) -> (finished d, [ Send (src, Decision_msg d) ])
+        | Recv (src, Decision_req) -> (d, [ Send (src, Decision_msg d) ])
         | Recv (src, State_req) ->
-            let st = match d with Commit -> P_committed | Abort -> P_aborted in
-            (finished d, [ Send (src, State_report st) ])
+            (d, [ Send (src, State_report (state_of d)) ])
         | Recv (src, Pq_state_req e) ->
-            let st = match d with Commit -> P_committed | Abort -> P_aborted in
-            (finished d, [ Send (src, Pq_state_report (e, st)) ])
+            (d, [ Send (src, Pq_state_report (e, state_of d)) ])
         | Recv (src, (Px_p1a _ | Px_p2a _)) ->
             (* A paxos recovery leader is probing a settled transaction:
                the decision supersedes any ballot. *)
-            (finished d, [ Send (src, Decision_msg d) ])
-        | _ -> (finished d, []));
-    decision = Some d;
-    pstate = (match d with Commit -> P_committed | Abort -> P_aborted);
-    blocked = false;
+            (d, [ Send (src, Decision_msg d) ])
+        | _ -> (d, []));
+    decision = Option.some;
+    blocked = (fun _ -> false);
     describe =
-      (fun () ->
+      (fun d ->
         Printf.sprintf "finished{%s}"
           (match d with Commit -> "C" | Abort -> "A"));
   }
+
+let finished d = T (finished_machine, d)

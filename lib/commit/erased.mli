@@ -1,41 +1,35 @@
 (** Type-erased commitment machines.
 
     The cluster engine and the sandbox both need to hold "some protocol
-    machine" without caring which protocol it is; this module wraps each
-    concrete machine in a record of closures exposing the uniform step
-    function and the observable facets (decision, participant state,
-    blockedness). *)
+    machine" without caring which protocol it is.  A concrete machine
+    type is erased by pairing a state with the {!machine} record of
+    functions that steps and observes it; {!Commit_protocol} holds one
+    such record per protocol role. *)
 
 open Protocol
 
-type t = {
-  step : input -> t * action list;
-  decision : decision option;
-  pstate : participant_state;
-  blocked : bool;
-  describe : unit -> string;
-      (** Canonical single-line rendering of the {e complete} underlying
-          machine state — not just the observable facets — so a schedule
-          explorer can fingerprint it.  Closures hide the concrete state;
-          this is the one sanctioned window into it.  Equal descriptions
-          imply machines that behave identically on every input. *)
+type 'm machine = {
+  step : 'm -> input -> 'm * action list;
+  decision : 'm -> decision option;
+  blocked : 'm -> bool;
+  describe : 'm -> string;
+      (** Canonical single-line rendering of the {e complete} machine
+          state — not just the observable facets — so a schedule
+          explorer can fingerprint it.  Equal descriptions imply machines
+          that behave identically on every input. *)
 }
 
-val of_2pc_coord : Two_pc.coord -> t
+type t
 
-val of_2pc_part : Two_pc.part -> t
+val make : 'm machine -> 'm -> t
 
-val of_3pc_coord : Three_pc.coord -> t
+val step : t -> input -> t * action list
 
-val of_3pc_part : Three_pc.part -> t
+val decision : t -> decision option
 
-val of_qc_coord : Quorum_commit.coord -> t
+val blocked : t -> bool
 
-val of_qc_part : Quorum_commit.part -> t
-
-val of_paxos_coord : Paxos_commit.coord -> t
-
-val of_paxos_part : Paxos_commit.part -> t
+val describe : t -> string
 
 val finished : decision -> t
 (** A site that already knows the outcome: answers [Decision_req], state

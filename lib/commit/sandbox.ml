@@ -1,19 +1,6 @@
 open Rt_types
 open Protocol
 
-type proto =
-  | P_two_pc of Two_pc.variant
-  | P_three_pc
-  | P_quorum of { commit_quorum : int; abort_quorum : int }
-  | P_paxos of { f : int }
-
-let proto_name = function
-  | P_two_pc v -> Two_pc.variant_name v
-  | P_three_pc -> "3PC"
-  | P_quorum { commit_quorum; abort_quorum } ->
-      Printf.sprintf "QC(%d,%d)" commit_quorum abort_quorum
-  | P_paxos { f } -> Printf.sprintf "Paxos(F=%d)" f
-
 type outcome = {
   decisions : (Ids.site_id * decision) list;
   agreement : bool;
@@ -25,18 +12,6 @@ type outcome = {
   steps : int;
   timeouts_fired : int;
 }
-
-type machine = Erased.t
-
-let wrap_2pc_coord = Erased.of_2pc_coord
-let wrap_2pc_part = Erased.of_2pc_part
-let wrap_3pc_coord = Erased.of_3pc_coord
-let wrap_3pc_part = Erased.of_3pc_part
-let wrap_qc_coord = Erased.of_qc_coord
-let wrap_qc_part = Erased.of_qc_part
-let wrap_paxos_coord = Erased.of_paxos_coord
-let wrap_paxos_part = Erased.of_paxos_part
-let finished_machine = Erased.finished
 
 type mrole = Coord | Part
 
@@ -58,13 +33,13 @@ type event =
   | Kick of { site : Ids.site_id; role : mrole }  (* Start for recovery *)
 
 type sim = {
-  proto : proto;
+  proto : Commit_protocol.t;
   sites : int;
   votes : bool array;
   rng : Rt_sim.Rng.t option;  (* None = FIFO deterministic *)
   (* rt_lint: allow fingerprint-coverage -- self-contained protocol sandbox with its own crash-sweep harness; never part of the cluster the explorer digests *)
-  mutable coord : machine option;  (* lives at site 0 *)
-  parts : machine option array;
+  mutable coord : Erased.t option;  (* lives at site 0 *)
+  parts : Erased.t option array;
   mutable pending : event list;  (* in arrival order *)
   timers : (Ids.site_id * mrole * timer, unit) Hashtbl.t;
   durable : (Ids.site_id, log_tag list ref) Hashtbl.t;
@@ -83,64 +58,6 @@ let coordinator_site = 0
 let timeouts = Protocol.default_timeouts
 
 let all_sites sim = List.init sim.sites (fun i -> i)
-
-let paxos_config ~sites ~f =
-  Paxos_commit.config
-    ~all:(List.init sites (fun i -> i))
-    ~coordinator:coordinator_site ~f ()
-
-let make_coord proto ~sites =
-  match proto with
-  | P_two_pc variant ->
-      wrap_2pc_coord
-        (Two_pc.coordinator ~variant
-           ~participants:(List.init sites (fun i -> i))
-           ~timeouts)
-  | P_three_pc ->
-      wrap_3pc_coord
-        (Three_pc.coordinator
-           ~participants:(List.init sites (fun i -> i))
-           ~timeouts)
-  | P_quorum { commit_quorum; abort_quorum } ->
-      let config =
-        Quorum_commit.config
-          ~all:(List.init sites (fun i -> i))
-          ~commit_quorum ~abort_quorum ()
-      in
-      wrap_qc_coord
-        (Quorum_commit.coordinator ~config ~self:coordinator_site ~timeouts)
-  | P_paxos { f } ->
-      wrap_paxos_coord
-        (Paxos_commit.coordinator
-           ~config:(paxos_config ~sites ~f)
-           ~self:coordinator_site ~timeouts)
-
-let make_part proto ~sites ~self ~vote ~read_only =
-  let all = List.init sites (fun i -> i) in
-  match proto with
-  | P_two_pc variant ->
-      wrap_2pc_part
-        (Two_pc.participant ~read_only ~variant ~self
-           ~coordinator:coordinator_site ~peers:all ~vote ~timeouts ())
-  | P_three_pc ->
-      wrap_3pc_part
-        (Three_pc.participant ~self ~coordinator:coordinator_site ~all ~vote
-           ~timeouts)
-  | P_quorum { commit_quorum; abort_quorum } ->
-      let config =
-        Quorum_commit.config ~all ~commit_quorum ~abort_quorum ()
-      in
-      wrap_qc_part
-        (Quorum_commit.participant ~config ~self
-           ~coordinator:coordinator_site ~vote ~timeouts)
-  | P_paxos { f } ->
-      (* The participant co-located with the coordinator does not own an
-         acceptor ([participant] gives it none): the coordinator machine
-         holds site 0's acceptor, and ballots stay unique per machine. *)
-      wrap_paxos_part
-        (Paxos_commit.participant
-           ~config:(paxos_config ~sites ~f)
-           ~self ~vote ~timeouts)
 
 let durable_tags sim site =
   match Hashtbl.find_opt sim.durable site with Some r -> !r | None -> []
@@ -172,7 +89,7 @@ let routed_to_coord sim ~dst msg =
           (* A coordinator that knows the outcome (including by
              presumption after recovery) answers inquiries; otherwise the
              local participant does. *)
-          coord.Erased.decision <> None
+          Erased.decision coord <> None
       | _ -> false)
 
 let clear_timers_for sim site role =
@@ -210,14 +127,14 @@ and feed sim ~site ~role input =
     | Coord -> (
         match sim.coord with
         | Some m when site = coordinator_site ->
-            let m', actions = m.Erased.step input in
+            let m', actions = Erased.step m input in
             sim.coord <- Some m';
             interpret sim ~site ~role actions
         | _ -> ())
     | Part -> (
         match sim.parts.(site) with
         | Some m ->
-            let m', actions = m.Erased.step input in
+            let m', actions = Erased.step m input in
             sim.parts.(site) <- Some m';
             interpret sim ~site ~role actions
         | None -> ())
@@ -256,7 +173,7 @@ let recover sim site =
     in
     let all = all_sites sim in
     (match decided with
-    | Some d -> sim.parts.(site) <- Some (finished_machine d)
+    | Some d -> sim.parts.(site) <- Some (Erased.finished d)
     | None ->
         let has tag = List.mem tag tags in
         if has L_precommit || has L_preabort || has L_prepared then begin
@@ -265,98 +182,35 @@ let recover sim site =
             else if has L_preabort then P_preaborted
             else P_uncertain
           in
-          match sim.proto with
-          | P_two_pc variant ->
-              sim.parts.(site) <-
-                Some
-                  (wrap_2pc_part
-                     (Two_pc.participant_recovered ~variant ~self:site
-                        ~coordinator:coordinator_site ~peers:all ~timeouts))
-          | P_three_pc ->
-              sim.parts.(site) <-
-                Some
-                  (wrap_3pc_part
-                     (Three_pc.participant_recovered ~self:site
-                        ~coordinator:coordinator_site ~all ~state ~timeouts))
-          | P_quorum { commit_quorum; abort_quorum } ->
-              let config =
-                Quorum_commit.config ~all ~commit_quorum ~abort_quorum ()
-              in
-              sim.parts.(site) <-
-                Some
-                  (wrap_qc_part
-                     (Quorum_commit.participant_recovered ~config ~self:site
-                        ~coordinator:coordinator_site ~state ~timeouts))
-          | P_paxos { f } ->
-              sim.parts.(site) <-
-                Some
-                  (wrap_paxos_part
-                     (Paxos_commit.participant_recovered
-                        ~config:(paxos_config ~sites:sim.sites ~f)
-                        ~self:site ~state ~timeouts))
+          sim.parts.(site) <-
+            Some
+              (Commit_protocol.recovered_participant sim.proto
+                 ~participants:all ~coordinator:coordinator_site ~self:site
+                 ~state ~timeouts)
         end
         else
           (* Never prepared: the site may abort unilaterally. *)
-          sim.parts.(site) <- Some (finished_machine Abort));
+          sim.parts.(site) <- Some (Erased.finished Abort));
     sim.pending <- sim.pending @ [ Kick { site; role = Part } ];
-    (* A recovered 2PC coordinator resumes from its log. *)
+    (* A recovered coordinator resumes from its log, where the protocol
+       has one to resume. *)
     if site = coordinator_site then
-      match sim.proto with
-      | P_two_pc variant ->
-          let logged =
-            match decided with
-            | Some d -> `Decision d
-            | None ->
-                if List.mem L_collecting tags then `Collecting else `Nothing
-          in
-          sim.coord <-
-            Some
-              (wrap_2pc_coord
-                 (Two_pc.coordinator_recovered ~variant ~participants:all
-                    ~timeouts ~logged));
+      let logged =
+        match decided with
+        | Some d -> `Decision d
+        | None -> if List.mem L_collecting tags then `Collecting else `Nothing
+      in
+      match
+        Commit_protocol.recovered_coordinator sim.proto ~participants:all
+          ~self:site ~timeouts ~logged
+      with
+      | Some m ->
+          sim.coord <- Some m;
           sim.pending <- sim.pending @ [ Kick { site; role = Coord } ]
-      | P_paxos { f } -> (
-          let config = paxos_config ~sites:sim.sites ~f in
-          match decided with
-          | Some d ->
-              sim.coord <-
-                Some
-                  (wrap_paxos_coord
-                     (Paxos_commit.coordinator_recovered ~config
-                        ~self:coordinator_site ~timeouts
-                        ~logged:(`Decision d)));
-              sim.pending <- sim.pending @ [ Kick { site; role = Coord } ]
-          | None ->
-              if f = 0 then begin
-                (* Sole acceptor: nothing logged means nothing decided —
-                   the 2PC-PrN abort presumption. *)
-                sim.coord <-
-                  Some
-                    (wrap_paxos_coord
-                       (Paxos_commit.coordinator_recovered ~config
-                          ~self:coordinator_site ~timeouts ~logged:`Nothing));
-                sim.pending <- sim.pending @ [ Kick { site; role = Coord } ]
-              end
-              (* F > 0: surviving acceptors may have chosen; the origin
-                 must stay amnesiac and let the election terminate. *))
-      | P_three_pc | P_quorum _ -> ()
+      | None -> ()
   end
 
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let debug_hook : (string -> unit) option ref = ref None
-
-let dbg fmt = Printf.ksprintf (fun s -> match !debug_hook with Some f -> f s | None -> ()) fmt
-
 let process_event sim event =
-  (match event with
-   | Deliver { src; dst; msg } ->
-       dbg "deliver %d->%d %s" src dst (Format.asprintf "%a" pp_msg msg)
-   | Log_complete { site; role; tag } ->
-       dbg "logdone site=%d role=%s %s" site
-         (match role with Coord -> "C" | Part -> "P")
-         (Format.asprintf "%a" pp_log_tag tag)
-   | Notice_down { dst; down } -> dbg "down %d noticed at %d" down dst
-   | Kick { site; _ } -> dbg "kick %d" site);
   match event with
   | Deliver { src; dst; msg } ->
       let role = if routed_to_coord sim ~dst msg then Coord else Part in
@@ -401,9 +255,6 @@ let fire_some_timer sim =
             List.nth enabled (Rt_sim.Rng.int rng (List.length enabled))
       in
       Hashtbl.remove sim.timers (site, role, t);
-      dbg "timeout site=%d role=%s %s" site
-        (match role with Coord -> "C" | Part -> "P")
-        (Format.asprintf "%a" pp_timer t);
       sim.timeouts_fired <- sim.timeouts_fired + 1;
       feed sim ~site ~role (Timeout t);
       true
@@ -413,7 +264,7 @@ let live_parts_decided sim =
   for s = 0 to sim.sites - 1 do
     if not sim.crashed.(s) && not sim.forgotten.(s) then
       match sim.parts.(s) with
-      | Some m -> if m.Erased.decision = None then ok := false
+      | Some m -> if Erased.decision m = None then ok := false
       | None -> ()
   done;
   !ok
@@ -429,18 +280,23 @@ let run ?seed ?(crashes = []) ?(recoveries = []) ?(max_steps = 10_000)
     | None -> Array.make sites false
   in
   let rng = Option.map (fun s -> Rt_sim.Rng.create ~seed:s) seed in
+  let participants = List.init sites (fun i -> i) in
   let sim =
     {
       proto;
       sites;
       votes;
       rng;
-      coord = Some (make_coord proto ~sites);
+      coord =
+        Some
+          (Commit_protocol.coordinator proto ~participants
+             ~self:coordinator_site ~timeouts);
       parts =
         Array.init sites (fun i ->
             Some
-              (make_part proto ~sites ~self:i ~vote:votes.(i)
-                 ~read_only:read_only.(i)));
+              (Commit_protocol.participant proto ~participants
+                 ~coordinator:coordinator_site ~self:i ~vote:votes.(i)
+                 ~read_only:read_only.(i) ~timeouts));
       pending = [];
       timers = Hashtbl.create 16;
       durable = Hashtbl.create 16;

@@ -19,16 +19,6 @@
 open Rt_types
 open Protocol
 
-type proto =
-  | P_two_pc of Two_pc.variant
-  | P_three_pc
-  | P_quorum of { commit_quorum : int; abort_quorum : int }
-  | P_paxos of { f : int }
-      (** Paxos Commit with 2F+1 acceptors drawn from the lowest site ids;
-          [f = 0] degenerates to 2PC presumed-nothing. *)
-
-val proto_name : proto -> string
-
 type outcome = {
   decisions : (Ids.site_id * decision) list;
       (** Final decision delivered at each site that decided (sorted). *)
@@ -42,23 +32,21 @@ type outcome = {
   timeouts_fired : int;
 }
 
-val debug_hook : (string -> unit) option ref
-(** When set, every processed event is described through the callback —
-    a development aid for reproducing property-test counterexamples. *)
-
 val run :
   ?seed:int ->
   ?crashes:(Ids.site_id * int) list ->
   ?recoveries:(Ids.site_id * int) list ->
   ?max_steps:int ->
   ?read_only:bool array ->
-  proto:proto ->
+  proto:Commit_protocol.t ->
   sites:int ->
   votes:bool array ->
   unit ->
   outcome
 (** [run ~proto ~sites ~votes ()] executes one transaction with site 0 as
-    coordinator.  [votes.(i)] is site [i]'s phase-1 vote.  [crashes] kills
+    coordinator and every site as a participant, so [proto]'s thresholds
+    resolve over all [sites] (see {!Commit_protocol.label}).  [votes.(i)]
+    is site [i]'s phase-1 vote.  [crashes] kills
     a site after the given number of processed events (its machines and
     queued events vanish; peers get failure-detector notice).
     [recoveries] rebuilds a crashed site's machines from its durable log
@@ -69,6 +57,6 @@ val run :
     ignore it). *)
 
 val run_fifo :
-  proto:proto -> sites:int -> votes:bool array -> unit -> outcome
+  proto:Commit_protocol.t -> sites:int -> votes:bool array -> unit -> outcome
 (** Deterministic failure-free run with strict FIFO event processing; the
     canonical cost-measurement mode for T1. *)

@@ -1,16 +1,10 @@
 open Rt_sim
 
-type commit_protocol =
+type commit_protocol = Rt_commit.Commit_protocol.t =
   | Two_phase of Rt_commit.Two_pc.variant
   | Three_phase
   | Quorum_commit of { commit_quorum : int option; abort_quorum : int option }
   | Paxos_commit of { f : int option }
-
-let commit_protocol_name = function
-  | Two_phase v -> Rt_commit.Two_pc.variant_name v
-  | Three_phase -> "3PC"
-  | Quorum_commit _ -> "QC"
-  | Paxos_commit _ -> "Paxos"
 
 type concurrency = Locking | Timestamp
 
@@ -85,6 +79,9 @@ let placement t =
   | Some p -> p
   | None -> Rt_placement.Placement.full ~sites:t.sites
 
+let batched t =
+  { t with group_commit_window = Time.us 20; batch_window = Some (Time.us 10) }
+
 let validate t =
   if t.sites <= 0 then invalid_arg "Config: sites must be positive";
   if t.orphan_window_factor < 1 then
@@ -143,23 +140,4 @@ let validate t =
   | Rt_replica.Replica_control.Rowa
   | Rt_replica.Replica_control.Available_copies ->
       ());
-  match t.commit_protocol with
-  | Quorum_commit { commit_quorum; abort_quorum } ->
-      let majority = (t.sites / 2) + 1 in
-      let vc = Option.value commit_quorum ~default:majority in
-      let va = Option.value abort_quorum ~default:majority in
-      if vc < 1 || va < 1 then
-        invalid_arg "Config: commit/abort quorums must be positive";
-      if vc + va <= t.sites then
-        invalid_arg "Config: commit/abort quorums must overlap"
-  | Paxos_commit { f } -> (
-      (* 2f+1 acceptors are drawn from the origin site plus the other
-         participants; any two (f+1)-quorums of them intersect. *)
-      match f with
-      | None -> ()
-      | Some f ->
-          if f < 0 then invalid_arg "Config: paxos F must be non-negative";
-          if (2 * f) + 1 > t.sites then
-            invalid_arg
-              "Config: paxos F needs 2F+1 acceptor sites (F <= (sites-1)/2)")
-  | Two_phase _ | Three_phase -> ()
+  Rt_commit.Commit_protocol.validate t.commit_protocol ~sites:t.sites

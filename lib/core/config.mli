@@ -2,17 +2,13 @@
 
 open Rt_sim
 
-type commit_protocol =
+(** The protocol registry's type, re-exported so that [Config.Two_phase]
+    and the other constructors name it; see {!Rt_commit.Commit_protocol}. *)
+type commit_protocol = Rt_commit.Commit_protocol.t =
   | Two_phase of Rt_commit.Two_pc.variant
   | Three_phase
   | Quorum_commit of { commit_quorum : int option; abort_quorum : int option }
-      (** [None] thresholds default to majority. *)
   | Paxos_commit of { f : int option }
-      (** Paxos Commit with 2F+1 acceptors and F+1 quorums; [None] picks
-          the largest F the participant count supports.  [F = 0] is the
-          2PC-degenerate configuration. *)
-
-val commit_protocol_name : commit_protocol -> string
 
 type concurrency = Locking | Timestamp
 (** Distributed concurrency control at the replicas: strict two-phase
@@ -100,11 +96,18 @@ val placement : t -> Rt_placement.Placement.t
 (** The effective placement: the configured one, or the degenerate
     full-replication placement over [sites] when none is set. *)
 
+val batched : t -> t
+(** The harnesses' "+gcb" arm: a 20µs WAL group-commit window and a
+    10µs link-batching window — short against the link latency, so only
+    forces and sends that are already concurrent share a device cycle or
+    an envelope. *)
+
 val validate : t -> unit
 (** Raises [Invalid_argument] on inconsistent settings: non-positive site
     count, a placement whose site count or replication degree disagrees
-    with [sites], a primary site out of range, quorum thresholds that
-    violate intersection or don't match the site count, negative
+    with [sites], a primary site out of range, commit-protocol
+    thresholds the cluster cannot meet (see
+    {!Rt_commit.Commit_protocol.validate}), negative
     latencies/timeouts, a non-positive heartbeat interval, retry
     backoff knobs that are non-positive or cap below base, a storage
     fault probability outside [0,1], or a non-positive

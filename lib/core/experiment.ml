@@ -3,6 +3,7 @@ module Table = Rt_metrics.Table
 module Counter = Rt_metrics.Counter
 module Sample = Rt_metrics.Sample
 module Sandbox = Rt_commit.Sandbox
+module Commit_protocol = Rt_commit.Commit_protocol
 module Two_pc = Rt_commit.Two_pc
 module RC = Rt_replica.Replica_control
 module Mix = Rt_workload.Mix
@@ -22,29 +23,8 @@ let f1dec = Table.cell_f ~decimals:1
 let f2dec = Table.cell_f ~decimals:2
 let f3dec = Table.cell_f ~decimals:3
 
-let sandbox_protocols ~sites =
-  let q = (sites / 2) + 1 in
-  [
-    Sandbox.P_two_pc Two_pc.Presumed_nothing;
-    Sandbox.P_two_pc Two_pc.Presumed_abort;
-    Sandbox.P_two_pc Two_pc.Presumed_commit;
-    Sandbox.P_three_pc;
-    Sandbox.P_quorum { commit_quorum = q; abort_quorum = q };
-    Sandbox.P_paxos { f = (sites - 1) / 2 };
-  ]
-
-let cluster_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
-
 (* Run a closed-loop workload and report client stats plus the cluster. *)
-let loaded_run ?(seed = 1) ?(retry_aborts = true) ?(ordered_keys = true)
+let loaded_run ?(retry_aborts = true) ?(ordered_keys = true)
     ?(route_by_shard = false) ~config ~mix ~clients ~duration () =
   let cluster = Cluster.create config in
   Cluster.populate cluster mix;
@@ -52,7 +32,6 @@ let loaded_run ?(seed = 1) ?(retry_aborts = true) ?(ordered_keys = true)
     Client.start_fleet ~cluster ~clients ~mix ~retry_aborts ~ordered_keys
       ~route_by_shard ()
   in
-  ignore seed;
   Cluster.run ~until:duration cluster;
   List.iter Client.stop fleet;
   (* Drain in-flight transactions. *)
@@ -69,15 +48,21 @@ let loaded_run ?(seed = 1) ?(retry_aborts = true) ?(ordered_keys = true)
 let analytic_commit proto ~sites =
   let p = sites - 1 in
   match proto with
-  | Sandbox.P_two_pc Two_pc.Presumed_nothing -> (4 * p, 1 + (2 * sites))
-  | Sandbox.P_two_pc Two_pc.Presumed_abort -> (4 * p, 1 + (2 * sites))
-  | Sandbox.P_two_pc Two_pc.Presumed_commit -> (3 * p, 2 + sites)
-  | Sandbox.P_three_pc -> (5 * p, 2 + (3 * sites))
-  | Sandbox.P_quorum _ -> (5 * p, 2 + (3 * sites))
+  | Config.Two_phase Two_pc.Presumed_nothing -> (4 * p, 1 + (2 * sites))
+  | Config.Two_phase Two_pc.Presumed_abort -> (4 * p, 1 + (2 * sites))
+  | Config.Two_phase Two_pc.Presumed_commit -> (3 * p, 2 + sites)
+  | Config.Three_phase -> (5 * p, 2 + (3 * sites))
+  | Config.Quorum_commit _ -> (5 * p, 2 + (3 * sites))
   (* Paxos Commit: 2PC's message pattern plus, per extra acceptor pair,
      the vote fan-out (2P+1 instances reach 2F extra acceptors) and their
      phase-2b relays to the ballot-0 leader.  F = 0 is exactly 2PC-PrN. *)
-  | Sandbox.P_paxos { f } -> ((4 * p) + (2 * f * ((2 * p) + 1)), 1 + (2 * sites))
+  | Config.Paxos_commit { f } ->
+      let f =
+        Commit_protocol.paxos_f f
+          ~participants:(List.init sites Fun.id)
+          ~coordinator:0
+      in
+      ((4 * p) + (2 * f * ((2 * p) + 1)), 1 + (2 * sites))
 
 let t1 =
   {
@@ -104,7 +89,7 @@ let t1 =
                 let am, af = analytic_commit proto ~sites in
                 Table.add_row table
                   [
-                    Sandbox.proto_name proto;
+                    Commit_protocol.label proto ~sites;
                     Table.cell_i sites;
                     Table.cell_i am;
                     Table.cell_i o.messages;
@@ -112,7 +97,7 @@ let t1 =
                     Table.cell_i o.forced_writes;
                     Table.cell_i o.lazy_writes;
                   ])
-              (sandbox_protocols ~sites);
+              (List.map snd Commit_protocol.all);
             Table.add_rule table)
           [ 3; 5; 7 ];
         table);
@@ -166,7 +151,7 @@ let t2 =
                     f2dec (ms 99.);
                     Table.cell_i (Sample.count lat);
                   ])
-              cluster_protocols;
+              Commit_protocol.all;
             Table.add_rule table)
           [ 3; 5; 7 ];
         table);
@@ -644,22 +629,23 @@ let f5 =
             let pct x = 100. *. float_of_int x /. float_of_int !runs in
             Table.add_row table
               [
-                Sandbox.proto_name proto;
+                Commit_protocol.label proto ~sites:3;
                 Table.cell_i !runs;
                 f1dec (pct !blocked);
                 f1dec (pct !undecided);
                 f1dec (pct !agree);
               ])
           [
-            Sandbox.P_two_pc Two_pc.Presumed_abort;
-            Sandbox.P_three_pc;
-            Sandbox.P_quorum { commit_quorum = 2; abort_quorum = 2 };
+            Config.Two_phase Two_pc.Presumed_abort;
+            Config.Three_phase;
+            Config.Quorum_commit
+              { commit_quorum = Some 2; abort_quorum = Some 2 };
             (* The Gray–Lamport contrast: at F = 0 Paxos Commit blocks
                exactly like 2PC (the sole acceptor died with the
                coordinator); at F = 1 the surviving acceptor quorum
                elects a new leader and every run terminates. *)
-            Sandbox.P_paxos { f = 0 };
-            Sandbox.P_paxos { f = 1 };
+            Config.Paxos_commit { f = Some 0 };
+            Config.Paxos_commit { f = Some 1 };
           ];
         table);
   }
@@ -944,7 +930,7 @@ let a2 =
         List.iter
           (fun k ->
             let ro = Array.init sites (fun i -> i >= sites - k) in
-            let proto = Sandbox.P_two_pc Two_pc.Presumed_abort in
+            let proto = Config.Two_phase Two_pc.Presumed_abort in
             let off = Sandbox.run ~proto ~sites ~votes () in
             let on = Sandbox.run ~read_only:ro ~proto ~sites ~votes () in
             Table.add_row table

@@ -32,7 +32,11 @@ type payload =
       pmsg : Rt_commit.Protocol.msg;
       prepare : prepare_info option;
           (** Piggybacked on [Vote_req]: what this participant must make
-              durable before voting, and who the participants are. *)
+              durable before voting, and who the participants are.  On
+              [Decision_req] only [participants] is filled in: the
+              asker's participant set, from which an origin with no
+              memory of the transaction resolves its protocol's
+              presumption. *)
     }
   | Probe of { initiator : Ids.Txn_id.t }
       (** Chandy–Misra–Haas edge-chasing probe.  The envelope transaction

@@ -2,10 +2,7 @@ open Rt_sim
 open Rt_types
 module P = Rt_commit.Protocol
 module Erased = Rt_commit.Erased
-module Two_pc = Rt_commit.Two_pc
-module Three_pc = Rt_commit.Three_pc
-module Quorum_commit = Rt_commit.Quorum_commit
-module Paxos_commit = Rt_commit.Paxos_commit
+module Commit_protocol = Rt_commit.Commit_protocol
 module RC = Rt_replica.Replica_control
 module Lock = Rt_lock.Lock_table
 module Kv = Rt_storage.Kv
@@ -185,36 +182,12 @@ let active_participants t =
     (fun _ ctx acc -> if ctx.pt_resolved then acc else acc + 1)
     t.parts 0
 
-let participant_debug t =
-  Ids.Txn_map.fold
-    (fun txn ctx acc ->
-      if ctx.pt_resolved then acc
-      else
-        ( txn,
-          Format.asprintf "%a: machine=%s doomed=%s state=%s blocked=%b"
-            Tid.pp txn
-            (if ctx.pt_machine = None then "none" else "yes")
-            (match ctx.pt_doomed with
-            | None -> "no"
-            | Some r -> Format.asprintf "%a" Msg.pp_refusal r)
-            (match ctx.pt_machine with
-            | Some m ->
-                Format.asprintf "%a" P.pp_participant_state m.Erased.pstate
-            | None -> "-")
-            (match ctx.pt_machine with
-            | Some m -> m.Erased.blocked
-            | None -> false) )
-        :: acc)
-    t.parts []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  |> List.map snd
-
 let blocked_participants t =
   (* rt_lint: allow deterministic-iteration -- commutative count *)
   Ids.Txn_map.fold
     (fun _ ctx acc ->
       match ctx.pt_machine with
-      | Some m when m.Erased.blocked && not ctx.pt_resolved -> acc + 1
+      | Some m when Erased.blocked m && not ctx.pt_resolved -> acc + 1
       | _ -> acc)
     t.parts 0
 
@@ -345,107 +318,6 @@ let local_send t ~dst msg =
          deliver)
   end
   else t.send_raw ~dst msg
-
-(* ------------------------------------------------------------------ *)
-(* Commitment machine construction                                     *)
-(* ------------------------------------------------------------------ *)
-
-let qc_quorums t ~n_participants =
-  let majority = (n_participants / 2) + 1 in
-  match t.config.commit_protocol with
-  | Config.Quorum_commit { commit_quorum; abort_quorum } ->
-      let clamp q = max 1 (min n_participants q) in
-      let vc = clamp (Option.value commit_quorum ~default:majority) in
-      let va = clamp (Option.value abort_quorum ~default:majority) in
-      if vc + va > n_participants then (vc, va) else (majority, majority)
-  | _ -> (majority, majority)
-
-(* Like [qc_quorums], an out-of-range F is clamped to what the
-   participant set supports rather than rejected: sharded transactions
-   can touch fewer sites than the cluster-wide knob assumed. *)
-let paxos_config t ~participants ~coordinator =
-  let others =
-    List.length (List.filter (fun s -> s <> coordinator) participants)
-  in
-  let max_f = others / 2 in
-  let f =
-    match t.config.commit_protocol with
-    | Config.Paxos_commit { f = Some f } -> Some (max 0 (min max_f f))
-    | _ -> None
-  in
-  Paxos_commit.config ~all:participants ~coordinator ?f ()
-
-let make_coord_machine t ~participants =
-  let timeouts = t.config.commit_timeouts in
-  match t.config.commit_protocol with
-  | Config.Two_phase variant ->
-      Erased.of_2pc_coord (Two_pc.coordinator ~variant ~participants ~timeouts)
-  | Config.Three_phase ->
-      Erased.of_3pc_coord (Three_pc.coordinator ~participants ~timeouts)
-  | Config.Quorum_commit _ ->
-      let vc, va = qc_quorums t ~n_participants:(List.length participants) in
-      let config =
-        Quorum_commit.config ~all:participants ~commit_quorum:vc
-          ~abort_quorum:va ()
-      in
-      Erased.of_qc_coord (Quorum_commit.coordinator ~config ~self:t.id ~timeouts)
-  | Config.Paxos_commit _ ->
-      let config = paxos_config t ~participants ~coordinator:t.id in
-      Erased.of_paxos_coord
-        (Paxos_commit.coordinator ~config ~self:t.id ~timeouts)
-
-let make_part_machine t ~txn ~participants ~vote ~read_only =
-  let timeouts = t.config.commit_timeouts in
-  let coordinator = txn.Tid.origin in
-  match t.config.commit_protocol with
-  | Config.Two_phase variant ->
-      let read_only = read_only && t.config.read_only_optimization in
-      Erased.of_2pc_part
-        (Two_pc.participant ~read_only ~variant ~self:t.id ~coordinator
-           ~peers:participants ~vote ~timeouts ())
-  | Config.Three_phase ->
-      Erased.of_3pc_part
-        (Three_pc.participant ~self:t.id ~coordinator ~all:participants ~vote
-           ~timeouts)
-  | Config.Quorum_commit _ ->
-      let vc, va = qc_quorums t ~n_participants:(List.length participants) in
-      let config =
-        Quorum_commit.config ~all:participants ~commit_quorum:vc
-          ~abort_quorum:va ()
-      in
-      Erased.of_qc_part
-        (Quorum_commit.participant ~config ~self:t.id ~coordinator ~vote
-           ~timeouts)
-  | Config.Paxos_commit _ ->
-      let config = paxos_config t ~participants ~coordinator in
-      Erased.of_paxos_part
-        (Paxos_commit.participant ~config ~self:t.id ~vote ~timeouts)
-
-let make_recovered_part_machine t ~txn ~participants ~state =
-  let timeouts = t.config.commit_timeouts in
-  let coordinator = txn.Tid.origin in
-  match t.config.commit_protocol with
-  | Config.Two_phase variant ->
-      Erased.of_2pc_part
-        (Two_pc.participant_recovered ~variant ~self:t.id ~coordinator
-           ~peers:participants ~timeouts)
-  | Config.Three_phase ->
-      Erased.of_3pc_part
-        (Three_pc.participant_recovered ~self:t.id ~coordinator
-           ~all:participants ~state ~timeouts)
-  | Config.Quorum_commit _ ->
-      let vc, va = qc_quorums t ~n_participants:(List.length participants) in
-      let config =
-        Quorum_commit.config ~all:participants ~commit_quorum:vc
-          ~abort_quorum:va ()
-      in
-      Erased.of_qc_part
-        (Quorum_commit.participant_recovered ~config ~self:t.id ~coordinator
-           ~state ~timeouts)
-  | Config.Paxos_commit _ ->
-      let config = paxos_config t ~participants ~coordinator in
-      Erased.of_paxos_part
-        (Paxos_commit.participant_recovered ~config ~self:t.id ~state ~timeouts)
 
 (* ------------------------------------------------------------------ *)
 (* Participant side                                                     *)
@@ -625,6 +497,12 @@ let coord_log_records txn tag : LR.t list =
   | P.L_preabort -> [ LR.Preabort txn ]
   | P.L_prepared -> []
 
+(* A termination inquiry carries the asker's participant set: an origin
+   that lost all memory of the transaction resolves its protocol's
+   presumption from it (see [answer_unknown]). *)
+let inquiry participants =
+  Some { Msg.writes = []; participants; presumed_down = [] }
+
 let out_commit_msg t ctx_txn ~dst pmsg ~prepare =
   if dst <> t.id then Counter.incr t.counters "commit_protocol_msgs";
   local_send t ~dst (Msg.txn_msg ctx_txn (Msg.Commit_msg { pmsg; prepare }))
@@ -638,7 +516,13 @@ let rec interpret_part t ctx actions =
     (fun (action : P.action) ->
       if t.up then
       match action with
-      | P.Send (dst, pmsg) -> out_commit_msg t ctx.pt_txn ~dst pmsg ~prepare:None
+      | P.Send (dst, pmsg) ->
+          let prepare =
+            match pmsg with
+            | P.Decision_req -> inquiry ctx.pt_participants
+            | _ -> None
+          in
+          out_commit_msg t ctx.pt_txn ~dst pmsg ~prepare
       | P.Log (tag, mode) -> (
           let records = log_record_of_tag ctx tag in
           let lsn =
@@ -674,7 +558,7 @@ and feed_part t ctx input =
     match ctx.pt_machine with
     | None -> ()
     | Some m ->
-        let m', actions = m.Erased.step input in
+        let m', actions = Erased.step m input in
         ctx.pt_machine <- Some m';
         interpret_part t ctx actions;
         (* Step boundary: the machine consumed [input] and its actions are
@@ -958,8 +842,11 @@ let handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
     let vote = ctx.pt_doomed = None && (not pledged_abort) && validation_ok in
     ctx.pt_machine <-
       Some
-        (make_part_machine t ~txn ~participants:ctx.pt_participants ~vote
-           ~read_only:(ctx.pt_writes = []));
+        (Commit_protocol.participant t.config.commit_protocol
+           ~participants:ctx.pt_participants ~coordinator:txn.Tid.origin
+           ~self:t.id ~vote
+           ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization)
+           ~timeouts:t.config.commit_timeouts);
     feed_part t ctx (P.Recv (src, P.Vote_req));
     (* Replay paxos acceptor traffic that arrived before the machine
        existed, in arrival order (see [px_early]). *)
@@ -1026,6 +913,7 @@ let rec interpret_coord t ctx actions =
                     participants = Sset.elements ctx.co_touched;
                     presumed_down;
                   }
+            | P.Decision_req -> inquiry (Sset.elements ctx.co_touched)
             | _ -> None
           in
           out_commit_msg t ctx.co_txn ~dst pmsg ~prepare
@@ -1059,7 +947,7 @@ and feed_coord t ctx input =
     match ctx.co_machine with
     | None -> ()
     | Some m ->
-        let m', actions = m.Erased.step input in
+        let m', actions = Erased.step m input in
         ctx.co_machine <- Some m';
         interpret_coord t ctx actions;
         if t.up && Engine.crash_hook_installed t.engine then
@@ -1289,7 +1177,10 @@ let begin_commit t ctx =
     let participants = Sset.elements ctx.co_touched in
     if participants = [] then finish_coord t ctx Committed
     else begin
-      ctx.co_machine <- Some (make_coord_machine t ~participants);
+      ctx.co_machine <-
+        Some
+          (Commit_protocol.coordinator t.config.commit_protocol ~participants
+             ~self:t.id ~timeouts:t.config.commit_timeouts);
       feed_coord t ctx P.Start
     end
   end
@@ -1436,29 +1327,30 @@ let () = send_probe_ref := send_probe
    requests are different: a definite report is required for termination
    progress, and pledging abort before replying keeps it safe, since a
    site that pledged can never later vote yes.) *)
-let answer_unknown t ~src txn (pmsg : P.msg) =
+let answer_unknown t ~src txn (pmsg : P.msg) prepare =
   let reply m = out_commit_msg t txn ~dst:src m ~prepare:None in
   let known = Ids.Txn_map.find_opt t.presumed txn in
   match pmsg with
   | P.Decision_req -> (
-      match known with
+      let presumed =
+        match known with
+        | Some d -> Some d
+        | None when txn.Tid.origin = t.id ->
+            (* The asker's participant set fixes what the transaction
+               ran with (Paxos Commit's F); without one, every site is
+               the safe bound. *)
+            let participants =
+              match prepare with
+              | Some { Msg.participants; _ } -> participants
+              | None -> all_site_ids t
+            in
+            Commit_protocol.presumption t.config.commit_protocol
+              ~participants ~coordinator:t.id
+        | None -> None
+      in
+      match presumed with
       | Some d -> reply (P.Decision_msg d)
-      | None ->
-          if txn.Tid.origin = t.id then
-            match t.config.commit_protocol with
-            | Config.Two_phase variant ->
-                reply (P.Decision_msg (Two_pc.presumption variant))
-            | Config.Paxos_commit { f = Some 0 } ->
-                (* F = 0: the origin was the sole acceptor, so its lost
-                   memory IS the consensus state — the 2PC-PrN abort
-                   presumption applies.  With F > 0 a recovery leader may
-                   have decided from the surviving acceptors, so the
-                   origin must stay uncertain. *)
-                reply (P.Decision_msg P.Abort)
-            | Config.Three_phase | Config.Quorum_commit _
-            | Config.Paxos_commit _ ->
-                reply P.Decision_unknown
-          else reply P.Decision_unknown)
+      | None -> reply P.Decision_unknown)
   | P.State_req | P.Pq_state_req _ -> (
       let state_of = function
         | P.Commit -> P.P_committed
@@ -1510,7 +1402,7 @@ let route_commit_msg t ~src txn (pmsg : P.msg) prepare =
     match part_ctx t txn with
     | Some ctx when ctx.pt_machine <> None ->
         feed_part t ctx (P.Recv (src, pmsg))
-    | Some _ | None -> answer_unknown t ~src txn pmsg
+    | Some _ | None -> answer_unknown t ~src txn pmsg prepare
   in
   match pmsg with
   | P.Vote_req -> handle_vote_req t ~src txn prepare
@@ -1559,12 +1451,12 @@ let route_commit_msg t ~src txn (pmsg : P.msg) prepare =
                     else pending
                   in
                   Ids.Txn_map.replace t.px_early txn ((src, pmsg) :: pending)
-              | _ -> answer_unknown t ~src txn pmsg)))
+              | _ -> answer_unknown t ~src txn pmsg prepare)))
   | P.State_report _ | P.Pq_state_report _ -> to_part ()
   | P.Decision_req -> (
       match coord_machine with
       | Some c when (match c.co_machine with
-                     | Some m -> m.Erased.decision <> None
+                     | Some m -> Erased.decision m <> None
                      | None -> false) ->
           feed_coord t c (P.Recv (src, pmsg))
       | _ -> (
@@ -1749,6 +1641,9 @@ let doubt_state_of (d : Recovery.doubt_state) : P.participant_state =
   | Recovery.D_precommitted -> P.P_precommitted
   | Recovery.D_preaborted -> P.P_preaborted
 
+let doubt_participants t (d : Recovery.in_doubt) =
+  if d.participants = [] then all_site_ids t else d.participants
+
 let recover t =
   if not t.up then begin
     t.incarnation <- t.incarnation + 1;
@@ -1799,50 +1694,37 @@ let recover t =
              (* Presumed-commit coordinator records without a decision
                 must abort. *)
              List.iter (fun txn -> settle txn P.Abort) outcome.collecting;
-             (* Under 2PC, an in-doubt transaction coordinated *here* is
-                settled by this site's own log: no decision record means
-                no decision was ever distributed, so the variant's
-                presumption (adjusted by any Collecting record, handled
-                above) is the answer the coordinator side must give. *)
-             (match t.config.commit_protocol with
-             | Config.Two_phase variant ->
-                 List.iter
-                   (fun (d : Recovery.in_doubt) ->
-                     if
-                       d.txn.Tid.origin = t.id
-                       && not (Ids.Txn_map.mem t.presumed d.txn)
-                     then settle d.txn (Two_pc.presumption variant))
-                   outcome.in_doubt
-             | Config.Paxos_commit { f = Some 0 } ->
-                 (* Degenerate paxos: the origin was the sole acceptor, so
-                    an undistributed decision died with it — the 2PC-PrN
-                    abort presumption.  With F > 0 surviving acceptors may
-                    have let a recovery leader decide; the origin must
-                    stay uncertain and learn the outcome like everyone
-                    else. *)
-                 List.iter
-                   (fun (d : Recovery.in_doubt) ->
-                     if
-                       d.txn.Tid.origin = t.id
-                       && not (Ids.Txn_map.mem t.presumed d.txn)
-                     then settle d.txn P.Abort)
-                   outcome.in_doubt
-             | Config.Three_phase | Config.Quorum_commit _
-             | Config.Paxos_commit _ -> ());
+             (* An in-doubt transaction coordinated *here* is settled by
+                this site's own log where the protocol allows: no
+                decision record means no decision was ever distributed,
+                so the protocol's amnesiac-origin presumption (after any
+                Collecting record, handled above) is the answer the
+                coordinator side must give. *)
+             List.iter
+               (fun (d : Recovery.in_doubt) ->
+                 if
+                   d.txn.Tid.origin = t.id
+                   && not (Ids.Txn_map.mem t.presumed d.txn)
+                 then
+                   Option.iter (settle d.txn)
+                     (Commit_protocol.presumption t.config.commit_protocol
+                        ~participants:(doubt_participants t d)
+                        ~coordinator:t.id))
+               outcome.in_doubt;
              (* Rebuild termination machinery for in-doubt transactions. *)
              List.iter
                (fun (d : Recovery.in_doubt) ->
-                 let participants =
-                   if d.participants = [] then all_site_ids t
-                   else d.participants
-                 in
+                 let participants = doubt_participants t d in
                  let ctx = get_or_create_part t d.txn in
                  ctx.pt_writes <- d.writes;
                  ctx.pt_participants <- participants;
                  ctx.pt_machine <-
                    Some
-                     (make_recovered_part_machine t ~txn:d.txn ~participants
-                        ~state:(doubt_state_of d.state));
+                     (Commit_protocol.recovered_participant
+                        t.config.commit_protocol ~participants
+                        ~coordinator:d.txn.Tid.origin ~self:t.id
+                        ~state:(doubt_state_of d.state)
+                        ~timeouts:t.config.commit_timeouts);
                  feed_part t ctx P.Start)
                outcome.in_doubt;
              (* Catch up missed committed updates when the replica-control
@@ -1904,25 +1786,7 @@ let preload t ~entries =
 (* Delivery entry point                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Opt-in diagnostic ring buffer of recent deliveries (debugging aid). *)
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let trace_deliveries = ref false
-
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let recent : string list ref = ref []
-
-let note_recent t ~src msg =
-  if !trace_deliveries then
-    recent :=
-      Format.asprintf "site=%d src=%d %a" t.id src Msg.pp msg
-      :: (if List.length !recent > 30 then
-            List.filteri (fun i _ -> i < 29) !recent
-          else !recent)
-
-let dump_recent () = List.rev !recent
-
 let receive t ~src (msg : Msg.t) =
-  note_recent t ~src msg;
   if t.up then
     match (msg.txn, msg.payload) with
     | None, Msg.Heartbeat ->
@@ -1989,7 +1853,7 @@ let timers_str timers =
 
 let machine_str = function
   | None -> "-"
-  | Some m -> m.Erased.describe ()
+  | Some m -> Erased.describe m
 
 (* Canonical rendering of everything that can influence future behaviour
    — store, log, checkpoints, locks, TO stamps, live protocol contexts

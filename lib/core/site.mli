@@ -61,12 +61,6 @@ val start : t -> unit
 val receive : t -> src:Ids.site_id -> Msg.t -> unit
 (** Network delivery entry point. *)
 
-val trace_deliveries : bool ref
-(** When set, keep a small ring buffer of recent deliveries (all sites). *)
-
-val dump_recent : unit -> string list
-(** The ring buffer contents, oldest first (debugging aid). *)
-
 val submit :
   t -> ops:Rt_workload.Mix.op list -> k:(outcome -> unit) -> unit
 (** Run a transaction with this site as coordinator.  [k] fires exactly
@@ -183,9 +177,6 @@ val checkpoint_fallbacks : t -> int
 val log_length : t -> int
 
 val active_participants : t -> int
-
-val participant_debug : t -> string list
-(** One line per unresolved participant transaction (diagnostics). *)
 
 val blocked_participants : t -> int
 (** Participants currently reporting themselves blocked (2PC uncertainty

@@ -1,6 +1,5 @@
 open Rt_sim
 open Rt_core
-module Two_pc = Rt_commit.Two_pc
 
 type case = {
   cs_protocol : string;
@@ -43,16 +42,15 @@ type report = {
 }
 
 let default_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    (* F = 1 keeps a 2F+1 = 3 acceptor group even at n = 5, so the larger
-       sweep has genuine non-acceptor participants to crash. *)
-    ("Paxos", Config.Paxos_commit { f = Some 1 });
-  ]
+  List.map
+    (function
+      | name, Config.Paxos_commit _ ->
+          (* F = 1 keeps a 2F+1 = 3 acceptor group even at n = 5, so the
+             larger sweep has genuine non-acceptor participants to
+             crash. *)
+          (name, Config.Paxos_commit { f = Some 1 })
+      | entry -> entry)
+    Rt_commit.Commit_protocol.all
 
 let default_ns = [ 3; 5 ]
 
@@ -108,13 +106,7 @@ let default_configs =
          under both, so every new window edge gets an injection. *)
       cf_name = "full+gc";
       cf_choose = (fun _ -> Full);
-      cf_tune =
-        (fun c ->
-          {
-            c with
-            Config.group_commit_window = Time.us 20;
-            batch_window = Some (Time.us 10);
-          });
+      cf_tune = Config.batched;
       cf_torn = false;
     };
     {
@@ -129,9 +121,7 @@ let default_configs =
       cf_tune =
         (fun c ->
           {
-            c with
-            Config.group_commit_window = Time.us 20;
-            batch_window = Some (Time.us 10);
+            (Config.batched c) with
             storage_faults =
               { Rt_storage.Storage_faults.off with torn_writes = true };
           });

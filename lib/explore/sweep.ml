@@ -47,16 +47,15 @@ let sharded_placement () =
     ~sites ~degree:2 ()
 
 let config_of sc =
-  {
-    (Config.default ~sites ()) with
-    commit_protocol = sc.sc_protocol;
-    placement = (if sc.sc_sharded then Some (sharded_placement ()) else None);
-    link = Rt_net.Net.reliable_link (Rt_net.Latency.Fixed (Time.us 10));
-    heartbeat_interval = Time.sec 3600;
-    group_commit_window = (if sc.sc_batched then Time.us 20 else Time.zero);
-    batch_window = (if sc.sc_batched then Some (Time.us 10) else None);
-    seed = 0;
-  }
+  (if sc.sc_batched then Config.batched else Fun.id)
+    {
+      (Config.default ~sites ()) with
+      commit_protocol = sc.sc_protocol;
+      placement = (if sc.sc_sharded then Some (sharded_placement ()) else None);
+      link = Rt_net.Net.reliable_link (Rt_net.Latency.Fixed (Time.us 10));
+      heartbeat_interval = Time.sec 3600;
+      seed = 0;
+    }
 
 let writes_of ops =
   List.filter_map
@@ -222,16 +221,6 @@ let opts_of sc ~sleep =
 
 (* --- scenario matrix --------------------------------------------------- *)
 
-let protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Rt_commit.Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Rt_commit.Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Rt_commit.Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
-
 (* One replicated write: under ROWA every site is a write participant,
    which is what the durability invariant needs, at the smallest depth
    the commit protocol admits.  The cross-shard scenarios add a second
@@ -331,7 +320,7 @@ let default_matrix () =
             }
           ();
       ])
-    protocols
+    Rt_commit.Commit_protocol.all
 
 let find_scenario name =
   List.find_opt (fun sc -> sc.sc_name = name) (default_matrix ())

@@ -29,9 +29,6 @@ type scenario = {
   sc_max_executions : int;
 }
 
-val protocols : (string * Rt_core.Config.commit_protocol) list
-(** The six commit protocols, keyed by report name. *)
-
 val scenario :
   ?sharded:bool ->
   ?batched:bool ->

@@ -10,16 +10,6 @@ module Partition = Rt_net.Partition
 module Latency = Rt_net.Latency
 module Mix = Rt_workload.Mix
 
-let default_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Rt_commit.Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Rt_commit.Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Rt_commit.Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
-
 (* Safety envelopes, declared per protocol before anything runs.  Basic
    3PC reaches termination by trusting its failure detector, so a
    scenario that severs reachability can split its decision
@@ -257,7 +247,7 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   }
 
 let run ?seed ?sites:(n = 5) ?clients ?duration ?rc ?tune
-    ?(scenarios = default_scenarios) ?(protocols = default_protocols)
+    ?(scenarios = default_scenarios) ?(protocols = Rt_commit.Commit_protocol.all)
     ?placements () =
   let placements =
     match placements with

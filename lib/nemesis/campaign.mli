@@ -9,9 +9,6 @@
 open Rt_sim
 open Rt_core
 
-val default_protocols : (string * Config.commit_protocol) list
-(** 2PC (PrN/PrA/PrC), 3PC, quorum commit, and Paxos Commit. *)
-
 val outside_safety_envelope :
   protocol:Config.commit_protocol -> steps:Scenario.step list -> string option
 (** Upfront safety-envelope verdict for one campaign cell, decided from
@@ -97,7 +94,8 @@ val run :
   ?placements:(string * Rt_placement.Placement.t option) list ->
   unit ->
   result list
-(** The full scenario × protocol × placement matrix, every cell tuned by
+(** The full scenario × protocol × placement matrix (default: every
+    protocol of {!Rt_commit.Commit_protocol.all}), every cell tuned by
     [tune] (default: no adjustment). *)
 
 val pp_drain : Format.formatter -> Time.t option -> unit

@@ -5,14 +5,9 @@
 open Rt_commit
 open Protocol
 
-let all_protos =
-  [
-    Sandbox.P_two_pc Two_pc.Presumed_nothing;
-    Sandbox.P_two_pc Two_pc.Presumed_abort;
-    Sandbox.P_two_pc Two_pc.Presumed_commit;
-    Sandbox.P_three_pc;
-    Sandbox.P_quorum { commit_quorum = 2; abort_quorum = 2 };
-  ]
+(* Thresholds at their defaults, which resolve over each run's site
+   count (majority quorums, the largest Paxos F). *)
+let all_protos = List.map snd Commit_protocol.all
 
 let check_commit_unanimous proto () =
   let sites = 3 in
@@ -43,9 +38,9 @@ let test_commit_costs () =
   let sites = 3 in
   let votes = Array.make sites true in
   let run proto = Sandbox.run_fifo ~proto ~sites ~votes () in
-  let prn = run (Sandbox.P_two_pc Two_pc.Presumed_nothing) in
-  let pra = run (Sandbox.P_two_pc Two_pc.Presumed_abort) in
-  let prc = run (Sandbox.P_two_pc Two_pc.Presumed_commit) in
+  let prn = run (Commit_protocol.Two_phase Two_pc.Presumed_nothing) in
+  let pra = run (Commit_protocol.Two_phase Two_pc.Presumed_abort) in
+  let prc = run (Commit_protocol.Two_phase Two_pc.Presumed_commit) in
   (* Cross-site messages with coordinator at site 0 and 2 remote
      participants: PrN/PrA commit = 4 rounds x 2 remotes = 8; PrC drops
      the ack round = 6. *)
@@ -63,11 +58,11 @@ let test_commit_costs () =
   (* Abort costs: PrA's abort should be strictly cheaper than PrN's. *)
   let votes_no = [| true; false; true |] in
   let prn_a =
-    Sandbox.run ~proto:(Sandbox.P_two_pc Two_pc.Presumed_nothing) ~sites
-      ~votes:votes_no ()
+    Sandbox.run ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_nothing)
+      ~sites ~votes:votes_no ()
   in
   let pra_a =
-    Sandbox.run ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites
+    Sandbox.run ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort) ~sites
       ~votes:votes_no ()
   in
   Alcotest.(check bool) "PrA abort cheaper (messages)" true
@@ -78,7 +73,7 @@ let test_commit_costs () =
 (* Coordinator crash right after start: 2PC participants that prepared
    stay blocked until recovery; 3PC terminates without the coordinator. *)
 let test_2pc_blocks_on_coordinator_crash () =
-  let proto = Sandbox.P_two_pc Two_pc.Presumed_abort in
+  let proto = Commit_protocol.Two_phase Two_pc.Presumed_abort in
   let sites = 3 in
   let votes = Array.make sites true in
   (* Crash the coordinator after enough steps that vote-reqs went out and
@@ -91,7 +86,7 @@ let test_2pc_blocks_on_coordinator_crash () =
     Alcotest.(check bool) "blocked reported" true o.blocked
 
 let test_2pc_unblocks_on_recovery () =
-  let proto = Sandbox.P_two_pc Two_pc.Presumed_abort in
+  let proto = Commit_protocol.Two_phase Two_pc.Presumed_abort in
   let sites = 3 in
   let votes = Array.make sites true in
   let o =
@@ -108,7 +103,7 @@ let test_3pc_nonblocking_on_coordinator_crash () =
   for k = 1 to 30 do
     let o =
       Sandbox.run ~seed:k ~crashes:[ (0, k) ] ~max_steps:2000
-        ~proto:Sandbox.P_three_pc ~sites ~votes ()
+        ~proto:Commit_protocol.Three_phase ~sites ~votes ()
     in
     Alcotest.(check bool)
       (Printf.sprintf "agreement at crash point %d" k)
@@ -150,14 +145,6 @@ let prop_agreement =
     ~count:300 arb (fun (sites, votes, seed, crashes, recoveries) ->
       List.for_all
         (fun proto ->
-          let proto =
-            match proto with
-            | Sandbox.P_quorum _ ->
-                (* Majority quorums sized to the site count. *)
-                let q = (sites / 2) + 1 in
-                Sandbox.P_quorum { commit_quorum = q; abort_quorum = q }
-            | p -> p
-          in
           let o =
             Sandbox.run ~seed ~crashes ~recoveries ~max_steps:3000 ~proto
               ~sites ~votes ()
@@ -186,13 +173,6 @@ let prop_validity =
       let unanimous = Array.for_all (fun v -> v) votes in
       List.for_all
         (fun proto ->
-          let proto =
-            match proto with
-            | Sandbox.P_quorum _ ->
-                let q = (sites / 2) + 1 in
-                Sandbox.P_quorum { commit_quorum = q; abort_quorum = q }
-            | p -> p
-          in
           let o = Sandbox.run ~seed ~max_steps:3000 ~proto ~sites ~votes () in
           o.all_decided && o.agreement
           &&
@@ -209,7 +189,10 @@ let prop_validity =
 let test_qc_minority_blocks () =
   let sites = 5 in
   let votes = Array.make sites true in
-  let proto = Sandbox.P_quorum { commit_quorum = 3; abort_quorum = 3 } in
+  let proto =
+    Commit_protocol.Quorum_commit
+      { commit_quorum = Some 3; abort_quorum = Some 3 }
+  in
   (* Crash three sites early, leaving 2 < quorum.  Depending on the crash
      point survivors may or may not have decided first; if they have not,
      they must remain undecided (blocked), never decide inconsistently. *)
@@ -225,7 +208,7 @@ let test_qc_minority_blocks () =
 let test_read_only_optimization_costs () =
   let sites = 3 in
   let votes = Array.make sites true in
-  let proto = Sandbox.P_two_pc Two_pc.Presumed_abort in
+  let proto = Commit_protocol.Two_phase Two_pc.Presumed_abort in
   (* Site 2 performed no writes. *)
   let ro = [| false; false; true |] in
   let base = Sandbox.run_fifo ~proto ~sites ~votes () in
@@ -244,7 +227,7 @@ let test_all_read_only_commits_free () =
   let ro = Array.make sites true in
   let o =
     Sandbox.run ~read_only:ro
-      ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites ~votes ()
+      ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort) ~sites ~votes ()
   in
   Alcotest.(check bool) "decides" true o.all_decided;
   (* Only the vote round remains: 2 requests + 2 read-only votes from the
@@ -263,7 +246,7 @@ let prop_read_only_agreement =
         (fun variant ->
           let o =
             Sandbox.run ~seed ~read_only:ro ~max_steps:3000
-              ~proto:(Sandbox.P_two_pc variant) ~sites ~votes ()
+              ~proto:(Commit_protocol.Two_phase variant) ~sites ~votes ()
           in
           o.agreement && o.all_decided
           && List.for_all (fun (_, d) -> decision_equal d Commit) o.decisions)
@@ -273,7 +256,7 @@ let prop_read_only_agreement =
 let happy_cases =
   List.concat_map
     (fun proto ->
-      let name = Sandbox.proto_name proto in
+      let name = Commit_protocol.label proto ~sites:3 in
       [
         Alcotest.test_case
           (Printf.sprintf "%s: unanimous yes commits" name)

@@ -744,8 +744,8 @@ let check_equiv name ?(crashes = []) ?(recoveries = []) ?max_steps ~seed ~sites
   let run proto =
     Sandbox.run ~seed ~crashes ~recoveries ?max_steps ~proto ~sites ~votes ()
   in
-  let paxos = run (Sandbox.P_paxos { f = 0 }) in
-  let prn = run (Sandbox.P_two_pc Two_pc.Presumed_nothing) in
+  let paxos = run (Commit_protocol.Paxos_commit { f = Some 0 }) in
+  let prn = run (Commit_protocol.Two_phase Two_pc.Presumed_nothing) in
   Alcotest.(check string)
     name
     (outcome_fingerprint prn)
@@ -768,8 +768,9 @@ let test_paxos_f0_matches_prn_failure_free () =
           Alcotest.(check string)
             (Printf.sprintf "fifo sites=%d" sites)
             (outcome_fingerprint
-               (fifo (Sandbox.P_two_pc Two_pc.Presumed_nothing)))
-            (outcome_fingerprint (fifo (Sandbox.P_paxos { f = 0 })));
+               (fifo (Commit_protocol.Two_phase Two_pc.Presumed_nothing)))
+            (outcome_fingerprint
+               (fifo (Commit_protocol.Paxos_commit { f = Some 0 })));
           (* ...then a spread of randomized interleavings. *)
           for seed = 1 to 25 do
             check_equiv

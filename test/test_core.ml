@@ -9,15 +9,7 @@ module Mix = Rt_workload.Mix
 let ops_w kvs = List.map (fun (k, v) -> Mix.Write (k, v)) kvs
 let ops_r keys = List.map (fun k -> Mix.Read k) keys
 
-let all_commit_protocols =
-  [
-    Config.Two_phase Rt_commit.Two_pc.Presumed_nothing;
-    Config.Two_phase Rt_commit.Two_pc.Presumed_abort;
-    Config.Two_phase Rt_commit.Two_pc.Presumed_commit;
-    Config.Three_phase;
-    Config.Quorum_commit { commit_quorum = None; abort_quorum = None };
-    Config.Paxos_commit { f = None };
-  ]
+let all_commit_protocols = List.map snd Rt_commit.Commit_protocol.all
 
 let mk ?(sites = 3) ?(commit = Config.Two_phase Rt_commit.Two_pc.Presumed_abort)
     ?(rc = Rt_replica.Replica_control.rowa) ?(seed = 1) () =
@@ -277,7 +269,7 @@ let test_matrix_protocol_load commit rc_name rc () =
   let stats = Client.total clients in
   Alcotest.(check bool)
     (Printf.sprintf "%s/%s makes progress"
-       (Config.commit_protocol_name commit)
+       (Rt_commit.Commit_protocol.name commit)
        rc_name)
     true
     (stats.committed > 10);
@@ -341,13 +333,13 @@ let matrix_cases =
       [
         Alcotest.test_case
           (Printf.sprintf "%s over ROWA under load"
-             (Config.commit_protocol_name commit))
+             (Rt_commit.Commit_protocol.name commit))
           `Quick
           (test_matrix_protocol_load commit "rowa"
              Rt_replica.Replica_control.rowa);
         Alcotest.test_case
           (Printf.sprintf "%s over majority quorum under load"
-             (Config.commit_protocol_name commit))
+             (Rt_commit.Commit_protocol.name commit))
           `Quick
           (test_matrix_protocol_load commit "quorum"
              (Rt_replica.Replica_control.majority ~sites:3));
@@ -425,7 +417,7 @@ let commit_cases =
     (fun commit ->
       Alcotest.test_case
         (Printf.sprintf "%s commit replicates"
-           (Config.commit_protocol_name commit))
+           (Rt_commit.Commit_protocol.name commit))
         `Quick
         (test_commit_replicates commit))
     all_commit_protocols

@@ -171,6 +171,63 @@ let test_memoryless_decision_msg_is_acked () =
       ()
   | ds -> Alcotest.failf "expected one Commit outcome, got %d" (List.length ds)
 
+(* Regression: Paxos Commit resolves F per transaction, so one whose
+   participant set holds no acceptor besides its origin runs degenerate
+   (effective F = 0) whatever F is configured.  Its origin, crashed and
+   recovered with no memory of it, must then presume abort exactly as
+   2PC-PrN's would.  That presumption used to fire only for a configured
+   F of exactly 0, so under an unset or larger F the other participant
+   stayed uncertain, holding its lock for good.  Five sites, two range
+   shards split at "b" with two replicas each: a write of "a" at site 0
+   involves sites 0 and 1 only.  Site 0 is crashed at every point it
+   reaches and recovered 100 ms later. *)
+let degenerate_paxos_origin_crash f () =
+  let config =
+    {
+      (Config.default ~sites:5 ()) with
+      commit_protocol = Config.Paxos_commit { f };
+      placement =
+        Some
+          (Rt_placement.Placement.create
+             ~map:(Rt_placement.Shard_map.range ~boundaries:[ "b" ])
+             ~sites:5 ~degree:2 ());
+    }
+  in
+  let ops = [ Rt_workload.Mix.Write ("a", "1") ] in
+  let run inject =
+    let cluster = Cluster.create config in
+    let observed = inject cluster in
+    ignore
+      (Engine.schedule_at (Cluster.engine cluster) (Time.ms 1) (fun () ->
+           Cluster.submit cluster ~site:0 ~ops ~k:(fun _ -> ())));
+    Cluster.run ~until:(Time.sec 3) cluster;
+    (cluster, observed)
+  in
+  let _, points = run Failure.observe_crash_points in
+  let points = List.filter (fun (site, _) -> site = 0) (points ()) in
+  Alcotest.(check bool) "crash points reached" true (List.length points >= 10);
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (_, point) ->
+      let occurrence =
+        1 + Option.value (Hashtbl.find_opt seen point) ~default:0
+      in
+      Hashtbl.replace seen point occurrence;
+      let cluster, injected =
+        run (fun cluster ->
+            Failure.crash_at_point cluster ~site:0 ~point ~occurrence
+              ~recover_after:(Time.ms 100) ())
+      in
+      Alcotest.(check bool) (point ^ " reached") true (injected ());
+      match
+        Audit.standard ~writes:[ ("a", "1") ] ~settle:(Time.sec 1) cluster
+      with
+      | [] -> ()
+      | v :: _ ->
+          Alcotest.failf "crash at %s#%d: %s: %s" point occurrence v.Audit.inv
+            v.Audit.detail)
+    points
+
 let () =
   Alcotest.run "crashpoints"
     [
@@ -192,5 +249,9 @@ let () =
             test_unknown_decision_req_answers_unknown;
           Alcotest.test_case "memoryless decision is acked" `Quick
             test_memoryless_decision_msg_is_acked;
+          Alcotest.test_case "amnesiac origin: paxos F unset"
+            `Quick (degenerate_paxos_origin_crash None);
+          Alcotest.test_case "amnesiac origin: paxos F=1"
+            `Quick (degenerate_paxos_origin_crash (Some 1));
         ] );
     ]

@@ -94,7 +94,7 @@ let lossy_cases =
             `Slow
             (lossy_cell ~protocol ~placement))
         (Campaign.default_placements ~sites:5))
-    Campaign.default_protocols
+    Rt_commit.Commit_protocol.all
 
 let () =
   Alcotest.run "nemesis"

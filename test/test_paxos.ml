@@ -202,7 +202,7 @@ let test_failure_free_commit () =
     (fun (sites, f) ->
       let o =
         Sandbox.run_fifo
-          ~proto:(Sandbox.P_paxos { f })
+          ~proto:(Commit_protocol.Paxos_commit { f = Some f })
           ~sites ~votes:(Array.make sites true) ()
       in
       Alcotest.(check bool)
@@ -218,7 +218,10 @@ let test_refusal_aborts () =
   List.iter
     (fun f ->
       let votes = [| true; true; true; false; true |] in
-      let o = Sandbox.run_fifo ~proto:(Sandbox.P_paxos { f }) ~sites:5 ~votes () in
+      let o =
+        Sandbox.run_fifo ~proto:(Commit_protocol.Paxos_commit { f = Some f })
+          ~sites:5 ~votes ()
+      in
       Alcotest.(check bool) "agreement" true o.agreement;
       Alcotest.(check bool) "all decided" true o.all_decided;
       List.iter
@@ -239,7 +242,7 @@ let test_costs_match_analytic () =
       let expect_forced = 1 + (2 * sites) in
       let fifo =
         Sandbox.run_fifo
-          ~proto:(Sandbox.P_paxos { f })
+          ~proto:(Commit_protocol.Paxos_commit { f = Some f })
           ~sites ~votes:(Array.make sites true) ()
       in
       Alcotest.(check int)
@@ -251,7 +254,7 @@ let test_costs_match_analytic () =
       for seed = 1 to 10 do
         let o =
           Sandbox.run ~seed
-            ~proto:(Sandbox.P_paxos { f })
+            ~proto:(Commit_protocol.Paxos_commit { f = Some f })
             ~sites ~votes:(Array.make sites true) ()
         in
         Alcotest.(check int)
@@ -278,7 +281,7 @@ let test_coordinator_crash_nonblocking () =
             Sandbox.run ~seed
               ~crashes:[ (0, k) ]
               ~max_steps:4000
-              ~proto:(Sandbox.P_paxos { f })
+              ~proto:(Commit_protocol.Paxos_commit { f = Some f })
               ~sites ~votes:(Array.make sites true) ()
           in
           let tag =
@@ -298,7 +301,7 @@ let test_acceptor_crash_tolerated () =
       for seed = 1 to 10 do
         let o =
           Sandbox.run ~seed ~crashes ~max_steps:4000
-            ~proto:(Sandbox.P_paxos { f })
+            ~proto:(Commit_protocol.Paxos_commit { f = Some f })
             ~sites ~votes:(Array.make sites true) ()
         in
         let tag = Printf.sprintf "N=%d F=%d seed=%d" sites f seed in
@@ -323,7 +326,7 @@ let test_crash_recovery_converges () =
             ~crashes:[ (site, 6 + (seed mod 10)) ]
             ~recoveries:[ (site, 60) ]
             ~max_steps:5000
-            ~proto:(Sandbox.P_paxos { f })
+            ~proto:(Commit_protocol.Paxos_commit { f = Some f })
             ~sites:3 ~votes:[| true; true; true |] ()
         in
         let tag = Printf.sprintf "site=%d F=%d seed=%d" site f seed in

@@ -19,8 +19,8 @@ let outcome_fingerprint (o : Sandbox.outcome) =
 
 let test_fifo_deterministic () =
   let run () =
-    Sandbox.run_fifo ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites:4
-      ~votes:[| true; true; true; true |] ()
+    Sandbox.run_fifo ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort)
+      ~sites:4 ~votes:[| true; true; true; true |] ()
   in
   Alcotest.(check string) "identical runs"
     (outcome_fingerprint (run ()))
@@ -29,7 +29,8 @@ let test_fifo_deterministic () =
 let test_seeded_deterministic () =
   let run () =
     Sandbox.run ~seed:12345 ~crashes:[ (1, 7) ] ~recoveries:[ (1, 50) ]
-      ~proto:Sandbox.P_three_pc ~sites:3 ~votes:[| true; true; true |] ()
+      ~proto:Commit_protocol.Three_phase ~sites:3
+      ~votes:[| true; true; true |] ()
   in
   Alcotest.(check string) "identical seeded runs"
     (outcome_fingerprint (run ()))
@@ -45,7 +46,7 @@ let test_seeds_differ () =
           (Sandbox.run ~seed
              ~crashes:[ (0, 3 + (seed mod 12)) ]
              ~max_steps:800
-             ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites:3
+             ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort) ~sites:3
              ~votes:[| true; true; true |] ()))
   in
   Alcotest.(check bool) "schedule diversity" true
@@ -58,7 +59,7 @@ let test_crash_before_prepare_loses_nothing () =
      transaction everywhere. *)
   let o =
     Sandbox.run ~seed:4 ~crashes:[ (2, 1) ] ~recoveries:[ (2, 40) ]
-      ~max_steps:2000 ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort)
+      ~max_steps:2000 ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort)
       ~sites:3 ~votes:[| true; true; true |] ()
   in
   Alcotest.(check bool) "agreement" true o.agreement;
@@ -78,7 +79,7 @@ let test_recovery_uses_durable_state () =
       Sandbox.run ~seed
         ~crashes:[ (1, 12 + (seed mod 8)) ]
         ~recoveries:[ (1, 80) ] ~max_steps:3000
-        ~proto:(Sandbox.P_two_pc Two_pc.Presumed_abort) ~sites:3
+        ~proto:(Commit_protocol.Two_phase Two_pc.Presumed_abort) ~sites:3
         ~votes:[| true; true; true |] ()
     in
     if not (o.agreement && o.all_decided) then consistent := false
@@ -89,12 +90,12 @@ let test_recovery_uses_durable_state () =
 let test_costs_stable_across_seeds () =
   (* Failure-free commit costs must not depend on delivery order. *)
   let baseline =
-    Sandbox.run_fifo ~proto:Sandbox.P_three_pc ~sites:3
+    Sandbox.run_fifo ~proto:Commit_protocol.Three_phase ~sites:3
       ~votes:[| true; true; true |] ()
   in
   for seed = 1 to 20 do
     let o =
-      Sandbox.run ~seed ~proto:Sandbox.P_three_pc ~sites:3
+      Sandbox.run ~seed ~proto:Commit_protocol.Three_phase ~sites:3
         ~votes:[| true; true; true |] ()
     in
     Alcotest.(check int)
@@ -109,12 +110,13 @@ let test_bad_arguments_rejected () =
   Alcotest.check_raises "votes size"
     (Invalid_argument "Sandbox.run: votes array size mismatch") (fun () ->
       ignore
-        (Sandbox.run ~proto:Sandbox.P_three_pc ~sites:3 ~votes:[| true |] ()));
+        (Sandbox.run ~proto:Commit_protocol.Three_phase ~sites:3
+           ~votes:[| true |] ()));
   Alcotest.check_raises "read_only size"
     (Invalid_argument "Sandbox.run: read_only array size mismatch") (fun () ->
       ignore
-        (Sandbox.run ~read_only:[| true |] ~proto:Sandbox.P_three_pc ~sites:3
-           ~votes:[| true; true; true |] ()))
+        (Sandbox.run ~read_only:[| true |] ~proto:Commit_protocol.Three_phase
+           ~sites:3 ~votes:[| true; true; true |] ()))
 
 let () =
   Alcotest.run "sandbox"

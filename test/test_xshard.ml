@@ -11,7 +11,6 @@ open Rt_core
 open Rt_placement
 module Mix = Rt_workload.Mix
 module Sandbox = Rt_commit.Sandbox
-module Two_pc = Rt_commit.Two_pc
 
 let sharded_config ?(sites = 5) ?(degree = 3) ?(layout = Placement.Round_robin)
     ?(seed = 1) () =
@@ -51,14 +50,7 @@ let uniform_at cluster placement key =
    random placements, schedules, votes, and a mid-protocol crash with
    recovery, no two participants may ever decide differently. *)
 let prop_union_participants_agree =
-  let protos =
-    [|
-      Sandbox.P_two_pc Two_pc.Presumed_nothing;
-      Sandbox.P_two_pc Two_pc.Presumed_abort;
-      Sandbox.P_two_pc Two_pc.Presumed_commit;
-      Sandbox.P_three_pc;
-    |]
-  in
+  let protos = Array.of_list (List.map snd Rt_commit.Commit_protocol.all) in
   QCheck.Test.make ~name:"cross-shard participant union agrees" ~count:250
     QCheck.(
       quad (int_range 0 99999)
