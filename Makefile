@@ -21,8 +21,9 @@ bench-json:
 	dune exec bench/main.exe -- --json
 
 # Perf gate: regenerate the snapshot and diff it against the highest
-# committed BENCH_<n>.json.  Fails on a >20%% committed/s regression on
-# any probe both files share; prints a warning table otherwise.
+# committed BENCH_<n>.json.  Virtual time is deterministic, so it fails
+# on any difference and prints the differing probe lines; a change that
+# moves a probe commits the new snapshot.
 bench-diff: bench-json
 	dune exec tools/bench_diff.exe
 

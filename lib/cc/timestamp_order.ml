@@ -1,43 +1,14 @@
 (* Basic timestamp ordering with deferred writes and the Thomas write
-   rule at commit.
-
-   Every transaction carries its start timestamp (embedded in the id).
-   Reads of a key are rejected when a younger... precisely: a read at
-   timestamp ts aborts if a committed write with a larger timestamp
-   already installed a newer value (ts < wts); otherwise it reads the
-   committed value and advances the key's read timestamp.  A write aborts
-   if a later-stamped transaction already read or wrote the key
-   (ts < rts or ts < wts); otherwise it is buffered.  At commit, buffered
-   writes install unless an even newer write landed first (Thomas write
-   rule skips them).  No operation ever blocks. *)
+   rule at commit, over the shared per-key stamps of [Rt_lock.Stamps]
+   (the same rules every replica site runs under [Config.Timestamp]).
+   Writes are buffered per transaction and installed at commit; no
+   operation ever blocks. *)
 
 open Rt_types
 open Rt_storage
-module Tid = Ids.Txn_id
+module Stamps = Rt_lock.Stamps
 
 let name = "TO"
-
-(* Timestamps are the transaction ids themselves: total order with site
-   tie-break, exactly the classical scheme.  [None] is the initial
-   timestamp, smaller than everything. *)
-module Time_ts = struct
-  type t = Tid.t option
-
-  let compare a b =
-    match (a, b) with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some x, Some y -> Tid.compare x y
-
-  let ( < ) a b = compare a b < 0
-end
-
-type key_ts = {
-  mutable rts : Time_ts.t;
-  mutable wts : Time_ts.t;  (* committed *)
-  mutable pending : Tid.t list;  (* uncommitted buffered writes *)
-}
 
 type ctx = {
   writes : (string, string) Hashtbl.t;
@@ -46,7 +17,7 @@ type ctx = {
 
 type t = {
   kv : Kv.t;
-  table : (string, key_ts) Hashtbl.t;
+  stamps : Stamps.t;
   ctxs : ctx Ids.Txn_map.t;
   stats : Scheduler.stats;
   history : History.t option;
@@ -55,21 +26,13 @@ type t = {
 let create ?history _engine kv =
   {
     kv;
-    table = Hashtbl.create 256;
+    stamps = Stamps.create ();
     ctxs = Ids.Txn_map.create 64;
     stats = Scheduler.fresh_stats ();
     history;
   }
 
 let stats t = t.stats
-
-let key_ts t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
-      let e = { rts = None; wts = None; pending = [] } in
-      Hashtbl.add t.table key e;
-      e
 
 let begin_txn t txn =
   t.stats.started <- t.stats.started + 1;
@@ -80,20 +43,13 @@ let ctx_of t txn =
   | Some c -> c
   | None -> invalid_arg "Timestamp_order: unknown transaction"
 
-let clear_pending t txn ctx =
-  Rt_sim.Det.iter_sorted ~cmp:String.compare
-    (fun key _ ->
-      let e = key_ts t key in
-      e.pending <- List.filter (fun p -> not (Tid.equal p txn)) e.pending)
-    ctx.writes
-
 let do_abort t txn ctx ~order =
   if ctx.alive then begin
     ctx.alive <- false;
     t.stats.aborted <- t.stats.aborted + 1;
     if order then t.stats.order_aborts <- t.stats.order_aborts + 1;
     Option.iter (fun h -> History.abort h txn) t.history;
-    clear_pending t txn ctx;
+    Stamps.release t.stamps ~txn;
     Ids.Txn_map.remove t.ctxs txn
   end
 
@@ -104,56 +60,38 @@ let read t ~txn ~key ~k =
     match Hashtbl.find_opt ctx.writes key with
     | Some v -> k (`Value (Some v))
     | None ->
-        let e = key_ts t key in
-        let ts = Some txn in
-        (* A pending (uncommitted) write with a timestamp at or below ours
-           means the value we ought to read is not yet available: restart
-           rather than read stale (keeps histories serializable with
-           deferred writes). *)
-        let blocked_by_pending =
-          List.exists (fun p -> Tid.compare p txn <= 0) e.pending
-        in
-        if Time_ts.(ts < e.wts) || blocked_by_pending then begin
-          do_abort t txn ctx ~order:true;
-          k `Abort
-        end
-        else begin
-          if Time_ts.(e.rts < ts) then e.rts <- ts;
+        if Stamps.read t.stamps ~txn ~key then begin
           Option.iter
             (fun h -> History.read h txn ~key ~version:(Kv.version t.kv key))
             t.history;
           k (`Value (Option.map (fun (i : Kv.item) -> i.value) (Kv.get t.kv key)))
         end
+        else begin
+          do_abort t txn ctx ~order:true;
+          k `Abort
+        end
 
 let write t ~txn ~key ~value ~k =
   let ctx = ctx_of t txn in
   if not ctx.alive then k `Abort
+  else if Stamps.write t.stamps ~txn ~key then begin
+    Hashtbl.replace ctx.writes key value;
+    k `Ok
+  end
   else begin
-    let e = key_ts t key in
-    let ts = Some txn in
-    if Time_ts.(ts < e.rts) || Time_ts.(ts < e.wts) then begin
-      do_abort t txn ctx ~order:true;
-      k `Abort
-    end
-    else begin
-      if not (Hashtbl.mem ctx.writes key) then e.pending <- txn :: e.pending;
-      Hashtbl.replace ctx.writes key value;
-      k `Ok
-    end
+    do_abort t txn ctx ~order:true;
+    k `Abort
   end
 
 let commit t ~txn ~k =
   let ctx = ctx_of t txn in
   if not ctx.alive then k `Aborted
   else begin
-    let ts = Some txn in
-    clear_pending t txn ctx;
+    Stamps.release t.stamps ~txn;
     Rt_sim.Det.iter_sorted ~cmp:String.compare
       (fun key value ->
-        let e = key_ts t key in
         (* Thomas write rule: skip writes already superseded. *)
-        if not Time_ts.(ts < e.wts) then begin
-          e.wts <- ts;
+        if Stamps.install t.stamps ~txn ~key then begin
           let version = Kv.version t.kv key + 1 in
           Kv.set t.kv ~key ~value ~version;
           Option.iter (fun h -> History.write h txn ~key ~version) t.history

@@ -1,12 +1,12 @@
 (** Basic timestamp ordering with deferred writes and the Thomas write
-    rule at commit.
+    rule at commit, over {!Rt_lock.Stamps} — the same per-key rules a
+    replica site runs under [Config.Timestamp].
 
-    Timestamps are the transaction ids themselves (total order with
-    site tie-break).  A read at timestamp [ts] aborts if a committed
-    write with a larger timestamp already installed a newer value; a
-    write aborts if a later-stamped transaction already read or wrote
-    the key; otherwise operations never block.  Buffered writes install
-    at commit unless an even newer write landed first.
+    A read at timestamp [ts] aborts if a newer write already installed
+    or an older writer is still pending; a write aborts if a
+    later-stamped transaction already read or wrote the key; otherwise
+    operations never block.  Buffered writes install at commit unless an
+    even newer write landed first.
 
     Satisfies {!Scheduler.S}. *)
 

@@ -5,6 +5,7 @@ module Erased = Rt_commit.Erased
 module Commit_protocol = Rt_commit.Commit_protocol
 module RC = Rt_replica.Replica_control
 module Lock = Rt_lock.Lock_table
+module Stamps = Rt_lock.Stamps
 module Kv = Rt_storage.Kv
 module Wal = Rt_storage.Wal
 module Storage_faults = Rt_storage.Storage_faults
@@ -56,7 +57,6 @@ type part_ctx = {
   mutable pt_sweep : Engine.event_id option;  (* orphan-sweep timer *)
   pt_timers : (P.timer, Engine.event_id) Hashtbl.t;
   mutable pt_waits : wait list;
-  mutable pt_to_keys : string list;  (* keys carrying our TO pending mark *)
 }
 
 type op_wait =
@@ -77,12 +77,6 @@ type op_wait =
       ww_timer : Engine.event_id;
       ww_k : (unit, abort_reason) Result.t -> unit;
     }
-
-type to_entry = {
-  mutable rts : Tid.t option;
-  mutable wts : Tid.t option;
-  mutable to_pending : Tid.t list;
-}
 
 type coord_ctx = {
   co_txn : Tid.t;
@@ -137,10 +131,7 @@ type t = {
   mutable up : bool;
   mutable catching : bool;
   mutable incarnation : int;
-  (* Timestamp-ordering state (used when config.concurrency = Timestamp):
-     per-key committed read/write stamps plus pending uncommitted
-     writers. *)
-  to_table : (string, to_entry) Hashtbl.t;
+  mutable stamps : Stamps.t;  (* used when config.concurrency = Timestamp *)
   parts : part_ctx Ids.Txn_map.t;
   coords : coord_ctx Ids.Txn_map.t;
   presumed : P.decision Ids.Txn_map.t;
@@ -256,7 +247,7 @@ let create ~engine ~id ~config ~send ~counters =
     corruption_detected = 0;
     cp_fallbacks = 0;
     locks = Lock.create ();
-    to_table = Hashtbl.create 256;
+    stamps = Stamps.create ();
     hb = None;
     up = true;
     catching = false;
@@ -271,9 +262,6 @@ let create ~engine ~id ~config ~send ~counters =
     commits_since_cp = 0;
     lat = Sample.create ();
   }
-
-let all_site_ids t = t.site_ids
-let placement t = t.placement
 
 let up_pred t s =
   if s = t.id then t.up
@@ -293,52 +281,36 @@ let guarded t f =
   let inc = t.incarnation in
   fun () -> if t.up && t.incarnation = inc then f ()
 
-(* Forward reference: [receive] is defined at the bottom but needed for
-   local loop-back delivery. *)
-let receive_ref : (t -> src:Ids.site_id -> Msg.t -> unit) ref =
-  (* rt_lint: allow no-toplevel-mutable-state -- write-once forward declaration holding code, bound at module init; carries no per-cluster state *)
-  ref (fun _ ~src:_ _ -> assert false)
-
-(* Forward reference: when a participant machine resolves a transaction
-   whose coordinator lives on the same site, the coordinator must learn
-   the decision too — a termination protocol can out-decide a deposed
-   coordinator, and its decision distribution never produces a network
-   message for a machine on its own site.  Bound after [feed_coord]. *)
-let notify_coord_decided_ref : (t -> Tid.t -> P.decision -> unit) ref =
-  (* rt_lint: allow no-toplevel-mutable-state -- write-once forward declaration holding code, bound at module init; carries no per-cluster state *)
-  ref (fun _ _ _ -> ())
-
-let local_send t ~dst msg =
-  if dst = t.id then begin
-    (* Local loop-back: deliver through a zero-delay event so handling
-       never re-enters the current call stack. *)
-    let deliver = guarded t (fun () -> !receive_ref t ~src:t.id msg) in
-    ignore
-      (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine Time.zero
-         deliver)
-  end
-  else t.send_raw ~dst msg
-
 (* ------------------------------------------------------------------ *)
 (* Participant side                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let part_ctx t txn =
-  match Ids.Txn_map.find_opt t.parts txn with
-  | Some ctx -> Some ctx
-  | None -> None
+let part_ctx t txn = Ids.Txn_map.find_opt t.parts txn
 
-(* Forward reference for the orphan sweeper (doom_part is defined below). *)
-let doom_part_ref :
-    (t -> part_ctx -> Msg.refusal -> unit) ref =
-  (* rt_lint: allow no-toplevel-mutable-state -- write-once forward declaration holding code, bound at module init; carries no per-cluster state *)
-  ref (fun _ _ _ -> ())
-
-(* Forward reference for probe initiation (defined with the probe
-   machinery below). *)
-let send_probe_ref : (t -> initiator:Tid.t -> target:Tid.t -> unit) ref =
-  (* rt_lint: allow no-toplevel-mutable-state -- write-once forward declaration holding code, bound at module init; carries no per-cluster state *)
-  ref (fun _ ~initiator:_ ~target:_ -> ())
+(* Kill a transaction's local execution (deadlock victim, lock timeout,
+   order conflict, coordinator abort).  Outstanding lock waits are
+   refused; locks and pending stamps drop. *)
+let doom_part t ctx reason =
+  if ctx.pt_doomed = None && not ctx.pt_resolved then begin
+    ctx.pt_doomed <- Some reason;
+    (match reason with
+    | Msg.R_deadlock -> Counter.incr t.counters "deadlock_victims"
+    | Msg.R_lock_timeout -> Counter.incr t.counters "lock_timeouts"
+    | Msg.R_order -> Counter.incr t.counters "order_conflicts"
+    | Msg.R_doomed | Msg.R_down -> ());
+    let waits = ctx.pt_waits in
+    ctx.pt_waits <- [];
+    List.iter
+      (fun w ->
+        if not w.w_done then begin
+          w.w_done <- true;
+          Option.iter (Engine.cancel t.engine) w.w_timer;
+          w.w_refuse reason
+        end)
+      waits;
+    Stamps.release t.stamps ~txn:ctx.pt_txn;
+    Lock.release_all t.locks ~txn:ctx.pt_txn
+  end
 
 let get_or_create_part t txn =
   match Ids.Txn_map.find_opt t.parts txn with
@@ -355,7 +327,6 @@ let get_or_create_part t txn =
           pt_sweep = None;
           pt_timers = Hashtbl.create 4;
           pt_waits = [];
-          pt_to_keys = [];
         }
       in
       Ids.Txn_map.replace t.parts txn ctx;
@@ -381,7 +352,7 @@ let get_or_create_part t txn =
                     ctx.pt_sweep <- None;
                     if not ctx.pt_resolved then
                       if ctx.pt_machine = None then begin
-                        !doom_part_ref t ctx Msg.R_doomed;
+                        doom_part t ctx Msg.R_doomed;
                         ctx.pt_resolved <- true;
                         Ids.Txn_map.replace t.presumed txn P.Abort;
                         Ids.Txn_map.replace t.decided txn P.Abort;
@@ -402,31 +373,6 @@ let cancel_sweep t ctx =
 let note_first_lsn t txn lsn =
   if not (Ids.Txn_map.mem t.first_lsn txn) then
     Ids.Txn_map.replace t.first_lsn txn lsn
-
-let to_entry_for t key =
-  match Hashtbl.find_opt t.to_table key with
-  | Some e -> e
-  | None ->
-      let e = { rts = None; wts = None; to_pending = [] } in
-      Hashtbl.add t.to_table key e;
-      e
-
-let ts_lt a b =
-  match (a, b) with
-  | _, None -> false
-  | None, Some _ -> true
-  | Some x, Some y -> Tid.compare x y < 0
-
-let to_clear_pending t ctx =
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.to_table key with
-      | Some e ->
-          e.to_pending <-
-            List.filter (fun p -> not (Tid.equal p ctx.pt_txn)) e.to_pending
-      | None -> ())
-    ctx.pt_to_keys;
-  ctx.pt_to_keys <- []
 
 (* Machine reclamation is a *delayed* cleanup, not a prompt continuation:
    it must be labelled as a timer, not [Internal], or an explorer that
@@ -503,15 +449,97 @@ let coord_log_records txn tag : LR.t list =
 let inquiry participants =
   Some { Msg.writes = []; participants; presumed_down = [] }
 
-let out_commit_msg t ctx_txn ~dst pmsg ~prepare =
-  if dst <> t.id then Counter.incr t.counters "commit_protocol_msgs";
-  local_send t ~dst (Msg.txn_msg ctx_txn (Msg.Commit_msg { pmsg; prepare }))
+let maybe_checkpoint t =
+  let every = t.config.checkpoint_every in
+  if every > 0 && t.commits_since_cp >= every then begin
+    t.commits_since_cp <- 0;
+    let durable = Wal.durable_lsn t.wal in
+    Checkpoint.take t.cp ~kv:t.kv ~lsn:durable
+      ~shard_of:(Placement.shard_of_key t.placement);
+    (* Keep records needed by unresolved transactions. *)
+    let floor =
+      (* rt_lint: allow deterministic-iteration -- commutative minimum *)
+      Ids.Txn_map.fold (fun _ lsn acc -> min lsn acc) t.first_lsn (durable + 1)
+    in
+    let upto = min durable (floor - 1) in
+    let upto =
+      (* With checkpoint corruption armed, recovery may have to install
+         the previous snapshot instead of the latest; keep the log
+         suffix that covers it, or the fallback would have nothing to
+         replay.  Off-profile truncation is untouched. *)
+      if Storage_faults.is_off t.config.Config.storage_faults then upto
+      else
+        match Checkpoint.previous_lsn t.cp with
+        | Some prev -> min upto prev
+        | None -> upto
+    in
+    if upto > Wal.first_lsn t.wal - 1 then Wal.truncate t.wal ~upto;
+    Counter.incr t.counters "checkpoints"
+  end
+
+let handle_abort_txn t txn =
+  match part_ctx t txn with
+  | None -> Ids.Txn_map.replace t.presumed txn P.Abort
+  | Some ctx ->
+      doom_part t ctx Msg.R_doomed;
+      ctx.pt_resolved <- true;
+      cancel_sweep t ctx;
+      Ids.Txn_map.replace t.presumed txn P.Abort;
+      Ids.Txn_map.replace t.decided txn P.Abort;
+      Counter.incr t.counters "participant_aborts";
+      gc_part t ctx
+
+(* ------------------------------------------------------------------ *)
+(* Coordinator side                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let site_writes_for ctx dst =
+  match Hashtbl.find_opt ctx.co_site_writes dst with
+  | Some r -> List.rev !r
+  | None -> []
+
+(* Every replica of every shard this transaction touched — the full set
+   of copies the commit protocol is answerable for, including down ones
+   the plans skipped.  Under full replication this is all sites.  Built
+   by marking a dense per-site scratch row instead of folding set unions:
+   ascending index order yields the same sorted result. *)
+let txn_scope t ctx =
+  let seen = t.scope_scratch in
+  Array.fill seen 0 (Array.length seen) false;
+  Sset.iter
+    (fun shard ->
+      List.iter (fun s -> seen.(s) <- true)
+        (Placement.replicas t.placement ~shard))
+    ctx.co_shards;
+  let acc = ref [] in
+  for s = Array.length seen - 1 downto 0 do
+    if seen.(s) then acc := s :: !acc
+  done;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* Commit-message path                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One recursive group: machines emit messages, messages to this site
+   loop back into routing, and routing feeds machines again. *)
+let rec out_commit_msg t txn ~dst pmsg ~prepare =
+  if dst = t.id then
+    (* Local loop-back: deliver through a zero-delay event so handling
+       never re-enters the current call stack. *)
+    ignore
+      (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine Time.zero
+         (guarded t (fun () -> route_commit_msg t ~src:t.id txn pmsg prepare)))
+  else begin
+    Counter.incr t.counters "commit_protocol_msgs";
+    t.send_raw ~dst (Msg.txn_msg txn (Msg.Commit_msg { pmsg; prepare }))
+  end
 
 (* Interpret a participant machine's actions.  The per-action [t.up]
    check matters under fault injection: a forced log write can crash the
    site synchronously (wal crash points), and the rest of the action list
    must then be dropped exactly as if the site had died mid-step. *)
-let rec interpret_part t ctx actions =
+and interpret_part t ctx actions =
   List.iter
     (fun (action : P.action) ->
       if t.up then
@@ -585,13 +613,7 @@ and resolve_part t ctx (d : P.decision) =
             let apply =
               match t.config.concurrency with
               | Config.Locking -> version > Kv.version t.kv key
-              | Config.Timestamp ->
-                  let e = to_entry_for t key in
-                  if ts_lt (Some ctx.pt_txn) e.wts then false
-                  else begin
-                    e.wts <- Some ctx.pt_txn;
-                    true
-                  end
+              | Config.Timestamp -> Stamps.install t.stamps ~txn:ctx.pt_txn ~key
             in
             if apply then Kv.set t.kv ~key ~value ~version)
           ctx.pt_writes;
@@ -600,296 +622,26 @@ and resolve_part t ctx (d : P.decision) =
         maybe_checkpoint t
     | P.Abort -> Counter.incr t.counters "participant_aborts");
     Ids.Txn_map.remove t.first_lsn ctx.pt_txn;
-    to_clear_pending t ctx;
+    Stamps.release t.stamps ~txn:ctx.pt_txn;
     Lock.release_all t.locks ~txn:ctx.pt_txn;
-    !notify_coord_decided_ref t ctx.pt_txn d;
+    (* A coordinator on this site must learn the decision too: a
+       termination protocol can out-decide a deposed coordinator, and its
+       decision distribution never produces a network message for a
+       machine on its own site.  Zero-delay loop-back, like any local
+       delivery. *)
+    if Ids.Txn_map.mem t.coords ctx.pt_txn then
+      ignore
+        (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine
+           Time.zero
+           (guarded t (fun () ->
+                match Ids.Txn_map.find_opt t.coords ctx.pt_txn with
+                | Some co when co.co_machine <> None ->
+                    feed_coord t co (P.Recv (t.id, P.Decision_msg d))
+                | Some _ | None -> ())));
     gc_part t ctx
   end
 
-and maybe_checkpoint t =
-  let every = t.config.checkpoint_every in
-  if every > 0 && t.commits_since_cp >= every then begin
-    t.commits_since_cp <- 0;
-    let durable = Wal.durable_lsn t.wal in
-    Checkpoint.take t.cp ~kv:t.kv ~lsn:durable
-      ~shard_of:(Placement.shard_of_key t.placement);
-    (* Keep records needed by unresolved transactions. *)
-    let floor =
-      (* rt_lint: allow deterministic-iteration -- commutative minimum *)
-      Ids.Txn_map.fold (fun _ lsn acc -> min lsn acc) t.first_lsn (durable + 1)
-    in
-    let upto = min durable (floor - 1) in
-    let upto =
-      (* With checkpoint corruption armed, recovery may have to install
-         the previous snapshot instead of the latest; keep the log
-         suffix that covers it, or the fallback would have nothing to
-         replay.  Off-profile truncation is untouched. *)
-      if Storage_faults.is_off t.config.Config.storage_faults then upto
-      else
-        match Checkpoint.previous_lsn t.cp with
-        | Some prev -> min upto prev
-        | None -> upto
-    in
-    if upto > Wal.first_lsn t.wal - 1 then Wal.truncate t.wal ~upto;
-    Counter.incr t.counters "checkpoints"
-  end
-
-(* Kill a transaction's local execution (deadlock victim, lock timeout,
-   coordinator abort).  Outstanding lock waits are refused; locks drop. *)
-let doom_part t ctx reason =
-  if ctx.pt_doomed = None && not ctx.pt_resolved then begin
-    ctx.pt_doomed <- Some reason;
-    (match reason with
-    | Msg.R_deadlock -> Counter.incr t.counters "deadlock_victims"
-    | Msg.R_lock_timeout -> Counter.incr t.counters "lock_timeouts"
-    | Msg.R_order -> Counter.incr t.counters "order_conflicts"
-    | Msg.R_doomed | Msg.R_down -> ());
-    let waits = ctx.pt_waits in
-    ctx.pt_waits <- [];
-    List.iter
-      (fun w ->
-        if not w.w_done then begin
-          w.w_done <- true;
-          Option.iter (Engine.cancel t.engine) w.w_timer;
-          w.w_refuse reason
-        end)
-      waits;
-    to_clear_pending t ctx;
-    Lock.release_all t.locks ~txn:ctx.pt_txn
-  end
-
-let () = doom_part_ref := doom_part
-
-(* After a lock request queues, check for (local) deadlock and kill the
-   victim immediately. *)
-let resolve_local_deadlocks t =
-  let rec go n =
-    if n > 100_000 then
-      failwith "resolve_local_deadlocks: livelock detected"
-    else
-      match Lock.detect_deadlock t.locks with
-      | None -> ()
-      | Some victim ->
-          (match part_ctx t victim with
-          | Some ctx -> doom_part t ctx Msg.R_deadlock
-          | None ->
-              (* A victim with no participant context can only be a stale
-                 entry; drop its locks so the system moves on. *)
-              Lock.release_all t.locks ~txn:victim);
-          go (n + 1)
-  in
-  go 0
-
-(* Acquire a lock on behalf of a remote (or local) operation, replying
-   through [reply] exactly once. *)
-let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
-    ~(reply_refuse : Msg.refusal -> unit) =
-  match ctx.pt_doomed with
-  | Some r -> reply_refuse r
-  (* A resolved context has already released its locks; a data op landing
-     now is a network duplicate, and granting it would orphan the lock
-     forever (nothing ever resolves this transaction again). *)
-  | None when ctx.pt_resolved -> reply_refuse Msg.R_doomed
-  | None -> (
-      let wait =
-        { w_done = false; w_refuse = reply_refuse; w_timer = None }
-      in
-      let granted () =
-        if not wait.w_done then begin
-          wait.w_done <- true;
-          Option.iter (Engine.cancel t.engine) wait.w_timer;
-          ctx.pt_waits <- List.filter (fun w -> w != wait) ctx.pt_waits;
-          on_granted ()
-        end
-      in
-      match Lock.acquire t.locks ~txn:ctx.pt_txn ~key ~mode ~on_grant:granted
-      with
-      | Lock.Granted -> on_granted ()
-      | Lock.Waiting ->
-          ctx.pt_waits <- wait :: ctx.pt_waits;
-          let timer =
-            Engine.schedule_after
-              ~label:(Engine.Timer { site = t.id; name = "lock-wait" })
-              t.engine t.config.lock_wait_timeout
-              (guarded t (fun () ->
-                   if not wait.w_done then doom_part t ctx Msg.R_lock_timeout))
-          in
-          wait.w_timer <- Some timer;
-          resolve_local_deadlocks t;
-          if t.config.probe_deadlocks && not wait.w_done then
-            List.iter
-              (fun blocker ->
-                !send_probe_ref t ~initiator:ctx.pt_txn ~target:blocker)
-              (Lock.blocking t.locks ~txn:ctx.pt_txn))
-
-let handle_read_req t ~txn ~key ~(reply : (string option * int, Msg.refusal) Result.t -> unit) =
-  if t.catching then reply (Error Msg.R_down)
-  else if Ids.Txn_map.mem t.decided txn then
-    (* Duplicate of an op from an already-decided transaction: refuse
-       without resurrecting a participant context for it. *)
-    reply (Error Msg.R_doomed)
-  else begin
-    let ctx = get_or_create_part t txn in
-    match t.config.concurrency with
-    | Config.Timestamp ->
-        if ctx.pt_doomed <> None then reply (Error Msg.R_doomed)
-        else begin
-          let e = to_entry_for t key in
-          let blocked_by_pending =
-            List.exists
-              (fun p -> (not (Tid.equal p txn)) && Tid.compare p txn <= 0)
-              e.to_pending
-          in
-          if ts_lt (Some txn) e.wts || blocked_by_pending then begin
-            doom_part t ctx Msg.R_order;
-            reply (Error Msg.R_order)
-          end
-          else begin
-            if ts_lt e.rts (Some txn) then e.rts <- Some txn;
-            reply
-              (Ok
-                 ( Option.map (fun (i : Kv.item) -> i.value) (Kv.get t.kv key),
-                   Kv.version t.kv key ))
-          end
-        end
-    | Config.Locking ->
-        acquire_for_op t ctx ~mode:Lock.Shared ~key
-          ~on_granted:(fun () ->
-            let item = Kv.get t.kv key in
-            reply
-              (Ok
-                 ( Option.map (fun (i : Kv.item) -> i.value) item,
-                   Kv.version t.kv key )))
-          ~reply_refuse:(fun r -> reply (Error r))
-  end
-
-let handle_write_req t ~txn ~key ~(reply : (int, Msg.refusal) Result.t -> unit)
-    =
-  (* Writes are accepted even while catching up: a validating copy must
-     not miss commits that land during its transfer (reads stay refused
-     until validation completes). *)
-  if Ids.Txn_map.mem t.decided txn then reply (Error Msg.R_doomed)
-  else
-  let ctx = get_or_create_part t txn in
-  match t.config.concurrency with
-  | Config.Timestamp ->
-      if ctx.pt_doomed <> None then reply (Error Msg.R_doomed)
-      else begin
-        let e = to_entry_for t key in
-        if ts_lt (Some txn) e.rts || ts_lt (Some txn) e.wts then begin
-          doom_part t ctx Msg.R_order;
-          reply (Error Msg.R_order)
-        end
-        else begin
-          if not (List.exists (Tid.equal txn) e.to_pending) then begin
-            e.to_pending <- txn :: e.to_pending;
-            ctx.pt_to_keys <- key :: ctx.pt_to_keys
-          end;
-          reply (Ok (Kv.version t.kv key))
-        end
-      end
-  | Config.Locking ->
-      acquire_for_op t ctx ~mode:Lock.Exclusive ~key
-        ~on_granted:(fun () -> reply (Ok (Kv.version t.kv key)))
-        ~reply_refuse:(fun r -> reply (Error r))
-
-let handle_abort_txn t txn =
-  match part_ctx t txn with
-  | None -> Ids.Txn_map.replace t.presumed txn P.Abort
-  | Some ctx ->
-      doom_part t ctx Msg.R_doomed;
-      ctx.pt_resolved <- true;
-      cancel_sweep t ctx;
-      Ids.Txn_map.replace t.presumed txn P.Abort;
-      Ids.Txn_map.replace t.decided txn P.Abort;
-      Counter.incr t.counters "participant_aborts";
-      gc_part t ctx
-
-let handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
-  if Ids.Txn_map.mem t.decided txn then
-    (* Coordinators never re-solicit votes, so a vote request for a
-       transaction we already decided is a network duplicate that
-       outlived the participant context.  Re-running the protocol from a
-       fresh machine would re-vote on a settled transaction; drop it. *)
-    ()
-  else
-  let ctx = get_or_create_part t txn in
-  if ctx.pt_machine <> None then
-    (* Duplicate vote request: let the machine handle it. *)
-    feed_part t ctx (P.Recv (src, P.Vote_req))
-  else begin
-    let validation_ok =
-      match prepare with
-      | Some { presumed_down; writes; _ } ->
-          (* Available-copies validation: refuse to certify an update
-             that skipped a copy we know to be alive (the coordinator's
-             failure view is stale). *)
-          writes = []
-          || List.for_all (fun s -> not (up_pred t s)) presumed_down
-      | None -> true
-    in
-    (match prepare with
-    | Some { writes; participants; _ } ->
-        ctx.pt_writes <- writes;
-        ctx.pt_participants <- participants
-    | None -> if ctx.pt_participants = [] then ctx.pt_participants <- all_site_ids t);
-    let pledged_abort =
-      match Ids.Txn_map.find_opt t.presumed txn with
-      | Some P.Abort -> true
-      | _ -> false
-    in
-    if not validation_ok then Counter.incr t.counters "validation_vetoes";
-    let vote = ctx.pt_doomed = None && (not pledged_abort) && validation_ok in
-    ctx.pt_machine <-
-      Some
-        (Commit_protocol.participant t.config.commit_protocol
-           ~participants:ctx.pt_participants ~coordinator:txn.Tid.origin
-           ~self:t.id ~vote
-           ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization)
-           ~timeouts:t.config.commit_timeouts);
-    feed_part t ctx (P.Recv (src, P.Vote_req));
-    (* Replay paxos acceptor traffic that arrived before the machine
-       existed, in arrival order (see [px_early]). *)
-    match Ids.Txn_map.find_opt t.px_early txn with
-    | None -> ()
-    | Some pending ->
-        Ids.Txn_map.remove t.px_early txn;
-        List.iter
-          (fun (psrc, pmsg) ->
-            if ctx.pt_machine <> None then
-              feed_part t ctx (P.Recv (psrc, pmsg)))
-          (List.rev pending)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Coordinator side                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let site_writes_for ctx dst =
-  match Hashtbl.find_opt ctx.co_site_writes dst with
-  | Some r -> List.rev !r
-  | None -> []
-
-(* Every replica of every shard this transaction touched — the full set
-   of copies the commit protocol is answerable for, including down ones
-   the plans skipped.  Under full replication this is all sites.  Built
-   by marking a dense per-site scratch row instead of folding set unions:
-   ascending index order yields the same sorted result. *)
-let txn_scope t ctx =
-  let seen = t.scope_scratch in
-  Array.fill seen 0 (Array.length seen) false;
-  Sset.iter
-    (fun shard ->
-      List.iter (fun s -> seen.(s) <- true)
-        (Placement.replicas t.placement ~shard))
-    ctx.co_shards;
-  let acc = ref [] in
-  for s = Array.length seen - 1 downto 0 do
-    if seen.(s) then acc := s :: !acc
-  done;
-  !acc
-
-let rec interpret_coord t ctx actions =
+and interpret_coord t ctx actions =
   List.iter
     (fun (action : P.action) ->
       if t.up then
@@ -970,20 +722,215 @@ and finish_coord t ctx outcome =
     gc_coord t ctx
   end
 
-let () =
-  notify_coord_decided_ref :=
-    fun t txn d ->
-      if Ids.Txn_map.mem t.coords txn then
-        (* Zero-delay loop-back so the coordinator steps outside the
-           participant's interpretation, like any local delivery. *)
-        ignore
-          (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine
-             Time.zero
-             (guarded t (fun () ->
-                  match Ids.Txn_map.find_opt t.coords txn with
-                  | Some ctx when ctx.co_machine <> None ->
-                      feed_coord t ctx (P.Recv (t.id, P.Decision_msg d))
-                  | Some _ | None -> ())))
+and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
+  if Ids.Txn_map.mem t.decided txn then
+    (* Coordinators never re-solicit votes, so a vote request for a
+       transaction we already decided is a network duplicate that
+       outlived the participant context.  Re-running the protocol from a
+       fresh machine would re-vote on a settled transaction; drop it. *)
+    ()
+  else
+  let ctx = get_or_create_part t txn in
+  if ctx.pt_machine <> None then
+    (* Duplicate vote request: let the machine handle it. *)
+    feed_part t ctx (P.Recv (src, P.Vote_req))
+  else begin
+    let validation_ok =
+      match prepare with
+      | Some { presumed_down; writes; _ } ->
+          (* Available-copies validation: refuse to certify an update
+             that skipped a copy we know to be alive (the coordinator's
+             failure view is stale). *)
+          writes = []
+          || List.for_all (fun s -> not (up_pred t s)) presumed_down
+      | None -> true
+    in
+    (match prepare with
+    | Some { writes; participants; _ } ->
+        ctx.pt_writes <- writes;
+        ctx.pt_participants <- participants
+    | None -> if ctx.pt_participants = [] then ctx.pt_participants <- t.site_ids);
+    let pledged_abort =
+      match Ids.Txn_map.find_opt t.presumed txn with
+      | Some P.Abort -> true
+      | _ -> false
+    in
+    if not validation_ok then Counter.incr t.counters "validation_vetoes";
+    let vote = ctx.pt_doomed = None && (not pledged_abort) && validation_ok in
+    ctx.pt_machine <-
+      Some
+        (Commit_protocol.participant t.config.commit_protocol
+           ~participants:ctx.pt_participants ~coordinator:txn.Tid.origin
+           ~self:t.id ~vote
+           ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization)
+           ~timeouts:t.config.commit_timeouts);
+    feed_part t ctx (P.Recv (src, P.Vote_req));
+    (* Replay paxos acceptor traffic that arrived before the machine
+       existed, in arrival order (see [px_early]). *)
+    match Ids.Txn_map.find_opt t.px_early txn with
+    | None -> ()
+    | Some pending ->
+        Ids.Txn_map.remove t.px_early txn;
+        List.iter
+          (fun (psrc, pmsg) ->
+            if ctx.pt_machine <> None then
+              feed_part t ctx (P.Recv (psrc, pmsg)))
+          (List.rev pending)
+  end
+
+(* The presumption a site must apply for a transaction it knows nothing
+   about.  Only the transaction's coordinator applies the 2PC variant's
+   presumption.  A non-coordinator that remembers nothing answers
+   [Decision_unknown]: it must not invent an authoritative outcome,
+   because under the read-only optimization it may have voted read-only
+   and forgotten a transaction that went on to commit — an invented
+   "abort" reply would then contradict the real decision.  (State
+   requests are different: a definite report is required for termination
+   progress, and pledging abort before replying keeps it safe, since a
+   site that pledged can never later vote yes.) *)
+and answer_unknown t ~src txn (pmsg : P.msg) prepare =
+  let reply m = out_commit_msg t txn ~dst:src m ~prepare:None in
+  let known = Ids.Txn_map.find_opt t.presumed txn in
+  match pmsg with
+  | P.Decision_req -> (
+      let presumed =
+        match known with
+        | Some d -> Some d
+        | None when txn.Tid.origin = t.id ->
+            (* The asker's participant set fixes what the transaction
+               ran with (Paxos Commit's F); without one, every site is
+               the safe bound. *)
+            let participants =
+              match prepare with
+              | Some { Msg.participants; _ } -> participants
+              | None -> t.site_ids
+            in
+            Commit_protocol.presumption t.config.commit_protocol
+              ~participants ~coordinator:t.id
+        | None -> None
+      in
+      match presumed with
+      | Some d -> reply (P.Decision_msg d)
+      | None -> reply P.Decision_unknown)
+  | P.State_req | P.Pq_state_req _ -> (
+      let state_of = function
+        | P.Commit -> P.P_committed
+        | P.Abort -> P.P_aborted
+      in
+      let st =
+        match known with
+        | Some d -> state_of d
+        | None ->
+            Ids.Txn_map.replace t.presumed txn P.Abort;
+            P.P_aborted
+      in
+      match pmsg with
+      | P.Pq_state_req e -> reply (P.Pq_state_report (e, st))
+      | _ -> reply (P.State_report st))
+  | P.Decision_msg d ->
+      (* A decision reaching a site with no machine for the transaction
+         (all memory of it lost in a crash, or already resolved and
+         collected): record it if new, and always acknowledge — an
+         ack-collecting coordinator would otherwise resend forever. *)
+      (match known with
+      | Some _ -> ()
+      | None ->
+          Ids.Txn_map.replace t.presumed txn d;
+          Ids.Txn_map.replace t.decided txn d);
+      Ids.Txn_map.remove t.px_early txn;
+      reply P.Decision_ack
+  | P.Px_p1a _ | P.Px_p2a _ -> (
+      (* A paxos leader is probing; a remembered outcome terminates it.
+         With no memory our acceptor died with us — abstain. *)
+      match known with
+      | Some d -> reply (P.Decision_msg d)
+      | None -> ())
+  | P.Decision_unknown | P.Vote_yes | P.Vote_no
+  | P.Decision_ack | P.Precommit_msg | P.Precommit_ack | P.Pq_precommit _
+  | P.Pq_precommit_ack _ | P.Pq_preabort _ | P.Pq_preabort_ack _
+  | P.State_report _ | P.Pq_state_report _ | P.Vote_req
+  | P.Vote_read_only | P.Px_p1b _ | P.Px_p2b _ | P.Px_nack _ ->
+      ()
+
+and route_commit_msg t ~src txn (pmsg : P.msg) prepare =
+  let coord = Ids.Txn_map.find_opt t.coords txn in
+  let coord_machine =
+    match coord with
+    | Some c when c.co_machine <> None -> Some c
+    | _ -> None
+  in
+  let to_part () =
+    match part_ctx t txn with
+    | Some ctx when ctx.pt_machine <> None ->
+        feed_part t ctx (P.Recv (src, pmsg))
+    | Some _ | None -> answer_unknown t ~src txn pmsg prepare
+  in
+  match pmsg with
+  | P.Vote_req -> handle_vote_req t ~src txn prepare
+  | P.Vote_yes | P.Vote_no | P.Vote_read_only | P.Decision_ack -> (
+      match coord_machine with
+      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | None -> ())
+  | P.Precommit_ack | P.Pq_precommit_ack _ | P.Pq_preabort_ack _ -> (
+      match coord_machine with
+      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | None -> to_part ())
+  | P.Px_p1a _ | P.Px_p2a _ | P.Px_p1b _ | P.Px_p2b _ | P.Px_nack _ -> (
+      (* The origin site's acceptor and ballot-0 leadership live in the
+         coordinator machine; participant leaders never use the origin's
+         ballot identity, so origin-bound paxos traffic is the
+         coordinator's iff it is alive.  Elsewhere (or after the
+         coordinator machine is gone) the participant machine serves its
+         acceptor or leader role. *)
+      match coord_machine with
+      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | None -> (
+          match part_ctx t txn with
+          | Some ctx when ctx.pt_machine <> None ->
+              feed_part t ctx (P.Recv (src, pmsg))
+          | Some _ | None -> (
+              match pmsg with
+              | P.Px_p1a _ | P.Px_p2a _
+                when (not (Ids.Txn_map.mem t.presumed txn))
+                     && not (Ids.Txn_map.mem t.decided txn) ->
+                  (* Acceptor traffic ahead of our Vote_req: stash for
+                     replay at machine creation (see [px_early]).  The
+                     cap bounds abandoned transactions; a dropped
+                     message is re-earned by the sender's own
+                     termination timers, exactly as before. *)
+                  let pending =
+                    Option.value ~default:[]
+                      (Ids.Txn_map.find_opt t.px_early txn)
+                  in
+                  let cap = t.config.Config.px_early_stash_cap in
+                  let pending =
+                    (* On overflow drop the oldest stash entry (list is
+                       newest-first): recent acceptor traffic supersedes
+                       it, and its sender retransmits anyway. *)
+                    if List.length pending >= cap then
+                      List.filteri (fun i _ -> i < cap - 1) pending
+                    else pending
+                  in
+                  Ids.Txn_map.replace t.px_early txn ((src, pmsg) :: pending)
+              | _ -> answer_unknown t ~src txn pmsg prepare)))
+  | P.State_report _ | P.Pq_state_report _ -> to_part ()
+  | P.Decision_req -> (
+      match coord_machine with
+      | Some c when (match c.co_machine with
+                     | Some m -> Erased.decision m <> None
+                     | None -> false) ->
+          feed_coord t c (P.Recv (src, pmsg))
+      | _ -> (
+          (* A recorded outcome answers even when a local participant
+             machine is itself still uncertain (e.g. a recovered
+             coordinator-site participant asking around). *)
+          match Ids.Txn_map.find_opt t.presumed txn with
+          | Some d ->
+              out_commit_msg t txn ~dst:src (P.Decision_msg d) ~prepare:None
+          | None -> to_part ()))
+  | P.Decision_msg _ | P.Decision_unknown | P.Precommit_msg
+  | P.Pq_precommit _ | P.Pq_preabort _ | P.State_req | P.Pq_state_req _ ->
+      to_part ()
 
 (* Abort before the commit protocol started: tell every touched site and
    fail any operation the caller is still waiting on. *)
@@ -1020,6 +967,177 @@ let reason_of_refusal = function
   | Msg.R_order -> Order_conflict
   | Msg.R_doomed -> Lock_conflict
   | Msg.R_down -> Unavailable
+
+(* ------------------------------------------------------------------ *)
+(* Distributed deadlock probes (Chandy–Misra–Haas edge chasing)         *)
+(* ------------------------------------------------------------------ *)
+
+(* Send a probe that chases the edge [initiator waits-for target]. *)
+let rec send_probe t ~initiator ~(target : Tid.t) =
+  if target.Tid.origin = t.id then handle_probe t ~initiator ~target
+  else begin
+    Counter.incr t.counters "probe_msgs";
+    t.send_raw ~dst:target.Tid.origin
+      (Msg.txn_msg target (Msg.Probe { initiator }))
+  end
+
+(* A probe has arrived for [target].  Two cases: at [target]'s home site
+   we route it onward (or declare a cycle if it came back to its own
+   initiator); elsewhere we fan it out to [target]'s local blockers. *)
+and handle_probe t ~initiator ~target =
+  if target.Tid.origin = t.id then begin
+    if Tid.equal initiator target then begin
+      (* The probe went round a cycle: the initiator is deadlocked. *)
+      match Ids.Txn_map.find_opt t.coords target with
+      | Some ctx when (not ctx.co_finished) && ctx.co_machine = None ->
+          Counter.incr t.counters "probe_deadlocks";
+          abort_coord_early t ctx Deadlock
+      | _ -> ()
+    end
+    else
+      match Ids.Txn_map.find_opt t.coords target with
+      | Some ctx
+        when (not ctx.co_finished)
+             && not (Ids.Txn_map.mem ctx.co_probes_seen initiator) -> (
+          Ids.Txn_map.replace ctx.co_probes_seen initiator ();
+          (* Forward to every site the transaction is waiting on. *)
+          match ctx.co_wait with
+          | Some (W_read { rw_pending = pending; _ })
+          | Some (W_write { ww_pending = pending; _ }) ->
+              Sset.iter
+                (fun site ->
+                  if site = t.id then probe_local_blockers t ~initiator ~target
+                  else begin
+                    Counter.incr t.counters "probe_msgs";
+                    t.send_raw ~dst:site
+                      (Msg.txn_msg target (Msg.Probe { initiator }))
+                  end)
+                pending
+          | None -> ())
+      | _ -> ()
+  end
+  else probe_local_blockers t ~initiator ~target
+
+and probe_local_blockers t ~initiator ~target =
+  List.iter
+    (fun blocker ->
+      if Tid.equal blocker initiator then
+        (* Cycle closed: tell the initiator's coordinator. *)
+        send_probe t ~initiator ~target:initiator
+      else send_probe t ~initiator ~target:blocker)
+    (Lock.blocking t.locks ~txn:target)
+
+(* ------------------------------------------------------------------ *)
+(* Data operations                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* After a lock request queues, check for (local) deadlock and kill the
+   victim immediately. *)
+let resolve_local_deadlocks t =
+  let rec go n =
+    if n > 100_000 then
+      failwith "resolve_local_deadlocks: livelock detected"
+    else
+      match Lock.detect_deadlock t.locks with
+      | None -> ()
+      | Some victim ->
+          (match part_ctx t victim with
+          | Some ctx -> doom_part t ctx Msg.R_deadlock
+          | None ->
+              (* A victim with no participant context can only be a stale
+                 entry; drop its locks so the system moves on. *)
+              Lock.release_all t.locks ~txn:victim);
+          go (n + 1)
+  in
+  go 0
+
+(* Admit a remote (or local) operation under the configured concurrency
+   control — a lock ([Shared] for reads, [Exclusive] for writes) or a
+   timestamp-ordering check — calling exactly one of [on_granted] and
+   [reply_refuse], once. *)
+let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
+    ~(reply_refuse : Msg.refusal -> unit) =
+  match ctx.pt_doomed with
+  | Some r -> reply_refuse r
+  (* A resolved context has already released its locks and pending
+     marks; a data op landing now is a network duplicate, and admitting
+     it would orphan the lock or mark forever (nothing ever resolves this
+     transaction again). *)
+  | None when ctx.pt_resolved -> reply_refuse Msg.R_doomed
+  | None -> (
+      match t.config.concurrency with
+      | Config.Timestamp ->
+          (* Basic TO never blocks: admit now or refuse for good. *)
+          let admitted =
+            match mode with
+            | Lock.Shared -> Stamps.read t.stamps ~txn:ctx.pt_txn ~key
+            | Lock.Exclusive -> Stamps.write t.stamps ~txn:ctx.pt_txn ~key
+          in
+          if admitted then on_granted ()
+          else begin
+            doom_part t ctx Msg.R_order;
+            reply_refuse Msg.R_order
+          end
+      | Config.Locking -> (
+          let wait =
+            { w_done = false; w_refuse = reply_refuse; w_timer = None }
+          in
+          let granted () =
+            if not wait.w_done then begin
+              wait.w_done <- true;
+              Option.iter (Engine.cancel t.engine) wait.w_timer;
+              ctx.pt_waits <- List.filter (fun w -> w != wait) ctx.pt_waits;
+              on_granted ()
+            end
+          in
+          match
+            Lock.acquire t.locks ~txn:ctx.pt_txn ~key ~mode ~on_grant:granted
+          with
+          | Lock.Granted -> on_granted ()
+          | Lock.Waiting ->
+              ctx.pt_waits <- wait :: ctx.pt_waits;
+              let timer =
+                Engine.schedule_after
+                  ~label:(Engine.Timer { site = t.id; name = "lock-wait" })
+                  t.engine t.config.lock_wait_timeout
+                  (guarded t (fun () ->
+                       if not wait.w_done then
+                         doom_part t ctx Msg.R_lock_timeout))
+              in
+              wait.w_timer <- Some timer;
+              resolve_local_deadlocks t;
+              if t.config.probe_deadlocks && not wait.w_done then
+                List.iter
+                  (fun blocker ->
+                    send_probe t ~initiator:ctx.pt_txn ~target:blocker)
+                  (Lock.blocking t.locks ~txn:ctx.pt_txn)))
+
+let handle_read_req t ~txn ~key ~(reply : (string option * int, Msg.refusal) Result.t -> unit) =
+  if t.catching then reply (Error Msg.R_down)
+  else if Ids.Txn_map.mem t.decided txn then
+    (* Duplicate of an op from an already-decided transaction: refuse
+       without resurrecting a participant context for it. *)
+    reply (Error Msg.R_doomed)
+  else
+    acquire_for_op t (get_or_create_part t txn) ~mode:Lock.Shared ~key
+      ~on_granted:(fun () ->
+        let item = Kv.get t.kv key in
+        reply
+          (Ok
+             ( Option.map (fun (i : Kv.item) -> i.value) item,
+               Kv.version t.kv key )))
+      ~reply_refuse:(fun r -> reply (Error r))
+
+let handle_write_req t ~txn ~key ~(reply : (int, Msg.refusal) Result.t -> unit)
+    =
+  (* Writes are accepted even while catching up: a validating copy must
+     not miss commits that land during its transfer (reads stay refused
+     until validation completes). *)
+  if Ids.Txn_map.mem t.decided txn then reply (Error Msg.R_doomed)
+  else
+    acquire_for_op t (get_or_create_part t txn) ~mode:Lock.Exclusive ~key
+      ~on_granted:(fun () -> reply (Ok (Kv.version t.kv key)))
+      ~reply_refuse:(fun r -> reply (Error r))
 
 (* One logical read: assemble the plan, collect replies, resolve the
    newest version.  [k] fires exactly once. *)
@@ -1253,225 +1371,6 @@ let txn_abort t h =
   if not h.co_finished then abort_coord_early t h Protocol_abort
 
 (* ------------------------------------------------------------------ *)
-(* Distributed deadlock probes (Chandy–Misra–Haas edge chasing)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Send a probe that chases the edge [initiator waits-for target]. *)
-let rec send_probe t ~initiator ~(target : Tid.t) =
-  if target.Tid.origin = t.id then handle_probe t ~initiator ~target
-  else begin
-    Counter.incr t.counters "probe_msgs";
-    t.send_raw ~dst:target.Tid.origin
-      (Msg.txn_msg target (Msg.Probe { initiator }))
-  end
-
-(* A probe has arrived for [target].  Two cases: at [target]'s home site
-   we route it onward (or declare a cycle if it came back to its own
-   initiator); elsewhere we fan it out to [target]'s local blockers. *)
-and handle_probe t ~initiator ~target =
-  if target.Tid.origin = t.id then begin
-    if Tid.equal initiator target then begin
-      (* The probe went round a cycle: the initiator is deadlocked. *)
-      match Ids.Txn_map.find_opt t.coords target with
-      | Some ctx when (not ctx.co_finished) && ctx.co_machine = None ->
-          Counter.incr t.counters "probe_deadlocks";
-          abort_coord_early t ctx Deadlock
-      | _ -> ()
-    end
-    else
-      match Ids.Txn_map.find_opt t.coords target with
-      | Some ctx
-        when (not ctx.co_finished)
-             && not (Ids.Txn_map.mem ctx.co_probes_seen initiator) -> (
-          Ids.Txn_map.replace ctx.co_probes_seen initiator ();
-          (* Forward to every site the transaction is waiting on. *)
-          match ctx.co_wait with
-          | Some (W_read { rw_pending = pending; _ })
-          | Some (W_write { ww_pending = pending; _ }) ->
-              Sset.iter
-                (fun site ->
-                  if site = t.id then probe_local_blockers t ~initiator ~target
-                  else begin
-                    Counter.incr t.counters "probe_msgs";
-                    t.send_raw ~dst:site
-                      (Msg.txn_msg target (Msg.Probe { initiator }))
-                  end)
-                pending
-          | None -> ())
-      | _ -> ()
-  end
-  else probe_local_blockers t ~initiator ~target
-
-and probe_local_blockers t ~initiator ~target =
-  List.iter
-    (fun blocker ->
-      if Tid.equal blocker initiator then
-        (* Cycle closed: tell the initiator's coordinator. *)
-        send_probe t ~initiator ~target:initiator
-      else send_probe t ~initiator ~target:blocker)
-    (Lock.blocking t.locks ~txn:target)
-
-let () = send_probe_ref := send_probe
-
-(* ------------------------------------------------------------------ *)
-(* Commit-message routing                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The presumption a site must apply for a transaction it knows nothing
-   about.  Only the transaction's coordinator applies the 2PC variant's
-   presumption.  A non-coordinator that remembers nothing answers
-   [Decision_unknown]: it must not invent an authoritative outcome,
-   because under the read-only optimization it may have voted read-only
-   and forgotten a transaction that went on to commit — an invented
-   "abort" reply would then contradict the real decision.  (State
-   requests are different: a definite report is required for termination
-   progress, and pledging abort before replying keeps it safe, since a
-   site that pledged can never later vote yes.) *)
-let answer_unknown t ~src txn (pmsg : P.msg) prepare =
-  let reply m = out_commit_msg t txn ~dst:src m ~prepare:None in
-  let known = Ids.Txn_map.find_opt t.presumed txn in
-  match pmsg with
-  | P.Decision_req -> (
-      let presumed =
-        match known with
-        | Some d -> Some d
-        | None when txn.Tid.origin = t.id ->
-            (* The asker's participant set fixes what the transaction
-               ran with (Paxos Commit's F); without one, every site is
-               the safe bound. *)
-            let participants =
-              match prepare with
-              | Some { Msg.participants; _ } -> participants
-              | None -> all_site_ids t
-            in
-            Commit_protocol.presumption t.config.commit_protocol
-              ~participants ~coordinator:t.id
-        | None -> None
-      in
-      match presumed with
-      | Some d -> reply (P.Decision_msg d)
-      | None -> reply P.Decision_unknown)
-  | P.State_req | P.Pq_state_req _ -> (
-      let state_of = function
-        | P.Commit -> P.P_committed
-        | P.Abort -> P.P_aborted
-      in
-      let st =
-        match known with
-        | Some d -> state_of d
-        | None ->
-            Ids.Txn_map.replace t.presumed txn P.Abort;
-            P.P_aborted
-      in
-      match pmsg with
-      | P.Pq_state_req e -> reply (P.Pq_state_report (e, st))
-      | _ -> reply (P.State_report st))
-  | P.Decision_msg d ->
-      (* A decision reaching a site with no machine for the transaction
-         (all memory of it lost in a crash, or already resolved and
-         collected): record it if new, and always acknowledge — an
-         ack-collecting coordinator would otherwise resend forever. *)
-      (match known with
-      | Some _ -> ()
-      | None ->
-          Ids.Txn_map.replace t.presumed txn d;
-          Ids.Txn_map.replace t.decided txn d);
-      Ids.Txn_map.remove t.px_early txn;
-      reply P.Decision_ack
-  | P.Px_p1a _ | P.Px_p2a _ -> (
-      (* A paxos leader is probing; a remembered outcome terminates it.
-         With no memory our acceptor died with us — abstain. *)
-      match known with
-      | Some d -> reply (P.Decision_msg d)
-      | None -> ())
-  | P.Decision_unknown | P.Vote_yes | P.Vote_no
-  | P.Decision_ack | P.Precommit_msg | P.Precommit_ack | P.Pq_precommit _
-  | P.Pq_precommit_ack _ | P.Pq_preabort _ | P.Pq_preabort_ack _
-  | P.State_report _ | P.Pq_state_report _ | P.Vote_req
-  | P.Vote_read_only | P.Px_p1b _ | P.Px_p2b _ | P.Px_nack _ ->
-      ()
-
-let route_commit_msg t ~src txn (pmsg : P.msg) prepare =
-  let coord = Ids.Txn_map.find_opt t.coords txn in
-  let coord_machine =
-    match coord with
-    | Some c when c.co_machine <> None -> Some c
-    | _ -> None
-  in
-  let to_part () =
-    match part_ctx t txn with
-    | Some ctx when ctx.pt_machine <> None ->
-        feed_part t ctx (P.Recv (src, pmsg))
-    | Some _ | None -> answer_unknown t ~src txn pmsg prepare
-  in
-  match pmsg with
-  | P.Vote_req -> handle_vote_req t ~src txn prepare
-  | P.Vote_yes | P.Vote_no | P.Vote_read_only | P.Decision_ack -> (
-      match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
-      | None -> ())
-  | P.Precommit_ack | P.Pq_precommit_ack _ | P.Pq_preabort_ack _ -> (
-      match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
-      | None -> to_part ())
-  | P.Px_p1a _ | P.Px_p2a _ | P.Px_p1b _ | P.Px_p2b _ | P.Px_nack _ -> (
-      (* The origin site's acceptor and ballot-0 leadership live in the
-         coordinator machine; participant leaders never use the origin's
-         ballot identity, so origin-bound paxos traffic is the
-         coordinator's iff it is alive.  Elsewhere (or after the
-         coordinator machine is gone) the participant machine serves its
-         acceptor or leader role. *)
-      match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
-      | None -> (
-          match part_ctx t txn with
-          | Some ctx when ctx.pt_machine <> None ->
-              feed_part t ctx (P.Recv (src, pmsg))
-          | Some _ | None -> (
-              match pmsg with
-              | P.Px_p1a _ | P.Px_p2a _
-                when (not (Ids.Txn_map.mem t.presumed txn))
-                     && not (Ids.Txn_map.mem t.decided txn) ->
-                  (* Acceptor traffic ahead of our Vote_req: stash for
-                     replay at machine creation (see [px_early]).  The
-                     cap bounds abandoned transactions; a dropped
-                     message is re-earned by the sender's own
-                     termination timers, exactly as before. *)
-                  let pending =
-                    Option.value ~default:[]
-                      (Ids.Txn_map.find_opt t.px_early txn)
-                  in
-                  let cap = t.config.Config.px_early_stash_cap in
-                  let pending =
-                    (* On overflow drop the oldest stash entry (list is
-                       newest-first): recent acceptor traffic supersedes
-                       it, and its sender retransmits anyway. *)
-                    if List.length pending >= cap then
-                      List.filteri (fun i _ -> i < cap - 1) pending
-                    else pending
-                  in
-                  Ids.Txn_map.replace t.px_early txn ((src, pmsg) :: pending)
-              | _ -> answer_unknown t ~src txn pmsg prepare)))
-  | P.State_report _ | P.Pq_state_report _ -> to_part ()
-  | P.Decision_req -> (
-      match coord_machine with
-      | Some c when (match c.co_machine with
-                     | Some m -> Erased.decision m <> None
-                     | None -> false) ->
-          feed_coord t c (P.Recv (src, pmsg))
-      | _ -> (
-          (* A recorded outcome answers even when a local participant
-             machine is itself still uncertain (e.g. a recovered
-             coordinator-site participant asking around). *)
-          match Ids.Txn_map.find_opt t.presumed txn with
-          | Some d ->
-              out_commit_msg t txn ~dst:src (P.Decision_msg d) ~prepare:None
-          | None -> to_part ()))
-  | P.Decision_msg _ | P.Decision_unknown | P.Precommit_msg
-  | P.Pq_precommit _ | P.Pq_preabort _ | P.State_req | P.Pq_state_req _ ->
-      to_part ()
-
-(* ------------------------------------------------------------------ *)
 (* Failure-detector wiring                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1504,7 +1403,7 @@ let start_hb t =
   | Some hb -> Heartbeat.start hb
   | None ->
       let hb =
-        Heartbeat.create t.engine ~self:t.id ~peers:(all_site_ids t)
+        Heartbeat.create t.engine ~self:t.id ~peers:t.site_ids
           ~interval:t.config.heartbeat_interval
           ~miss_threshold:t.config.heartbeat_miss
           ~send_beat:(fun peer ->
@@ -1587,7 +1486,7 @@ let crash ?torn t =
     | _ -> ());
     Kv.clear t.kv;
     t.locks <- Lock.create ();
-    Hashtbl.reset t.to_table;
+    t.stamps <- Stamps.create ();
     (* Clients waiting on this coordinator learn the site died. *)
     let pending =
       Ids.Txn_map.fold
@@ -1642,7 +1541,7 @@ let doubt_state_of (d : Recovery.doubt_state) : P.participant_state =
   | Recovery.D_preaborted -> P.P_preaborted
 
 let doubt_participants t (d : Recovery.in_doubt) =
-  if d.participants = [] then all_site_ids t else d.participants
+  if d.participants = [] then t.site_ids else d.participants
 
 let recover t =
   if not t.up then begin
@@ -1823,14 +1722,11 @@ let receive t ~src (msg : Msg.t) =
       ->
         ()
 
-let () = receive_ref := receive
-
 (* ------------------------------------------------------------------ *)
-(* Canonical state dump / fingerprint (schedule explorer)              *)
+(* Canonical state dump (schedule explorer)                           *)
 (* ------------------------------------------------------------------ *)
 
 let tid_str txn = Format.asprintf "%a" Tid.pp txn
-let tid_opt = function None -> "-" | Some txn -> tid_str txn
 let sset_str s = String.concat "," (List.map string_of_int (Sset.elements s))
 
 let writes_str ws =
@@ -1894,18 +1790,12 @@ let dump t =
       in
       add "%s{h=%s;w=%s};" key (side holders) (side waiting))
     (Lock.dump t.locks);
-  add "\nto:";
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.to_table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (k, e) ->
-         add "%s{r=%s;w=%s;p=%s};" k (tid_opt e.rts) (tid_opt e.wts)
-           (String.concat ","
-              (List.map tid_str (List.sort Tid.compare e.to_pending))));
+  add "\nto:%s" (Stamps.dump t.stamps);
   add "\nparts:";
   Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.parts []
   |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
   |> List.iter (fun (txn, ctx) ->
-         add "%s{w=%s;ps=%s;m=%s;d=%s;res=%b;swp=%b;tm=%s;waits=%d;tok=%s};"
+         add "%s{w=%s;ps=%s;m=%s;d=%s;res=%b;swp=%b;tm=%s;waits=%d};"
            (tid_str txn) (writes_str ctx.pt_writes)
            (String.concat ","
               (List.map string_of_int
@@ -1917,8 +1807,7 @@ let dump t =
            ctx.pt_resolved
            (Option.is_some ctx.pt_sweep)
            (timers_str ctx.pt_timers)
-           (List.length (List.filter (fun w -> not w.w_done) ctx.pt_waits))
-           (String.concat "," (List.sort String.compare ctx.pt_to_keys)));
+           (List.length (List.filter (fun w -> not w.w_done) ctx.pt_waits)));
   add "\ncoords:";
   Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.coords []
   |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
@@ -1979,5 +1868,3 @@ let dump t =
   add "\nview:%s\n"
     (String.concat "," (List.map string_of_int (up_view t)));
   Buffer.contents buf
-
-let fingerprint t = Digest.to_hex (Digest.string (dump t))

@@ -1,7 +1,9 @@
 (** A replica site: the composition the paper's system runs at every node.
 
     Each site owns a versioned store, a write-ahead log on simulated
-    stable storage, a strict-2PL lock table, a heartbeat failure detector,
+    stable storage, concurrency-control state chosen by
+    [Config.concurrency] (a strict-2PL lock table, or timestamp-ordering
+    stamps with the Thomas write rule), a heartbeat failure detector,
     and — per transaction — commitment-protocol state machines (as both
     coordinator for locally submitted transactions and participant for
     everyone's).  The site interprets the pure machines' actions: it ships
@@ -9,12 +11,12 @@
     and applies their decisions to the store.
 
     Crash/recovery follows the storage discipline: a crash discards the
-    store, the lock table, and every in-memory machine; recovery restores
-    the last checkpoint, replays the durable log (taking simulated time
-    proportional to its length), rebuilds termination machines for
-    in-doubt transactions, and — for replica-control protocols that need
-    it — refuses reads until a catch-up transfer from a live peer
-    completes. *)
+    store, the lock table, the stamps, and every in-memory machine;
+    recovery restores the last checkpoint, replays the durable log
+    (taking simulated time proportional to its length), rebuilds
+    termination machines for in-doubt transactions, and — for
+    replica-control protocols that need it — refuses reads until a
+    catch-up transfer from a live peer completes. *)
 
 open Rt_sim
 open Rt_types
@@ -46,14 +48,6 @@ val create :
     never sends to itself through it. *)
 
 val id : t -> Ids.site_id
-
-val placement : t -> Rt_placement.Placement.t
-(** The effective placement this site routes by (the configured one, or
-    degenerate full replication). *)
-
-val all_site_ids : t -> Ids.site_id list
-(** Every site id in the cluster, ascending.  Precomputed at [create];
-    callers on hot paths may hold onto it freely. *)
 
 val start : t -> unit
 (** Begin heartbeating.  Call once after every site is registered. *)
@@ -101,10 +95,6 @@ val is_up : t -> bool
 
 val serving : t -> bool
 (** Up and not in the post-recovery catch-up window. *)
-
-val up_view : t -> Ids.site_id list
-(** Sites this site's failure detector believes operational (self
-    included when up). *)
 
 val crash : ?torn:int -> t -> unit
 (** Power off: volatile state (store, locks, machines, timers) is lost;
@@ -209,7 +199,3 @@ val dump : t -> string
     tables, and the failure-detector view — with every hash table in
     sorted order, so dumps are insertion-history-independent.  Two sites
     with equal dumps react identically to every future input. *)
-
-val fingerprint : t -> string
-(** Hex digest of {!dump}: the site's contribution to the explorer's
-    state-dedup key. *)

@@ -327,6 +327,53 @@ let test_timestamp_rejects_stale_write () =
   | Some (Ok ()) -> Alcotest.fail "stale write accepted"
   | None -> Alcotest.fail "write never answered"
 
+let test_read_only_duplicate_read concurrency () =
+  (* A participant that voted read-only has released and forgotten the
+     transaction (resolved, but not decided).  A duplicate read arriving
+     afterwards must be refused under either scheme: admitting it would
+     take a lock (or a read stamp) that nothing ever releases. *)
+  let config =
+    { (Config.default ~sites:2 ()) with
+      concurrency; read_only_optimization = true }
+  in
+  let engine = Engine.create ~seed:0 () in
+  let sent = ref [] in
+  let site =
+    Site.create ~engine ~id:1 ~config
+      ~send:(fun ~dst:_ (msg : Msg.t) ->
+        sent := Format.asprintf "%a" Msg.pp msg :: !sent)
+      ~counters:(Rt_metrics.Counter.create ())
+  in
+  let txn = Rt_types.Ids.Txn_id.make ~origin:0 ~seq:1 ~start_ts:Time.zero in
+  let deliver_at ms payload =
+    ignore
+      (Engine.schedule_at engine (Time.ms ms) (fun () ->
+           Site.receive site ~src:0 (Msg.txn_msg txn payload)))
+  in
+  let vote_req =
+    Msg.Commit_msg
+      {
+        pmsg = Rt_commit.Protocol.Vote_req;
+        prepare =
+          Some { Msg.writes = []; participants = [ 0; 1 ]; presumed_down = [] };
+      }
+  in
+  deliver_at 1 (Msg.Read_req { key = "k" });
+  deliver_at 2 vote_req;
+  deliver_at 3 (Msg.Read_req { key = "k" });
+  Engine.run ~until:(Time.ms 4) engine;
+  let render payload = Format.asprintf "%a" Msg.pp (Msg.txn_msg txn payload) in
+  Alcotest.(check (list string))
+    "read, read-only vote, duplicate read refused"
+    [
+      render (Msg.Read_reply { key = "k"; result = Ok (None, 0) });
+      render
+        (Msg.Commit_msg
+           { pmsg = Rt_commit.Protocol.Vote_read_only; prepare = None });
+      render (Msg.Read_reply { key = "k"; result = Error Msg.R_doomed });
+    ]
+    (List.rev !sent)
+
 let matrix_cases =
   List.concat_map
     (fun commit ->
@@ -471,5 +518,9 @@ let () =
           Alcotest.test_case "TO under load" `Quick test_timestamp_mode_load;
           Alcotest.test_case "TO rejects stale write" `Quick
             test_timestamp_rejects_stale_write;
+          Alcotest.test_case "read-only duplicate read refused (2PL)" `Quick
+            (test_read_only_duplicate_read Config.Locking);
+          Alcotest.test_case "read-only duplicate read refused (TO)" `Quick
+            (test_read_only_duplicate_read Config.Timestamp);
         ] );
     ]

@@ -338,6 +338,83 @@ let prop_lock_invariants =
         ops;
       !ok)
 
+(* --- timestamp-ordering stamps ------------------------------------------ *)
+
+let admitted = Alcotest.(check bool)
+
+(* Independent operations on three keys, applied key by key in the given
+   order, with the writers queued on "c" in the given order: reordering
+   changes hash-table and pending-list insertion order, not the state. *)
+let stamps_filled ~keys ~writers =
+  let t = Stamps.create () in
+  List.iter
+    (function
+      | "a" ->
+          ignore (Stamps.read t ~txn:(txn 3) ~key:"a");
+          ignore (Stamps.write t ~txn:(txn 4) ~key:"a")
+      | "b" ->
+          ignore (Stamps.write t ~txn:(txn 2) ~key:"b");
+          ignore (Stamps.install t ~txn:(txn 2) ~key:"b");
+          Stamps.release t ~txn:(txn 2)
+      | key -> List.iter (fun n -> ignore (Stamps.write t ~txn:(txn n) ~key)) writers)
+    keys;
+  t
+
+let test_stamps_dump_canonical () =
+  let a = stamps_filled ~keys:[ "a"; "b"; "c" ] ~writers:[ 5; 6 ] in
+  let b = stamps_filled ~keys:[ "c"; "b"; "a" ] ~writers:[ 6; 5 ] in
+  Alcotest.(check string) "dumps equal" (Stamps.dump a) (Stamps.dump b);
+  let c = stamps_filled ~keys:[ "a"; "b"; "c" ] ~writers:[ 5; 6 ] in
+  ignore (Stamps.read c ~txn:(txn 7) ~key:"b");
+  Alcotest.(check bool) "different stamps differ" true
+    (Stamps.dump a <> Stamps.dump c)
+
+let test_stamps_read_after_newer_write () =
+  let t = Stamps.create () in
+  admitted "newer write" true (Stamps.write t ~txn:(txn 2) ~key:"k");
+  admitted "newer install" true (Stamps.install t ~txn:(txn 2) ~key:"k");
+  Stamps.release t ~txn:(txn 2);
+  admitted "older read refused" false (Stamps.read t ~txn:(txn 1) ~key:"k");
+  admitted "newer read admitted" true (Stamps.read t ~txn:(txn 3) ~key:"k")
+
+let test_stamps_read_waits_for_pending () =
+  let t = Stamps.create () in
+  admitted "older write" true (Stamps.write t ~txn:(txn 1) ~key:"k");
+  admitted "read behind pending writer refused" false
+    (Stamps.read t ~txn:(txn 2) ~key:"k");
+  Stamps.release t ~txn:(txn 1);
+  admitted "read admitted after release" true
+    (Stamps.read t ~txn:(txn 2) ~key:"k")
+
+let test_stamps_write_after_newer_read () =
+  let t = Stamps.create () in
+  admitted "newer read" true (Stamps.read t ~txn:(txn 2) ~key:"k");
+  admitted "older write refused" false (Stamps.write t ~txn:(txn 1) ~key:"k");
+  admitted "newer write admitted" true (Stamps.write t ~txn:(txn 3) ~key:"k")
+
+let test_stamps_thomas_write_rule () =
+  let t = Stamps.create () in
+  admitted "older write" true (Stamps.write t ~txn:(txn 1) ~key:"k");
+  admitted "newer write" true (Stamps.write t ~txn:(txn 2) ~key:"k");
+  admitted "newer installs" true (Stamps.install t ~txn:(txn 2) ~key:"k");
+  let before = Stamps.dump t in
+  admitted "obsolete write skipped" false
+    (Stamps.install t ~txn:(txn 1) ~key:"k");
+  Alcotest.(check string) "write stamp kept" before (Stamps.dump t)
+
+let test_stamps_refusal_changes_nothing () =
+  let t = Stamps.create () in
+  ignore (Stamps.write t ~txn:(txn 3) ~key:"k");
+  ignore (Stamps.install t ~txn:(txn 3) ~key:"k");
+  ignore (Stamps.read t ~txn:(txn 4) ~key:"k");
+  ignore (Stamps.write t ~txn:(txn 5) ~key:"k");
+  let before = Stamps.dump t in
+  admitted "old read refused" false (Stamps.read t ~txn:(txn 1) ~key:"k");
+  admitted "old write refused" false (Stamps.write t ~txn:(txn 2) ~key:"k");
+  Alcotest.(check string) "state unchanged" before (Stamps.dump t);
+  Stamps.release t ~txn:(txn 2);
+  Alcotest.(check string) "no mark to release" before (Stamps.dump t)
+
 let () =
   Alcotest.run "lock"
     [
@@ -379,5 +456,19 @@ let () =
           QCheck_alcotest.to_alcotest
             prop_wfg_cycle_detection_matches_reachability;
           QCheck_alcotest.to_alcotest prop_lock_invariants;
+        ] );
+      ( "stamps",
+        [
+          Alcotest.test_case "dump canonical" `Quick test_stamps_dump_canonical;
+          Alcotest.test_case "read after newer write" `Quick
+            test_stamps_read_after_newer_write;
+          Alcotest.test_case "read waits for pending writer" `Quick
+            test_stamps_read_waits_for_pending;
+          Alcotest.test_case "write after newer read" `Quick
+            test_stamps_write_after_newer_read;
+          Alcotest.test_case "thomas write rule" `Quick
+            test_stamps_thomas_write_rule;
+          Alcotest.test_case "refusal changes nothing" `Quick
+            test_stamps_refusal_changes_nothing;
         ] );
     ]

@@ -1,105 +1,25 @@
 (* Perf gate: compare the two highest-numbered BENCH_<n>.json snapshots
    in the working directory (or two explicit paths given as arguments)
-   and fail when any probe present in both regressed committed
-   throughput by more than the threshold.
+   and fail on any difference.
 
-   The snapshots are written by [bench/main.exe --json] with one probe
-   object per line and a fixed field order (see [probe_to_json]), so the
-   parser below extracts fields line by line instead of pulling in a
-   JSON library — the bench writer is the only producer.
+   [bench/main.exe --json] reports virtual time only, which is
+   deterministic per seed, so a fresh snapshot equals the committed
+   baseline byte for byte unless the protocol behaviour changed.  A
+   change that moves any probe must commit the new snapshot and explain
+   it (exact-match-or-refresh); there is no tolerance to hide a
+   regression in.
 
      dune exec tools/bench_diff.exe                # two newest snapshots
      dune exec tools/bench_diff.exe -- OLD NEW     # explicit files
 
-   Exit codes: 0 = clean (warnings allowed), 1 = regression beyond the
-   threshold, 2 = usage/parse error. *)
+   Exit codes: 0 = identical, 1 = the snapshots differ (the differing
+   lines are printed, "-" old and "+" new), 2 = usage error. *)
 
-let threshold = 0.20 (* fail when committed/s drops by more than this *)
-
-type row = {
-  probe : string;
-  throughput : float;
-  msgs_per_commit : float;
-  forces_per_commit : float;
-}
-
-(* --- minimal field extraction over the fixed one-probe-per-line shape --- *)
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let string_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": \"" key) with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-let float_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some start ->
-      let n = String.length line in
-      let stop = ref start in
-      while
-        !stop < n
-        && (match line.[!stop] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-
-let load path =
-  let ic =
-    try open_in path
-    with Sys_error e ->
-      Printf.eprintf "bench_diff: cannot open %s: %s\n" path e;
-      exit 2
-  in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match string_field line "probe" with
-       | None -> ()
-       | Some probe ->
-           (* The headline number is mandatory; auxiliary counters
-              default to 0 so a snapshot written before a counter
-              existed (or after one is retired) still diffs instead of
-              killing the gate. *)
-           let num key =
-             match float_field line key with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "bench_diff: %s: probe %s lacks %s\n" path
-                   probe key;
-                 exit 2
-           in
-           let num_opt key =
-             Option.value (float_field line key) ~default:0.
-           in
-           rows :=
-             {
-               probe;
-               throughput = num "throughput_txn_s";
-               msgs_per_commit = num_opt "msgs_per_commit";
-               forces_per_commit = num_opt "forces_per_commit";
-             }
-             :: !rows
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
-
-(* --- snapshot discovery: the two highest BENCH_<n>.json indices --- *)
+let read_lines path =
+  try In_channel.with_open_text path In_channel.input_lines
+  with Sys_error e ->
+    Printf.eprintf "bench_diff: cannot open %s: %s\n" path e;
+    exit 2
 
 let snapshot_index name =
   Scanf.sscanf_opt name "BENCH_%d.json%!" (fun n -> n)
@@ -130,45 +50,20 @@ let () =
         Printf.eprintf "usage: bench_diff [OLD.json NEW.json]\n";
         exit 2
   in
-  let old_rows = load old_path and new_rows = load new_path in
-  let old_by_probe = List.map (fun r -> (r.probe, r)) old_rows in
-  Printf.printf "perf gate: %s -> %s (fail threshold: -%.0f%% committed/s)\n\n"
-    old_path new_path (100. *. threshold);
-  Printf.printf "| probe | committed/s | msgs/commit | forces/commit | verdict |\n";
-  Printf.printf "|---|---|---|---|---|\n";
-  let failures = ref 0 and warnings = ref 0 in
-  let pct o n = if o = 0. then 0. else 100. *. (n -. o) /. o in
-  List.iter
-    (fun n ->
-      match List.assoc_opt n.probe old_by_probe with
-      | None ->
-          incr warnings;
-          Printf.printf "| %s | new probe | - | - | warn |\n" n.probe
-      | Some o ->
-          let dthr = pct o.throughput n.throughput in
-          let verdict =
-            if dthr < -.(100. *. threshold) then begin
-              incr failures;
-              "FAIL"
-            end
-            else if dthr < 0. then begin
-              incr warnings;
-              "warn"
-            end
-            else "ok"
-          in
-          Printf.printf "| %s | %+.1f%% | %+.1f%% | %+.1f%% | %s |\n" n.probe
-            dthr
-            (pct o.msgs_per_commit n.msgs_per_commit)
-            (pct o.forces_per_commit n.forces_per_commit)
-            verdict)
-    new_rows;
-  List.iter
-    (fun o ->
-      if not (List.exists (fun n -> n.probe = o.probe) new_rows) then begin
-        incr warnings;
-        Printf.printf "| %s | probe removed | - | - | warn |\n" o.probe
-      end)
-    old_rows;
-  Printf.printf "\n%d failure(s), %d warning(s)\n" !failures !warnings;
-  if !failures > 0 then exit 1
+  let old_lines = read_lines old_path and new_lines = read_lines new_path in
+  Printf.printf "perf gate: %s -> %s (exact match)\n" old_path new_path;
+  if List.equal String.equal old_lines new_lines then print_endline "identical"
+  else begin
+    let only_in mark lines others =
+      List.iter
+        (fun l ->
+          if not (List.exists (String.equal l) others) then
+            Printf.printf "%s %s\n" mark l)
+        lines
+    in
+    only_in "-" old_lines new_lines;
+    only_in "+" new_lines old_lines;
+    print_endline
+      "snapshots differ: commit the new snapshot and explain the change";
+    exit 1
+  end
