@@ -121,12 +121,14 @@ let timer_rank = function
 
 let timer_compare a b = Int.compare (timer_rank a) (timer_rank b)
 
-let pp_timer fmt = function
-  | T_votes -> Format.pp_print_string fmt "votes"
-  | T_decision -> Format.pp_print_string fmt "decision"
-  | T_precommit_ack -> Format.pp_print_string fmt "precommit-ack"
-  | T_state -> Format.pp_print_string fmt "state"
-  | T_resend -> Format.pp_print_string fmt "resend"
+let timer_point = function
+  | T_votes -> "votes"
+  | T_decision -> "decision"
+  | T_precommit_ack -> "precommit-ack"
+  | T_state -> "state"
+  | T_resend -> "resend"
+
+let pp_timer fmt t = Format.pp_print_string fmt (timer_point t)
 
 type action =
   | Send of Ids.site_id * msg
@@ -199,13 +201,6 @@ let log_tag_point = function
   | L_decision Commit -> "decision-commit"
   | L_decision Abort -> "decision-abort"
   | L_end -> "end"
-
-let timer_point = function
-  | T_votes -> "votes"
-  | T_decision -> "decision"
-  | T_precommit_ack -> "precommit-ack"
-  | T_state -> "state"
-  | T_resend -> "resend"
 
 let input_point = function
   | Start -> "start"

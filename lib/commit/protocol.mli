@@ -106,6 +106,10 @@ type timer = T_votes | T_decision | T_precommit_ack | T_state | T_resend
 val timer_compare : timer -> timer -> int
 (** Total order on timer kinds, for deterministic timer scheduling. *)
 
+val timer_point : timer -> string
+(** Stable name, e.g. ["votes"]: engine label, crash-point suffix, and
+    what {!pp_timer} prints. *)
+
 val pp_timer : Format.formatter -> timer -> unit
 
 type action =

@@ -401,9 +401,7 @@ let set_timer t timers ~feed tm delay =
   | None -> ());
   let ev =
     Engine.schedule_after
-      ~label:
-        (Engine.Timer
-           { site = t.id; name = Format.asprintf "%a" P.pp_timer tm })
+      ~label:(Engine.Timer { site = t.id; name = P.timer_point tm })
       t.engine delay
       (guarded t (fun () ->
            Hashtbl.remove timers tm;
@@ -1742,9 +1740,7 @@ let writes_str ws =
   |> String.concat ","
 
 let timers_str timers =
-  Hashtbl.fold
-    (fun tm _ acc -> Format.asprintf "%a" P.pp_timer tm :: acc)
-    timers []
+  Hashtbl.fold (fun tm _ acc -> P.timer_point tm :: acc) timers []
   |> List.sort String.compare |> String.concat ","
 
 let machine_str = function

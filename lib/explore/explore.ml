@@ -135,6 +135,11 @@ type mode =
   | Explore of node array  (* forced prefix from the DFS stack *)
   | Follow of int array  (* forced indices; beyond them, always alternative 0 *)
 
+(* One decision taken, kept as data; only [follow] renders it. *)
+type step =
+  | Fired of { key : string; alt : int; alts : int }
+  | Crashed of { site : int; point : string }
+
 type rstate = {
   rs_sys : sys;
   rs_opts : opts;
@@ -142,7 +147,9 @@ type rstate = {
   mutable rs_pos : int;
   mutable rs_new : node list;  (* fresh nodes, deepest first *)
   mutable rs_sched : int list;  (* chosen indices, deepest first *)
-  mutable rs_trace : string list;  (* human log, deepest first *)
+  mutable rs_trace : step list;  (* deepest first *)
+  mutable rs_front : (int * Time.t * Engine.label) list;
+      (* the frontier as the last [drain_eager] left it: no eager event *)
   mutable rs_sleep : int list SMap.t;
   mutable rs_crashes : int;
   rs_timer_counts : (string, int) Hashtbl.t;
@@ -157,7 +164,8 @@ let indep sc1 sc2 =
 (* Fire every pending eager event — internals, harness-classified eager
    deliveries, and timers classed [`Eager] (prompt completions such as
    the WAL device) — in frontier order; returns the union of their
-   scopes. *)
+   scopes.  The final frontier is kept in [rs_front] for [eligible] and
+   [state_digest], which run before the engine moves again. *)
 let drain_eager st =
   let scope = ref [] in
   let rec loop () =
@@ -177,7 +185,9 @@ let drain_eager st =
         front
     in
     match pick with
-    | None -> !scope
+    | None ->
+        st.rs_front <- front;
+        !scope
     | Some (seq, _, lbl) ->
         (match lbl with
         | Engine.Internal s -> scope := s :: !scope
@@ -189,7 +199,7 @@ let drain_eager st =
   in
   loop ()
 
-let timer_key ~site ~name = Printf.sprintf "t%d:%s" site name
+let timer_key ~site ~name = "t" ^ string_of_int site ^ ":" ^ name
 
 (* The digest of a decision point must determine the whole remaining
    subtree.  The harness digest covers the cluster state and in-flight
@@ -201,7 +211,7 @@ let timer_key ~site ~name = Printf.sprintf "t%d:%s" site name
 let state_digest st =
   let b = Buffer.create 512 in
   Buffer.add_string b (st.rs_sys.ys_digest ());
-  Engine.frontier st.rs_sys.ys_engine
+  st.rs_front
   |> List.filter_map (fun (_, _, lbl) ->
          match lbl with
          | Engine.Timer { site; name } -> Some (timer_key ~site ~name)
@@ -211,9 +221,9 @@ let state_digest st =
          Buffer.add_string b k;
          Buffer.add_char b ';');
   Buffer.add_char b '|';
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.rs_timer_counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (k, n) -> Buffer.add_string b (Printf.sprintf "%s=%d;" k n));
+  Det.iter_sorted ~cmp:String.compare
+    (fun k n -> Printf.bprintf b "%s=%d;" k n)
+    st.rs_timer_counts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Pending events that are up for explicit choice, in frontier order.
@@ -222,12 +232,11 @@ let state_digest st =
    leaves them pending, so the k-th occurrence is structurally the same
    event across sibling branches. *)
 let eligible st =
-  let front = Engine.frontier st.rs_sys.ys_engine in
   let occs = Hashtbl.create 8 in
-  let occ base =
+  let key base =
     let n = try Hashtbl.find occs base with Not_found -> 0 in
     Hashtbl.replace occs base (n + 1);
-    n
+    String.concat "" [ base; "#"; string_of_int n ]
   in
   let total_fired =
     (* rt_lint: allow deterministic-iteration -- commutative integer sum *)
@@ -251,7 +260,7 @@ let eligible st =
             Some
               {
                 a_seq = seq;
-                a_key = Printf.sprintf "%s#%d" base (occ base);
+                a_key = key base;
                 a_scope = [ site ];
                 a_timer = Some (site, name);
               }
@@ -259,15 +268,18 @@ let eligible st =
           match st.rs_sys.ys_delivery_class ~seq with
           | Eager -> None
           | Choice desc ->
-              let base = Printf.sprintf "d%d>%d:%s" src dst desc in
+              let base =
+                String.concat ""
+                  [ "d"; string_of_int src; ">"; string_of_int dst; ":"; desc ]
+              in
               Some
                 {
                   a_seq = seq;
-                  a_key = Printf.sprintf "%s#%d" base (occ base);
+                  a_key = key base;
                   a_scope = [ dst ];
                   a_timer = None;
                 }))
-    front
+    st.rs_front
 
 let first_unexplored ~sleep_on nd =
   let n = Array.length nd.n_alts in
@@ -372,13 +384,13 @@ let on_crash_point st ~site ~point =
       [|
         {
           a_seq = -1;
-          a_key = Printf.sprintf "stay:%d:%s" site point;
+          a_key = "stay:" ^ string_of_int site ^ ":" ^ point;
           a_scope = [];
           a_timer = None;
         };
         {
           a_seq = -1;
-          a_key = Printf.sprintf "crash:%d:%s" site point;
+          a_key = "crash:" ^ string_of_int site ^ ":" ^ point;
           a_scope = [ site ];
           a_timer = None;
         };
@@ -387,8 +399,7 @@ let on_crash_point st ~site ~point =
     let c = decide st ~kind:`Crash ~alts in
     if c = 1 then begin
       st.rs_crashes <- st.rs_crashes + 1;
-      st.rs_trace <-
-        Printf.sprintf "crash site %d at %s" site point :: st.rs_trace;
+      st.rs_trace <- Crashed { site; point } :: st.rs_trace;
       st.rs_sys.ys_crash ~site
     end
   end
@@ -411,6 +422,7 @@ let run_once ~cache ~stats ~opts ~mode sys =
       rs_new = [];
       rs_sched = [];
       rs_trace = [];
+      rs_front = [];
       rs_sleep = SMap.empty;
       rs_crashes = 0;
       rs_timer_counts = Hashtbl.create 16;
@@ -485,8 +497,7 @@ let run_once ~cache ~stats ~opts ~mode sys =
             let c = decide st ~kind:`Event ~alts in
             let chosen = alts.(c) in
             st.rs_trace <-
-              Printf.sprintf "fire %s (alt %d/%d)" chosen.a_key c
-                (Array.length alts)
+              Fired { key = chosen.a_key; alt = c; alts = Array.length alts }
               :: st.rs_trace;
             stats.st_transitions <- stats.st_transitions + 1;
             (* Count the timer fire before executing it so eligibility
@@ -623,8 +634,13 @@ let follow ?(opts = default_opts) make_sys (choices : int list) =
         st.rs_sys.ys_audit ()
     | _ -> []
   in
+  let render = function
+    | Fired { key; alt; alts } ->
+        Printf.sprintf "fire %s (alt %d/%d)" key alt alts
+    | Crashed { site; point } -> Printf.sprintf "crash site %d at %s" site point
+  in
   {
-    rp_trace = List.rev st.rs_trace;
+    rp_trace = List.rev_map render st.rs_trace;
     rp_violations = violations;
     rp_leaf = (match leaf with Quiescent -> "quiescent" | _ -> "truncated");
     rp_state = st.rs_sys.ys_digest ();

@@ -68,6 +68,7 @@ let make_sys sc () =
   let config = config_of sc in
   let cluster = Cluster.create config in
   let engine = Cluster.engine cluster in
+  let net = Cluster.net cluster in
   (* Drain the t=0 heartbeat burst so exploration starts from a settled
      view; the next ticks are an hour out. *)
   Cluster.run ~until:(Time.us 100) cluster;
@@ -91,6 +92,20 @@ let make_sys sc () =
         if committed_origin origin then writes_of ops else [])
       sc.sc_txns
   in
+  (* Each envelope is rendered once, keyed by its delivery event's seq:
+     seqs are unique within this system and messages are immutable.  The
+     explorer classifies every pending envelope at every decision. *)
+  let rendered = Hashtbl.create 64 in
+  let render seq msgs =
+    match Hashtbl.find_opt rendered seq with
+    | Some s -> s
+    | None ->
+        let s =
+          String.concat "," (List.map (Format.asprintf "%a" Msg.pp) msgs)
+        in
+        Hashtbl.replace rendered seq s;
+        s
+  in
   {
     Explore.ys_engine = engine;
     ys_start =
@@ -111,34 +126,22 @@ let make_sys sc () =
         (* In-flight messages, canonicalized per FIFO link: sort by
            (src, dst) and keep engine order within a link (= send
            order); the seq itself stays out of the digest. *)
-        Rt_net.Net.in_flight (Cluster.net cluster)
-        |> List.map (fun (seq, src, dst, msgs) ->
-               ( (src, dst, seq),
-                 Format.asprintf "%d>%d:%s;" src dst
-                   (String.concat ","
-                      (List.map (Format.asprintf "%a" Msg.pp) msgs)) ))
-        |> List.sort (fun ((a1, a2, a3), _) ((b1, b2, b3), _) ->
-               match Int.compare a1 b1 with
-               | 0 -> (
-                   match Int.compare a2 b2 with
-                   | 0 -> Int.compare a3 b3
-                   | c -> c)
-               | c -> c)
-        |> List.iter (fun (_, line) -> Buffer.add_string b line);
+        Rt_net.Net.in_flight net
+        |> List.stable_sort (fun (_, s1, d1, _) (_, s2, d2, _) ->
+               match Int.compare s1 s2 with 0 -> Int.compare d1 d2 | c -> c)
+        |> List.iter (fun (seq, src, dst, msgs) ->
+               Printf.bprintf b "%d>%d:%s;" src dst (render seq msgs));
         (* Raw text, not a hash: the explorer hashes the composite
            digest itself, and replay exposes this text for
            counterexample inspection. *)
         Buffer.contents b);
     ys_delivery_class =
       (fun ~seq ->
-        match Rt_net.Net.find_in_flight (Cluster.net cluster) ~seq with
+        match Rt_net.Net.find_in_flight net ~seq with
         | Some (_, _, [ (m : Msg.t) ]) when m.payload = Msg.Heartbeat ->
             Explore.Eager
-        | Some (_, _, msgs) ->
-            Explore.Choice
-              (String.concat "," (List.map (Format.asprintf "%a" Msg.pp) msgs))
-        | None -> Explore.Choice "?")
-;
+        | Some (_, _, msgs) -> Explore.Choice (render seq msgs)
+        | None -> Explore.Choice "?");
     ys_crash_ok =
       (fun ~site ~point ->
         match sc.sc_crash with

@@ -62,7 +62,6 @@ let cancel _t ev = ev.cancelled <- true
 let pending t = Heap.length t.queue
 
 let event_seq (ev : event_id) = ev.seq
-let event_label (ev : event_id) = ev.label
 
 let frontier t =
   Heap.fold
@@ -74,20 +73,10 @@ let frontier t =
          if c <> 0 then c else Int.compare s1 s2)
 
 let fire t seq =
-  (* Remove the event with the given seq from the heap (heap order does
-     not support keyed removal, so drain-and-refill), then run it as if
-     it were next: the clock only ever moves forward, so firing an event
-     "early" models the permitted asynchrony — other pending events will
-     simply fire late. *)
-  let rec drain acc =
-    match Heap.pop t.queue with
-    | None -> (None, acc)
-    | Some ev when ev.seq = seq -> (Some ev, acc)
-    | Some ev -> drain (ev :: acc)
-  in
-  let found, rest = drain [] in
-  List.iter (Heap.push t.queue) rest;
-  match found with
+  (* Run the event as if it were next: the clock only ever moves
+     forward, so firing an event "early" models the permitted asynchrony
+     — other pending events will simply fire late. *)
+  match Heap.remove_first t.queue (fun ev -> ev.seq = seq) with
   | None -> false
   | Some ev when ev.cancelled -> false
   | Some ev ->
@@ -100,17 +89,6 @@ let live_pending t =
   Heap.fold (fun acc ev -> if ev.cancelled then acc else acc + 1) 0 t.queue
 
 let processed t = t.n_processed
-
-let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-      t.clock <- ev.fire_at;
-      if not ev.cancelled then begin
-        t.n_processed <- t.n_processed + 1;
-        ev.thunk ()
-      end;
-      true
 
 let run ?until ?max_events t =
   let budget = ref (Option.value max_events ~default:max_int) in
@@ -130,8 +108,9 @@ let run ?until ?max_events t =
     (match Heap.pop t.queue with
     | None -> ()
     | Some ev ->
-        t.clock <- ev.fire_at;
-        if ev.fire_at = !last_instant then begin
+        (* An event that [fire] overtook runs late, never in the past. *)
+        t.clock <- Time.max t.clock ev.fire_at;
+        if t.clock = !last_instant then begin
           incr same_instant;
           if !same_instant > 5_000_000 then
             failwith
@@ -139,7 +118,7 @@ let run ?until ?max_events t =
                component is rescheduling itself with zero delay"
         end
         else begin
-          last_instant := ev.fire_at;
+          last_instant := t.clock;
           same_instant := 0
         end;
         if not ev.cancelled then begin

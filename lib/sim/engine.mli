@@ -16,7 +16,7 @@ type event_id
     Every event carries a label describing what firing it means, so a
     schedule explorer can enumerate the pending frontier and decide which
     admissible event to fire next instead of following timestamp order.
-    Labels are free for normal runs — {!run} and {!step} ignore them.
+    Labels are free for normal runs — {!run} ignores them.
 
     - [Internal site]: a glue step (zero-delay continuation, local
       loopback, device completion plumbing) that is not an independent
@@ -56,8 +56,6 @@ val event_seq : event_id -> int
     at scheduling time, and therefore stable across replays that share
     the same execution prefix.  Explorers use it as the event's identity. *)
 
-val event_label : event_id -> label
-
 val frontier : t -> (int * Time.t * label) list
 (** Live (non-cancelled) pending events as [(seq, fire_at, label)],
     sorted by [(fire_at, seq)] — the order {!run} would fire them in. *)
@@ -67,7 +65,9 @@ val fire : t -> int -> bool
     number {e now}, regardless of its timestamp: the clock advances to
     [max now fire_at] and the thunk runs.  This is the explorer's
     primitive for realising one admissible reordering of the frontier.
-    Returns [false] (and fires nothing) if no live event has that seq. *)
+    Returns [false] (and fires nothing) if no live event has that seq.
+    Removal is keyed: a linear search for the seq, then an O(log n) heap
+    repair; no other event leaves the queue. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
@@ -108,8 +108,5 @@ val processed : t -> int
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Execute events in time order until the queue is empty, the clock would
     pass [until], or [max_events] have been executed.  Events scheduled
-    exactly at [until] do fire. *)
-
-val step : t -> bool
-(** Execute the single next event.  Returns [false] if the queue was
-    empty. *)
+    exactly at [until] do fire.  The clock never decreases: an event
+    whose time {!fire} already overtook runs late, at the current time. *)

@@ -6,7 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -48,17 +47,27 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
+(* The last element fills the hole at [i], then moves up or down to
+   where it belongs. *)
+let remove_at t i =
+  let x = t.data.(i) in
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    t.data.(i) <- t.data.(t.size);
+    sift_up t i;
+    sift_down t i
+  end;
+  x
+
+let pop t = if t.size = 0 then None else Some (remove_at t 0)
+
+let remove_first t p =
+  let rec find i =
+    if i >= t.size then None
+    else if p t.data.(i) then Some (remove_at t i)
+    else find (i + 1)
+  in
+  find 0
 
 let fold f init t =
   let acc = ref init in
@@ -66,7 +75,3 @@ let fold f init t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -95,6 +95,40 @@ let test_cluster_digest_deterministic () =
       Alcotest.(check (list (pair string string))) "clean leaf" []
         r1.rp_violations
 
+(* What the explorer explores, pinned on one real scenario: a change to
+   dedup, sleep sets, canonical keys or the frontier that alters the
+   search changes these counts. *)
+let test_sweep_counts_pinned () =
+  match Sweep.find_scenario "2PC-PrC/crash" with
+  | None -> Alcotest.fail "scenario 2PC-PrC/crash missing from matrix"
+  | Some sc ->
+      let r =
+        Explore.explore ~opts:(Sweep.opts_of sc ~sleep:true) (Sweep.make_sys sc)
+      in
+      let s = r.r_stats in
+      Alcotest.(check int) "executions" 1_552 s.st_executions;
+      Alcotest.(check int) "transitions" 17_091 s.st_transitions;
+      Alcotest.(check int) "states" 1_444 s.st_states;
+      Alcotest.(check int) "dedup hits" 1_295 s.st_dedup_hits;
+      Alcotest.(check int) "leaves" 38 s.st_leaves;
+      Alcotest.(check bool) "complete" true r.r_complete;
+      Alcotest.(check int) "no violations" 0 (List.length r.r_violating)
+
+(* The decision trace is kept as data and rendered by [follow]: its text
+   is the counterexample format and must not drift. *)
+let test_follow_trace_text () =
+  match Sweep.find_scenario "QC/crash" with
+  | None -> Alcotest.fail "scenario QC/crash missing from matrix"
+  | Some sc ->
+      let opts = Sweep.opts_of sc ~sleep:true in
+      let out = Explore.follow ~opts (Sweep.make_sys sc) [ 0; 0; 0; 0; 1 ] in
+      Alcotest.(check string) "first decision"
+        "fire d0>1:T0.1@100.0us:write(a)#0 (alt 0/2)"
+        (List.nth out.rp_trace 0);
+      Alcotest.(check string) "crash decision"
+        "crash site 0 at wal:force-volatile"
+        (List.nth out.rp_trace 4)
+
 (* --- sleep-set DPOR on hand-enumerable toys ---------------------------- *)
 
 (* A toy system: [nsites] append-only logs, one Delivery-labelled event
@@ -248,6 +282,12 @@ let () =
             test_wal_contents_distinguish;
           Alcotest.test_case "cluster digest deterministic" `Quick
             test_cluster_digest_deterministic;
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "2PC-PrC/crash counts" `Quick
+            test_sweep_counts_pinned;
+          Alcotest.test_case "follow trace text" `Quick test_follow_trace_text;
         ] );
       ( "dpor",
         [

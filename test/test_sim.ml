@@ -80,6 +80,60 @@ let test_schedule_in_past_fires_now () =
   Engine.run e;
   Alcotest.(check int) "past-scheduled fires at current time" (Time.ms 10) !at
 
+(* [fire] overtakes the 1 ms event; the [run] that follows must run it
+   late, at 3 ms, not move the clock back to 1 ms. *)
+let test_run_after_fire_keeps_clock () =
+  let e = Engine.create () in
+  let seen = ref Time.zero in
+  ignore (Engine.schedule_at e (Time.ms 1) (fun () -> seen := Engine.now e));
+  let later = Engine.schedule_at e (Time.ms 3) ignore in
+  Alcotest.(check bool) "fired" true (Engine.fire e (Engine.event_seq later));
+  Engine.run e;
+  Alcotest.(check int) "overtaken event runs at 3 ms" (Time.ms 3) !seen;
+  Alcotest.(check int) "clock stays at 3 ms" (Time.ms 3) (Engine.now e)
+
+(* Keyed [fire] on events that are not at the head of the queue: each
+   runs now, at max(now, fire_at); unknown, cancelled and already-fired
+   seqs run nothing; the rest of the queue keeps its (time, seq) order. *)
+let test_fire_keyed () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at name t =
+    Engine.schedule_at e t (fun () -> log := (name, Engine.now e) :: !log)
+  in
+  ignore (at "a" (Time.ms 1));
+  let b = at "b" (Time.ms 2) in
+  let c = at "c" (Time.ms 3) in
+  let x = at "x" (Time.ms 4) in
+  ignore (at "d" (Time.ms 5));
+  ignore (at "g" (Time.ms 1));
+  ignore (at "f" (Time.ms 5));
+  Engine.cancel e x;
+  let fire ev = Engine.fire e (Engine.event_seq ev) in
+  Alcotest.(check bool) "fire c" true (fire c);
+  Alcotest.(check bool) "fire b" true (fire b);
+  Alcotest.(check bool) "unknown seq" false (Engine.fire e 1_000);
+  Alcotest.(check bool) "cancelled" false (fire x);
+  Alcotest.(check bool) "already fired" false (fire c);
+  Alcotest.(check (list (pair string int)))
+    "fired at max(now, fire_at)"
+    [ ("c", Time.ms 3); ("b", Time.ms 3) ]
+    (List.rev !log);
+  Alcotest.(check int) "clock" (Time.ms 3) (Engine.now e);
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "rest in (time, seq) order"
+    [
+      ("c", Time.ms 3);
+      ("b", Time.ms 3);
+      ("a", Time.ms 3);
+      ("g", Time.ms 3);
+      ("d", Time.ms 5);
+      ("f", Time.ms 5);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "processed" 6 (Engine.processed e)
+
 let test_rng_determinism () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
   for _ = 1 to 100 do
@@ -150,6 +204,25 @@ let prop_heap_sorts =
       in
       drain [] = List.sort Int.compare xs)
 
+(* Removing one element (of possibly several equal ones) leaves a valid
+   heap holding exactly the others. *)
+let prop_heap_remove_first =
+  QCheck.Test.make ~name:"heap remove_first keeps the rest sorted" ~count:500
+    QCheck.(pair (list_of_size Gen.(1 -- 64) small_signed_int) small_nat)
+    (fun (xs, k) ->
+      let x = List.nth xs (k mod List.length xs) in
+      let h = Heap.create ~cmp:Int.compare in
+      List.iter (Heap.push h) xs;
+      let removed = Heap.remove_first h (Int.equal x) in
+      let rec drain acc =
+        match Heap.pop h with None -> List.rev acc | Some y -> drain (y :: acc)
+      in
+      let rec without = function
+        | [] -> []
+        | y :: ys -> if y = x then ys else y :: without ys
+      in
+      removed = Some x && drain [] = List.sort Int.compare (without xs))
+
 let prop_engine_deterministic =
   QCheck.Test.make ~name:"engine runs are seed-deterministic" ~count:50
     QCheck.(small_int)
@@ -184,6 +257,9 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "past scheduling clamps" `Quick
             test_schedule_in_past_fires_now;
+          Alcotest.test_case "run after fire keeps the clock" `Quick
+            test_run_after_fire_keeps_clock;
+          Alcotest.test_case "keyed fire" `Quick test_fire_keyed;
           QCheck_alcotest.to_alcotest prop_engine_deterministic;
         ] );
       ( "rng",
@@ -199,5 +275,6 @@ let () =
         [
           Alcotest.test_case "sorts" `Quick test_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_remove_first;
         ] );
     ]
