@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json crash nemesis disk-nemesis explore clean
+.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis explore clean
 
 all: build
 
@@ -26,6 +26,15 @@ bench-json:
 # moves a probe commits the new snapshot.
 bench-diff: bench-json
 	dune exec tools/bench_diff.exe
+
+# The benchmark declared in BENCHMARK.json: every workload on both
+# clocks (see perfbench/README.md).  About a minute on a 2-core
+# machine; the smoke run takes seconds and adds the per-layer metrics.
+perfbench:
+	bash perfbench/run.sh
+
+perfbench-smoke:
+	bash perfbench/run.sh --smoke --trace 1
 
 # Exhaustive crash-recovery fault injection (see docs/RECOVERY.md).
 # Exits non-zero when any invariant violation is found.

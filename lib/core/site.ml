@@ -149,6 +149,8 @@ type t = {
      recovered-acceptor abstention the protocol already tolerates. *)
   px_early : (Ids.site_id * P.msg) list Ids.Txn_map.t;
   first_lsn : Wal.lsn Ids.Txn_map.t;
+  gc_line : Engine.line;  (* [reclaim_delay]: the gc timers *)
+  sweep_line : Engine.line;  (* the orphan-sweep window *)
   mutable txn_seq : int;
   mutable commits_since_cp : int;
   lat : Sample.t;
@@ -214,6 +216,10 @@ let pending_protocol_timers t =
     (fun _ ctx acc -> acc + Hashtbl.length ctx.co_timers)
     t.coords 0
 
+(* How long a resolved context stays in [parts]/[coords] before it is
+   reclaimed, so that late protocol traffic still finds its machine. *)
+let reclaim_delay = Time.sec 2
+
 let create ~engine ~id ~config ~send ~counters =
   Config.validate config;
   let placement = Config.placement config in
@@ -258,6 +264,11 @@ let create ~engine ~id ~config ~send ~counters =
     decided = Ids.Txn_map.create 64;
     px_early = Ids.Txn_map.create 8;
     first_lsn = Ids.Txn_map.create 64;
+    gc_line = Engine.line engine reclaim_delay;
+    sweep_line =
+      Engine.line engine
+        (config.Config.orphan_window_factor
+        * config.Config.commit_timeouts.decision_wait);
     txn_seq = 0;
     commits_since_cp = 0;
     lat = Sample.create ();
@@ -339,15 +350,12 @@ let get_or_create_part t txn =
          soon as the context resolves (see [cancel_sweep]); while a
          machine is attached but undecided it re-arms, since a recovered
          coordinator losing all memory can orphan us mid-protocol too. *)
-      let orphan_window =
-        t.config.orphan_window_factor * t.config.commit_timeouts.decision_wait
-      in
       let rec sweep () =
         ctx.pt_sweep <-
           Some
-            (Engine.schedule_after
+            (Engine.schedule_on
                ~label:(Engine.Timer { site = t.id; name = "orphan-sweep" })
-               t.engine orphan_window
+               t.sweep_line
                (guarded t (fun () ->
                     ctx.pt_sweep <- None;
                     if not ctx.pt_resolved then
@@ -381,17 +389,17 @@ let note_first_lsn t txn lsn =
    reaped-but-live closure resends forever). *)
 let gc_part t ctx =
   ignore
-    (Engine.schedule_after
+    (Engine.schedule_on
        ~label:(Engine.Timer { site = t.id; name = "gc" })
-       t.engine (Time.sec 2)
+       t.gc_line
        (guarded t (fun () ->
             if ctx.pt_resolved then Ids.Txn_map.remove t.parts ctx.pt_txn)))
 
 let gc_coord t ctx =
   ignore
-    (Engine.schedule_after
+    (Engine.schedule_on
        ~label:(Engine.Timer { site = t.id; name = "gc" })
-       t.engine (Time.sec 2)
+       t.gc_line
        (guarded t (fun () ->
             if ctx.co_finished then Ids.Txn_map.remove t.coords ctx.co_txn)))
 

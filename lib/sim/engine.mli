@@ -1,6 +1,7 @@
 (** Discrete-event simulation engine.
 
-    The engine owns a virtual clock and a priority queue of events.  Events
+    The engine owns a virtual clock and a priority queue of events: a
+    binary heap plus fixed-delay FIFO lines (see {!line}).  Events
     scheduled for the same instant fire in scheduling order, which makes runs
     deterministic.  All components of the simulated system (network, storage
     devices, failure injectors, clients) interact only by scheduling events
@@ -51,6 +52,33 @@ val schedule_at : ?label:label -> t -> Time.t -> (unit -> unit) -> event_id
 val schedule_after : ?label:label -> t -> Time.t -> (unit -> unit) -> event_id
 (** [schedule_after t delay f] runs [f] [delay] after the current time. *)
 
+(** {2 Fixed-delay lines}
+
+    A component that schedules many events at one fixed delay (a
+    reclamation timer, a sweep) can put them on a line instead of the
+    engine's heap: pushing and popping a line costs amortized O(1),
+    where the heap costs O(log n) in everything queued.
+
+    Every event on a line fires at [now + delay] and takes the next
+    sequence number.  The clock never decreases and sequence numbers
+    rise, so a line, in the order it was filled, is already sorted by
+    [(fire_at, seq)].  The queue's next event is therefore the least of
+    the heap's top and the line heads, and an event scheduled on a line
+    is indistinguishable from one scheduled with {!schedule_after} at
+    the same delay: {!run}, {!fire}, {!frontier}, {!pending} and
+    {!live_pending} see exactly the same order and counts. *)
+
+type line
+
+val line : t -> Time.t -> line
+(** [line t delay] is [t]'s line for [delay], made on first use: one
+    line per distinct delay per engine, so look it up once at set-up.
+    Raises [Invalid_argument] if [delay] is negative. *)
+
+val schedule_on : ?label:label -> line -> (unit -> unit) -> event_id
+(** [schedule_on l f] runs [f] [l]'s delay after the current time of
+    [l]'s engine, like [schedule_after ?label t delay f]. *)
+
 val event_seq : event_id -> int
 (** The event's scheduling sequence number — unique per engine, assigned
     at scheduling time, and therefore stable across replays that share
@@ -66,8 +94,10 @@ val fire : t -> int -> bool
     [max now fire_at] and the thunk runs.  This is the explorer's
     primitive for realising one admissible reordering of the frontier.
     Returns [false] (and fires nothing) if no live event has that seq.
-    Removal is keyed: a linear search for the seq, then an O(log n) heap
-    repair; no other event leaves the queue. *)
+    Removal is keyed: a linear search for the seq (a line's search stops
+    at the first larger seq), then an O(log n) heap repair or, on a
+    line, closing up the events behind it; no other event leaves the
+    queue. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)

@@ -16,7 +16,10 @@ module Txn_id = struct
 
   let equal a b = compare a b = 0
   let older a b = compare a b < 0
-  let hash t = Hashtbl.hash (t.origin, t.seq, t.start_ts)
+  (* A three-field record has the block layout of the tuple
+     [(origin, seq, start_ts)], so this is that tuple's hash without
+     building the tuple. *)
+  let hash (t : t) = Hashtbl.hash t
 
   let pp fmt t =
     Format.fprintf fmt "T%d.%d@@%a" t.origin t.seq Rt_sim.Time.pp t.start_ts

@@ -459,6 +459,23 @@ let test_px_early_stash_cap_validated () =
       Config.validate
         { (Config.default ~sites:3 ()) with px_early_stash_cap = 0 })
 
+(* [Txn_id.hash] hashes the record directly; it must stay the hash of
+   the tuple [(origin, seq, start_ts)], or every [Txn_map] silently
+   changes its bucket and iteration order (a field reorder would). *)
+let test_txn_hash_is_tuple_hash () =
+  for origin = 0 to 20 do
+    for seq = 0 to 200 do
+      List.iter
+        (fun start_ts ->
+          let t = Rt_types.Ids.Txn_id.make ~origin ~seq ~start_ts in
+          if Rt_types.Ids.Txn_id.hash t <> Hashtbl.hash (origin, seq, start_ts)
+          then
+            Alcotest.failf "hash differs at origin %d seq %d start_ts %d" origin
+              seq start_ts)
+        [ 0; 1; 999; Time.ms 3; Time.sec 2 + 17; Time.sec 3600 ]
+    done
+  done
+
 let commit_cases =
   List.map
     (fun commit ->
@@ -513,6 +530,11 @@ let () =
             test_no_split_brain_under_partition;
         ] );
       ("matrix", matrix_cases);
+      ( "ids",
+        [
+          Alcotest.test_case "txn hash is the tuple hash" `Quick
+            test_txn_hash_is_tuple_hash;
+        ] );
       ( "timestamp-ordering",
         [
           Alcotest.test_case "TO under load" `Quick test_timestamp_mode_load;
