@@ -16,6 +16,7 @@ module Heartbeat = Rt_member.Heartbeat
 module Counter = Rt_metrics.Counter
 module Sample = Rt_metrics.Sample
 module Placement = Rt_placement.Placement
+module Mix = Rt_workload.Mix
 module Tid = Ids.Txn_id
 module Sset = Set.Make (Int)
 
@@ -47,56 +48,74 @@ type wait = {
   mutable w_timer : Engine.event_id option;
 }
 
+(* A commitment machine and what its driver keeps beside it: the
+   protocol timers the machine armed, and [pin], the LSN of the first log
+   record it appended.  No checkpoint truncates from a pin on. *)
+type slot = {
+  mutable machine : Erased.t option;
+  timers : (P.timer, Engine.event_id) Hashtbl.t;
+  mutable pin : Wal.lsn option;
+}
+
+let new_slot () = { machine = None; timers = Hashtbl.create 4; pin = None }
+
 type part_ctx = {
   pt_txn : Tid.t;
   mutable pt_writes : (string * string * int) list;
   mutable pt_participants : Ids.site_id list;
-  mutable pt_machine : Erased.t option;
+  pt_slot : slot;
   mutable pt_doomed : Msg.refusal option;
   mutable pt_resolved : bool;
   mutable pt_sweep : Engine.event_id option;  (* orphan-sweep timer *)
-  pt_timers : (P.timer, Engine.event_id) Hashtbl.t;
   mutable pt_waits : wait list;
 }
 
-type op_wait =
-  | W_read of {
-      rw_key : string;
-      mutable rw_pending : Sset.t;
-      mutable rw_version : int;
-      mutable rw_value : string option;
-      rw_timer : Engine.event_id;
-      rw_k : (string option, abort_reason) Result.t -> unit;
-    }
-  | W_write of {
-      ww_key : string;
-      ww_value : string;
-      ww_plan : Ids.site_id list;
-      mutable ww_pending : Sset.t;
-      mutable ww_maxv : int;
-      ww_timer : Engine.event_id;
-      ww_k : (unit, abort_reason) Result.t -> unit;
-    }
+(* A data-operation round: one logical read or write, sent to every site
+   of its replica-control plan and done when each has replied.
+   [rd_version] is the newest copy version reported so far (a read starts
+   below any, at -1; a write at 0), [rd_value] the value read with it. *)
+type round = {
+  rd_op : Mix.op;
+  rd_plan : Ids.site_id list;
+  mutable rd_pending : Sset.t;
+  mutable rd_version : int;
+  mutable rd_value : string option;
+  rd_timer : Engine.event_id;
+  rd_k : (string option, abort_reason) Result.t -> unit;
+}
 
 type coord_ctx = {
   co_txn : Tid.t;
   co_started : Time.t;
-  mutable co_ops : Rt_workload.Mix.op list;
+  mutable co_ops : Mix.op list;
   mutable co_touched : Sset.t;
   mutable co_shards : Sset.t;
       (* Shard ids touched by this transaction's reads/writes; the
          commit protocol's scope is the union of their replica sets. *)
-  co_site_writes : (Ids.site_id, (string * string * int) list ref) Hashtbl.t;
+  co_site_writes : (Ids.site_id, (string * string * int) list) Hashtbl.t;
+      (* Per site, the writes it must make durable, newest first. *)
   co_cache : (string, string) Hashtbl.t;
-  mutable co_machine : Erased.t option;
-  co_timers : (P.timer, Engine.event_id) Hashtbl.t;
-  mutable co_wait : op_wait option;
+  co_slot : slot;
+  mutable co_wait : round option;
   mutable co_finished : bool;
   mutable co_outcome : outcome option;
   mutable co_k : outcome -> unit;
   co_probes_seen : unit Ids.Txn_map.t;
       (* Initiators whose probes we already forwarded (CMH dedup). *)
 }
+
+(* The side of a transaction a machine plays at this site.  One driver
+   ([feed]/[interpret]) runs both and branches on the role only where it
+   changes what an action means. *)
+type _ role = Part : part_ctx role | Coord : coord_ctx role
+
+(* What this site knows of a transaction's outcome.  [Decided] is a
+   genuine outcome, delivered locally or settled from the durable log.
+   [Pledged] is an abort promised for a transaction the site took no part
+   in (a termination state request, or an early abort that found no
+   context): inquiries get "abort", but it is no decision, so cross-site
+   agreement ignores it. *)
+type known = Pledged | Decided of P.decision
 
 type t = {
   engine : Engine.t;
@@ -134,11 +153,7 @@ type t = {
   mutable stamps : Stamps.t;  (* used when config.concurrency = Timestamp *)
   parts : part_ctx Ids.Txn_map.t;
   coords : coord_ctx Ids.Txn_map.t;
-  presumed : P.decision Ids.Txn_map.t;
-  (* Genuine outcomes only (local deliver / durable log), unlike
-     [presumed] which also holds abort pledges for transactions this site
-     never took part in.  The crash-sweep agreement audit reads this. *)
-  decided : P.decision Ids.Txn_map.t;
+  outcomes : known Ids.Txn_map.t;
   (* Paxos acceptor traffic that raced ahead of our own vote request:
      with independent per-link latencies another participant's phase-2a
      (or an early leader's phase-1a) can reach this site before the
@@ -148,7 +163,6 @@ type t = {
      Deliberately volatile: a crash losing the stash is exactly the
      recovered-acceptor abstention the protocol already tolerates. *)
   px_early : (Ids.site_id * P.msg) list Ids.Txn_map.t;
-  first_lsn : Wal.lsn Ids.Txn_map.t;
   gc_line : Engine.line;  (* [reclaim_delay]: the gc timers *)
   sweep_line : Engine.line;  (* the orphan-sweep window *)
   mutable txn_seq : int;
@@ -169,6 +183,13 @@ let corruption_detected t = t.corruption_detected
 let checkpoint_fallbacks t = t.cp_fallbacks
 let latencies t = t.lat
 
+(* The bindings of a transaction table in transaction-id order: wherever
+   a traversal's order reaches behaviour or output, it must not depend on
+   the table's hashing history. *)
+let by_txn map =
+  Ids.Txn_map.fold (fun txn v acc -> (txn, v) :: acc) map []
+  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
+
 let active_participants t =
   (* rt_lint: allow deterministic-iteration -- commutative count *)
   Ids.Txn_map.fold
@@ -179,14 +200,15 @@ let blocked_participants t =
   (* rt_lint: allow deterministic-iteration -- commutative count *)
   Ids.Txn_map.fold
     (fun _ ctx acc ->
-      match ctx.pt_machine with
+      match ctx.pt_slot.machine with
       | Some m when Erased.blocked m && not ctx.pt_resolved -> acc + 1
       | _ -> acc)
     t.parts 0
 
 let decided_txns t =
-  Ids.Txn_map.fold (fun txn d acc -> (txn, d) :: acc) t.decided []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
+  List.filter_map
+    (function txn, Decided d -> Some (txn, d) | _, Pledged -> None)
+    (by_txn t.outcomes)
 
 let held_locks t = Lock.locked_keys t.locks
 
@@ -209,11 +231,11 @@ let lock_debug t =
 let pending_protocol_timers t =
   (* rt_lint: allow deterministic-iteration -- commutative count *)
   Ids.Txn_map.fold
-    (fun _ ctx acc -> acc + Hashtbl.length ctx.pt_timers)
+    (fun _ ctx acc -> acc + Hashtbl.length ctx.pt_slot.timers)
     t.parts 0
   + (* rt_lint: allow deterministic-iteration -- commutative count *)
   Ids.Txn_map.fold
-    (fun _ ctx acc -> acc + Hashtbl.length ctx.co_timers)
+    (fun _ ctx acc -> acc + Hashtbl.length ctx.co_slot.timers)
     t.coords 0
 
 (* How long a resolved context stays in [parts]/[coords] before it is
@@ -260,10 +282,8 @@ let create ~engine ~id ~config ~send ~counters =
     incarnation = 0;
     parts = Ids.Txn_map.create 64;
     coords = Ids.Txn_map.create 64;
-    presumed = Ids.Txn_map.create 64;
-    decided = Ids.Txn_map.create 64;
+    outcomes = Ids.Txn_map.create 64;
     px_early = Ids.Txn_map.create 8;
-    first_lsn = Ids.Txn_map.create 64;
     gc_line = Engine.line engine reclaim_delay;
     sweep_line =
       Engine.line engine
@@ -291,6 +311,49 @@ let up_view t =
 let guarded t f =
   let inc = t.incarnation in
   fun () -> if t.up && t.incarnation = inc then f ()
+
+let decide t txn d = Ids.Txn_map.replace t.outcomes txn (Decided d)
+
+(* A pledge never overrides what the site already knows. *)
+let pledge_abort t txn =
+  if not (Ids.Txn_map.mem t.outcomes txn) then
+    Ids.Txn_map.replace t.outcomes txn Pledged
+
+(* The outcome an inquiry about [txn] is answered with. *)
+let known_outcome t txn =
+  match Ids.Txn_map.find_opt t.outcomes txn with
+  | Some Pledged -> Some P.Abort
+  | Some (Decided d) -> Some d
+  | None -> None
+
+let is_decided t txn =
+  match Ids.Txn_map.find_opt t.outcomes txn with
+  | Some (Decided _) -> true
+  | Some Pledged | None -> false
+
+let slot_of : type c. c role -> c -> slot =
+ fun role ctx -> match role with Part -> ctx.pt_slot | Coord -> ctx.co_slot
+
+let txn_of : type c. c role -> c -> Tid.t =
+ fun role ctx -> match role with Part -> ctx.pt_txn | Coord -> ctx.co_txn
+
+(* Machine reclamation is a *delayed* cleanup, not a prompt continuation:
+   it must be labelled as a timer, not [Internal], or an explorer that
+   eagerly drains internal events reaps the machine ahead of in-flight
+   protocol traffic (an ack then finds no machine, is dropped, and the
+   reaped-but-live closure resends forever). *)
+let gc : type c. t -> c role -> c -> unit =
+ fun t role ctx ->
+  ignore
+    (Engine.schedule_on
+       ~label:(Engine.Timer { site = t.id; name = "gc" })
+       t.gc_line
+       (guarded t (fun () ->
+            match role with
+            | Part when ctx.pt_resolved -> Ids.Txn_map.remove t.parts ctx.pt_txn
+            | Coord when ctx.co_finished ->
+                Ids.Txn_map.remove t.coords ctx.co_txn
+            | Part | Coord -> ())))
 
 (* ------------------------------------------------------------------ *)
 (* Participant side                                                     *)
@@ -332,11 +395,10 @@ let get_or_create_part t txn =
           pt_txn = txn;
           pt_writes = [];
           pt_participants = [];
-          pt_machine = None;
+          pt_slot = new_slot ();
           pt_doomed = None;
           pt_resolved = false;
           pt_sweep = None;
-          pt_timers = Hashtbl.create 4;
           pt_waits = [];
         }
       in
@@ -359,11 +421,10 @@ let get_or_create_part t txn =
                (guarded t (fun () ->
                     ctx.pt_sweep <- None;
                     if not ctx.pt_resolved then
-                      if ctx.pt_machine = None then begin
+                      if ctx.pt_slot.machine = None then begin
                         doom_part t ctx Msg.R_doomed;
                         ctx.pt_resolved <- true;
-                        Ids.Txn_map.replace t.presumed txn P.Abort;
-                        Ids.Txn_map.replace t.decided txn P.Abort;
+                        decide t txn P.Abort;
                         Ids.Txn_map.remove t.parts txn
                       end
                       else sweep ())))
@@ -378,82 +439,37 @@ let cancel_sweep t ctx =
       ctx.pt_sweep <- None
   | None -> ()
 
-let note_first_lsn t txn lsn =
-  if not (Ids.Txn_map.mem t.first_lsn txn) then
-    Ids.Txn_map.replace t.first_lsn txn lsn
-
-(* Machine reclamation is a *delayed* cleanup, not a prompt continuation:
-   it must be labelled as a timer, not [Internal], or an explorer that
-   eagerly drains internal events reaps the machine ahead of in-flight
-   protocol traffic (an ack then finds no machine, is dropped, and the
-   reaped-but-live closure resends forever). *)
-let gc_part t ctx =
-  ignore
-    (Engine.schedule_on
-       ~label:(Engine.Timer { site = t.id; name = "gc" })
-       t.gc_line
-       (guarded t (fun () ->
-            if ctx.pt_resolved then Ids.Txn_map.remove t.parts ctx.pt_txn)))
-
-let gc_coord t ctx =
-  ignore
-    (Engine.schedule_on
-       ~label:(Engine.Timer { site = t.id; name = "gc" })
-       t.gc_line
-       (guarded t (fun () ->
-            if ctx.co_finished then Ids.Txn_map.remove t.coords ctx.co_txn)))
-
-let set_timer t timers ~feed tm delay =
-  (match Hashtbl.find_opt timers tm with
-  | Some ev -> Engine.cancel t.engine ev
-  | None -> ());
-  let ev =
-    Engine.schedule_after
-      ~label:(Engine.Timer { site = t.id; name = P.timer_point tm })
-      t.engine delay
-      (guarded t (fun () ->
-           Hashtbl.remove timers tm;
-           feed (P.Timeout tm)))
+(* Append the records a [Log tag] action stands for and return the last
+   LSN.  Only a participant logs [L_prepared]: its updates go ahead of
+   the [Prepared] record, so that recovery can redo them. *)
+let append_log t txn ~writes ~participants (tag : P.log_tag) =
+  let record : LR.t =
+    match tag with
+    | P.L_prepared ->
+        List.iter
+          (fun (key, value, version) ->
+            ignore
+              (Wal.append t.wal
+                 (LR.Update { txn; key; value; version; undo = None })))
+          writes;
+        LR.Prepared { txn; participants }
+    | P.L_precommit -> LR.Precommit txn
+    | P.L_preabort -> LR.Preabort txn
+    | P.L_collecting -> LR.Collecting txn
+    | P.L_decision P.Commit -> LR.Commit txn
+    | P.L_decision P.Abort -> LR.Abort txn
+    | P.L_end -> LR.End txn
   in
-  Hashtbl.replace timers tm ev
-
-let clear_timer t timers tm =
-  match Hashtbl.find_opt timers tm with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      Hashtbl.remove timers tm
-  | None -> ()
-
-let log_record_of_tag ctx tag : LR.t list =
-  match (tag : P.log_tag) with
-  | P.L_prepared ->
-      List.map
-        (fun (key, value, version) ->
-          LR.Update { txn = ctx.pt_txn; key; value; version; undo = None })
-        ctx.pt_writes
-      @ [ LR.Prepared { txn = ctx.pt_txn; participants = ctx.pt_participants } ]
-  | P.L_precommit -> [ LR.Precommit ctx.pt_txn ]
-  | P.L_preabort -> [ LR.Preabort ctx.pt_txn ]
-  | P.L_collecting -> [ LR.Collecting ctx.pt_txn ]
-  | P.L_decision P.Commit -> [ LR.Commit ctx.pt_txn ]
-  | P.L_decision P.Abort -> [ LR.Abort ctx.pt_txn ]
-  | P.L_end -> [ LR.End ctx.pt_txn ]
-
-let coord_log_records txn tag : LR.t list =
-  match (tag : P.log_tag) with
-  | P.L_collecting -> [ LR.Collecting txn ]
-  | P.L_decision P.Commit -> [ LR.Commit txn ]
-  | P.L_decision P.Abort -> [ LR.Abort txn ]
-  | P.L_end -> [ LR.End txn ]
-  | P.L_precommit -> [ LR.Precommit txn ]
-  | P.L_preabort -> [ LR.Preabort txn ]
-  | P.L_prepared -> []
+  Wal.append t.wal record
 
 (* A termination inquiry carries the asker's participant set: an origin
    that lost all memory of the transaction resolves its protocol's
    presumption from it (see [answer_unknown]). *)
 let inquiry participants =
   Some { Msg.writes = []; participants; presumed_down = [] }
+
+let min_pin slot acc =
+  match slot.pin with Some lsn -> min lsn acc | None -> acc
 
 let maybe_checkpoint t =
   let every = t.config.checkpoint_every in
@@ -465,7 +481,8 @@ let maybe_checkpoint t =
     (* Keep records needed by unresolved transactions. *)
     let floor =
       (* rt_lint: allow deterministic-iteration -- commutative minimum *)
-      Ids.Txn_map.fold (fun _ lsn acc -> min lsn acc) t.first_lsn (durable + 1)
+      Ids.Txn_map.fold (fun _ ctx acc -> min_pin ctx.pt_slot acc) t.parts
+        (durable + 1)
     in
     let upto = min durable (floor - 1) in
     let upto =
@@ -485,24 +502,21 @@ let maybe_checkpoint t =
 
 let handle_abort_txn t txn =
   match part_ctx t txn with
-  | None -> Ids.Txn_map.replace t.presumed txn P.Abort
+  | None -> pledge_abort t txn
   | Some ctx ->
       doom_part t ctx Msg.R_doomed;
       ctx.pt_resolved <- true;
       cancel_sweep t ctx;
-      Ids.Txn_map.replace t.presumed txn P.Abort;
-      Ids.Txn_map.replace t.decided txn P.Abort;
+      decide t txn P.Abort;
       Counter.incr t.counters "participant_aborts";
-      gc_part t ctx
+      gc t Part ctx
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator side                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let site_writes_for ctx dst =
-  match Hashtbl.find_opt ctx.co_site_writes dst with
-  | Some r -> List.rev !r
-  | None -> []
+  List.rev (Option.value ~default:[] (Hashtbl.find_opt ctx.co_site_writes dst))
 
 (* Every replica of every shard this transaction touched — the full set
    of copies the commit protocol is answerable for, including down ones
@@ -541,73 +555,116 @@ let rec out_commit_msg t txn ~dst pmsg ~prepare =
     t.send_raw ~dst (Msg.txn_msg txn (Msg.Commit_msg { pmsg; prepare }))
   end
 
-(* Interpret a participant machine's actions.  The per-action [t.up]
-   check matters under fault injection: a forced log write can crash the
-   site synchronously (wal crash points), and the rest of the action list
-   must then be dropped exactly as if the site had died mid-step. *)
-and interpret_part t ctx actions =
-  List.iter
-    (fun (action : P.action) ->
-      if t.up then
-      match action with
-      | P.Send (dst, pmsg) ->
-          let prepare =
-            match pmsg with
-            | P.Decision_req -> inquiry ctx.pt_participants
-            | _ -> None
-          in
-          out_commit_msg t ctx.pt_txn ~dst pmsg ~prepare
-      | P.Log (tag, mode) -> (
-          let records = log_record_of_tag ctx tag in
-          let lsn =
-            List.fold_left (fun _ r -> Wal.append t.wal r) (Wal.tail_lsn t.wal)
-              records
-          in
-          note_first_lsn t ctx.pt_txn
-            (lsn - List.length records + 1 |> max 1);
-          match mode with
-          | `Forced ->
-              Wal.force t.wal ~upto:lsn
-                (guarded t (fun () -> feed_part t ctx (P.Log_done tag)))
-          | `Lazy -> ())
-      | P.Deliver d -> resolve_part t ctx d
-      | P.Set_timer (tm, delay) ->
-          set_timer t ctx.pt_timers ~feed:(fun i -> feed_part t ctx i) tm delay
-      | P.Clear_timer tm -> clear_timer t ctx.pt_timers tm
-      | P.Blocked -> Counter.incr t.counters "blocked_reports"
-      | P.Forget ->
-          (* Read-only participant: release without remembering. *)
-          if not ctx.pt_resolved then begin
-            ctx.pt_resolved <- true;
-            cancel_sweep t ctx;
-            Counter.incr t.counters "readonly_releases";
-            Ids.Txn_map.remove t.first_lsn ctx.pt_txn;
-            Lock.release_all t.locks ~txn:ctx.pt_txn;
-            gc_part t ctx
-          end)
-    actions
-
-and feed_part t ctx input =
+(* Step a participant or coordinator machine and interpret its actions. *)
+and feed : type c. t -> c role -> c -> P.input -> unit =
+ fun t role ctx input ->
+  let slot = slot_of role ctx in
   if t.up then
-    match ctx.pt_machine with
+    match slot.machine with
     | None -> ()
     | Some m ->
         let m', actions = Erased.step m input in
-        ctx.pt_machine <- Some m';
-        interpret_part t ctx actions;
+        slot.machine <- Some m';
+        interpret t role ctx slot actions;
         (* Step boundary: the machine consumed [input] and its actions are
            fully interpreted — a crash here loses everything volatile the
            step produced but nothing of the step itself. *)
         if t.up && Engine.crash_hook_installed t.engine then
           Engine.crash_point t.engine ~site:t.id
-            ~point:("part:" ^ P.input_point input)
+            ~point:
+              ((match role with Part -> "part:" | Coord -> "coord:")
+              ^ P.input_point input)
+
+(* The [t.up] check per action matters under fault injection: a forced
+   log write can crash the site synchronously (wal crash points), and the
+   rest of the action list must then be dropped exactly as if the site
+   had died mid-step. *)
+and interpret : type c. t -> c role -> c -> slot -> P.action list -> unit =
+ fun t role ctx slot actions ->
+  match actions with
+  | action :: rest when t.up ->
+      (match action with
+      | P.Send (dst, pmsg) ->
+          let prepare =
+            match (role, pmsg) with
+            | Part, P.Decision_req -> inquiry ctx.pt_participants
+            | Coord, P.Decision_req -> inquiry (Sset.elements ctx.co_touched)
+            | Coord, P.Vote_req ->
+                let presumed_down =
+                  if RC.needs_catchup_on_recovery t.config.replica_control
+                  then
+                    List.filter (fun s -> not (up_pred t s)) (txn_scope t ctx)
+                  else []
+                in
+                Some
+                  {
+                    Msg.writes = site_writes_for ctx dst;
+                    participants = Sset.elements ctx.co_touched;
+                    presumed_down;
+                  }
+            | _ -> None
+          in
+          out_commit_msg t (txn_of role ctx) ~dst pmsg ~prepare
+      | P.Log (tag, mode) -> (
+          let first = Wal.tail_lsn t.wal + 1 in
+          let lsn =
+            match role with
+            | Part ->
+                if slot.pin = None then slot.pin <- Some first;
+                append_log t ctx.pt_txn ~writes:ctx.pt_writes
+                  ~participants:ctx.pt_participants tag
+            | Coord -> append_log t ctx.co_txn ~writes:[] ~participants:[] tag
+          in
+          match mode with
+          | `Forced ->
+              Wal.force t.wal ~upto:lsn
+                (guarded t (fun () -> feed t role ctx (P.Log_done tag)))
+          | `Lazy -> ())
+      | P.Deliver d -> (
+          match role with
+          | Part -> resolve_part t (ctx : part_ctx) d
+          | Coord ->
+              decide t ctx.co_txn d;
+              finish_coord t (ctx : coord_ctx)
+                (match d with
+                | P.Commit -> Committed
+                | P.Abort -> Aborted Protocol_abort))
+      | P.Set_timer (tm, delay) ->
+          Option.iter (Engine.cancel t.engine)
+            (Hashtbl.find_opt slot.timers tm);
+          Hashtbl.replace slot.timers tm
+            (Engine.schedule_after
+               ~label:(Engine.Timer { site = t.id; name = P.timer_point tm })
+               t.engine delay
+               (guarded t (fun () ->
+                    Hashtbl.remove slot.timers tm;
+                    feed t role ctx (P.Timeout tm))))
+      | P.Clear_timer tm ->
+          Option.iter (Engine.cancel t.engine)
+            (Hashtbl.find_opt slot.timers tm);
+          Hashtbl.remove slot.timers tm
+      | P.Blocked -> Counter.incr t.counters "blocked_reports"
+      | P.Forget -> (
+          match role with
+          | Part ->
+              (* Read-only participant: release without remembering. *)
+              if not ctx.pt_resolved then begin
+                ctx.pt_resolved <- true;
+                cancel_sweep t ctx;
+                Counter.incr t.counters "readonly_releases";
+                slot.pin <- None;
+                Lock.release_all t.locks ~txn:ctx.pt_txn;
+                gc t Part ctx
+              end
+          | Coord -> ()));
+      interpret t role ctx slot rest
+  | _ -> ()
 
 and resolve_part t ctx (d : P.decision) =
   if not ctx.pt_resolved then begin
     ctx.pt_resolved <- true;
     cancel_sweep t ctx;
-    Ids.Txn_map.replace t.presumed ctx.pt_txn d;
-    Ids.Txn_map.replace t.decided ctx.pt_txn d;
+    decide t ctx.pt_txn d;
     (match d with
     | P.Commit ->
         List.iter
@@ -627,7 +684,7 @@ and resolve_part t ctx (d : P.decision) =
         t.commits_since_cp <- t.commits_since_cp + 1;
         maybe_checkpoint t
     | P.Abort -> Counter.incr t.counters "participant_aborts");
-    Ids.Txn_map.remove t.first_lsn ctx.pt_txn;
+    ctx.pt_slot.pin <- None;
     Stamps.release t.stamps ~txn:ctx.pt_txn;
     Lock.release_all t.locks ~txn:ctx.pt_txn;
     (* A coordinator on this site must learn the decision too: a
@@ -641,76 +698,11 @@ and resolve_part t ctx (d : P.decision) =
            Time.zero
            (guarded t (fun () ->
                 match Ids.Txn_map.find_opt t.coords ctx.pt_txn with
-                | Some co when co.co_machine <> None ->
-                    feed_coord t co (P.Recv (t.id, P.Decision_msg d))
+                | Some co when co.co_slot.machine <> None ->
+                    feed t Coord co (P.Recv (t.id, P.Decision_msg d))
                 | Some _ | None -> ())));
-    gc_part t ctx
+    gc t Part ctx
   end
-
-and interpret_coord t ctx actions =
-  List.iter
-    (fun (action : P.action) ->
-      if t.up then
-      match action with
-      | P.Send (dst, pmsg) ->
-          let prepare =
-            match pmsg with
-            | P.Vote_req ->
-                let presumed_down =
-                  if
-                    RC.needs_catchup_on_recovery t.config.replica_control
-                  then
-                    List.filter
-                      (fun s -> not (up_pred t s))
-                      (txn_scope t ctx)
-                  else []
-                in
-                Some
-                  {
-                    Msg.writes = site_writes_for ctx dst;
-                    participants = Sset.elements ctx.co_touched;
-                    presumed_down;
-                  }
-            | P.Decision_req -> inquiry (Sset.elements ctx.co_touched)
-            | _ -> None
-          in
-          out_commit_msg t ctx.co_txn ~dst pmsg ~prepare
-      | P.Log (tag, mode) -> (
-          let records = coord_log_records ctx.co_txn tag in
-          let lsn =
-            List.fold_left (fun _ r -> Wal.append t.wal r) (Wal.tail_lsn t.wal)
-              records
-          in
-          match mode with
-          | `Forced ->
-              Wal.force t.wal ~upto:lsn
-                (guarded t (fun () -> feed_coord t ctx (P.Log_done tag)))
-          | `Lazy -> ())
-      | P.Deliver d ->
-          Ids.Txn_map.replace t.presumed ctx.co_txn d;
-          Ids.Txn_map.replace t.decided ctx.co_txn d;
-          finish_coord t ctx
-            (match d with
-            | P.Commit -> Committed
-            | P.Abort -> Aborted Protocol_abort)
-      | P.Set_timer (tm, delay) ->
-          set_timer t ctx.co_timers ~feed:(fun i -> feed_coord t ctx i) tm delay
-      | P.Clear_timer tm -> clear_timer t ctx.co_timers tm
-      | P.Blocked -> Counter.incr t.counters "blocked_reports"
-      | P.Forget -> ())
-    actions
-
-and feed_coord t ctx input =
-  if t.up then
-    match ctx.co_machine with
-    | None -> ()
-    | Some m ->
-        let m', actions = Erased.step m input in
-        ctx.co_machine <- Some m';
-        interpret_coord t ctx actions;
-        if t.up && Engine.crash_hook_installed t.engine then
-          Engine.crash_point t.engine ~site:t.id
-            ~point:("coord:" ^ P.input_point input)
 
 and finish_coord t ctx outcome =
   if not ctx.co_finished then begin
@@ -725,11 +717,11 @@ and finish_coord t ctx outcome =
         Counter.incr t.counters "aborts";
         Counter.incr t.counters ("aborts_" ^ abort_reason_label reason));
     ctx.co_k outcome;
-    gc_coord t ctx
+    gc t Coord ctx
   end
 
 and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
-  if Ids.Txn_map.mem t.decided txn then
+  if is_decided t txn then
     (* Coordinators never re-solicit votes, so a vote request for a
        transaction we already decided is a network duplicate that
        outlived the participant context.  Re-running the protocol from a
@@ -737,9 +729,9 @@ and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
     ()
   else
   let ctx = get_or_create_part t txn in
-  if ctx.pt_machine <> None then
+  if ctx.pt_slot.machine <> None then
     (* Duplicate vote request: let the machine handle it. *)
-    feed_part t ctx (P.Recv (src, P.Vote_req))
+    feed t Part ctx (P.Recv (src, P.Vote_req))
   else begin
     let validation_ok =
       match prepare with
@@ -757,20 +749,20 @@ and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
         ctx.pt_participants <- participants
     | None -> if ctx.pt_participants = [] then ctx.pt_participants <- t.site_ids);
     let pledged_abort =
-      match Ids.Txn_map.find_opt t.presumed txn with
-      | Some P.Abort -> true
-      | _ -> false
+      match Ids.Txn_map.find_opt t.outcomes txn with
+      | Some Pledged -> true
+      | Some (Decided _) | None -> false
     in
     if not validation_ok then Counter.incr t.counters "validation_vetoes";
     let vote = ctx.pt_doomed = None && (not pledged_abort) && validation_ok in
-    ctx.pt_machine <-
+    ctx.pt_slot.machine <-
       Some
         (Commit_protocol.participant t.config.commit_protocol
            ~participants:ctx.pt_participants ~coordinator:txn.Tid.origin
            ~self:t.id ~vote
            ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization)
            ~timeouts:t.config.commit_timeouts);
-    feed_part t ctx (P.Recv (src, P.Vote_req));
+    feed t Part ctx (P.Recv (src, P.Vote_req));
     (* Replay paxos acceptor traffic that arrived before the machine
        existed, in arrival order (see [px_early]). *)
     match Ids.Txn_map.find_opt t.px_early txn with
@@ -779,8 +771,8 @@ and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
         Ids.Txn_map.remove t.px_early txn;
         List.iter
           (fun (psrc, pmsg) ->
-            if ctx.pt_machine <> None then
-              feed_part t ctx (P.Recv (psrc, pmsg)))
+            if ctx.pt_slot.machine <> None then
+              feed t Part ctx (P.Recv (psrc, pmsg)))
           (List.rev pending)
   end
 
@@ -796,7 +788,7 @@ and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
    site that pledged can never later vote yes.) *)
 and answer_unknown t ~src txn (pmsg : P.msg) prepare =
   let reply m = out_commit_msg t txn ~dst:src m ~prepare:None in
-  let known = Ids.Txn_map.find_opt t.presumed txn in
+  let known = known_outcome t txn in
   match pmsg with
   | P.Decision_req -> (
       let presumed =
@@ -827,7 +819,7 @@ and answer_unknown t ~src txn (pmsg : P.msg) prepare =
         match known with
         | Some d -> state_of d
         | None ->
-            Ids.Txn_map.replace t.presumed txn P.Abort;
+            pledge_abort t txn;
             P.P_aborted
       in
       match pmsg with
@@ -838,11 +830,7 @@ and answer_unknown t ~src txn (pmsg : P.msg) prepare =
          (all memory of it lost in a crash, or already resolved and
          collected): record it if new, and always acknowledge — an
          ack-collecting coordinator would otherwise resend forever. *)
-      (match known with
-      | Some _ -> ()
-      | None ->
-          Ids.Txn_map.replace t.presumed txn d;
-          Ids.Txn_map.replace t.decided txn d);
+      if known = None then decide t txn d;
       Ids.Txn_map.remove t.px_early txn;
       reply P.Decision_ack
   | P.Px_p1a _ | P.Px_p2a _ -> (
@@ -862,24 +850,24 @@ and route_commit_msg t ~src txn (pmsg : P.msg) prepare =
   let coord = Ids.Txn_map.find_opt t.coords txn in
   let coord_machine =
     match coord with
-    | Some c when c.co_machine <> None -> Some c
+    | Some c when c.co_slot.machine <> None -> Some c
     | _ -> None
   in
   let to_part () =
     match part_ctx t txn with
-    | Some ctx when ctx.pt_machine <> None ->
-        feed_part t ctx (P.Recv (src, pmsg))
+    | Some ctx when ctx.pt_slot.machine <> None ->
+        feed t Part ctx (P.Recv (src, pmsg))
     | Some _ | None -> answer_unknown t ~src txn pmsg prepare
   in
   match pmsg with
   | P.Vote_req -> handle_vote_req t ~src txn prepare
   | P.Vote_yes | P.Vote_no | P.Vote_read_only | P.Decision_ack -> (
       match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | Some c -> feed t Coord c (P.Recv (src, pmsg))
       | None -> ())
   | P.Precommit_ack | P.Pq_precommit_ack _ | P.Pq_preabort_ack _ -> (
       match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | Some c -> feed t Coord c (P.Recv (src, pmsg))
       | None -> to_part ())
   | P.Px_p1a _ | P.Px_p2a _ | P.Px_p1b _ | P.Px_p2b _ | P.Px_nack _ -> (
       (* The origin site's acceptor and ballot-0 leadership live in the
@@ -889,16 +877,15 @@ and route_commit_msg t ~src txn (pmsg : P.msg) prepare =
          coordinator machine is gone) the participant machine serves its
          acceptor or leader role. *)
       match coord_machine with
-      | Some c -> feed_coord t c (P.Recv (src, pmsg))
+      | Some c -> feed t Coord c (P.Recv (src, pmsg))
       | None -> (
           match part_ctx t txn with
-          | Some ctx when ctx.pt_machine <> None ->
-              feed_part t ctx (P.Recv (src, pmsg))
+          | Some ctx when ctx.pt_slot.machine <> None ->
+              feed t Part ctx (P.Recv (src, pmsg))
           | Some _ | None -> (
               match pmsg with
               | P.Px_p1a _ | P.Px_p2a _
-                when (not (Ids.Txn_map.mem t.presumed txn))
-                     && not (Ids.Txn_map.mem t.decided txn) ->
+                when not (Ids.Txn_map.mem t.outcomes txn) ->
                   (* Acceptor traffic ahead of our Vote_req: stash for
                      replay at machine creation (see [px_early]).  The
                      cap bounds abandoned transactions; a dropped
@@ -922,15 +909,15 @@ and route_commit_msg t ~src txn (pmsg : P.msg) prepare =
   | P.State_report _ | P.Pq_state_report _ -> to_part ()
   | P.Decision_req -> (
       match coord_machine with
-      | Some c when (match c.co_machine with
+      | Some c when (match c.co_slot.machine with
                      | Some m -> Erased.decision m <> None
                      | None -> false) ->
-          feed_coord t c (P.Recv (src, pmsg))
+          feed t Coord c (P.Recv (src, pmsg))
       | _ -> (
           (* A recorded outcome answers even when a local participant
              machine is itself still uncertain (e.g. a recovered
              coordinator-site participant asking around). *)
-          match Ids.Txn_map.find_opt t.presumed txn with
+          match known_outcome t txn with
           | Some d ->
               out_commit_msg t txn ~dst:src (P.Decision_msg d) ~prepare:None
           | None -> to_part ()))
@@ -944,17 +931,13 @@ let abort_coord_early t ctx reason =
   if not ctx.co_finished then begin
     let pending_k =
       match ctx.co_wait with
-      | Some (W_read { rw_timer; rw_k; _ }) ->
-          Engine.cancel t.engine rw_timer;
-          Some (fun () -> rw_k (Error reason))
-      | Some (W_write { ww_timer; ww_k; _ }) ->
-          Engine.cancel t.engine ww_timer;
-          Some (fun () -> ww_k (Error reason))
+      | Some rd ->
+          Engine.cancel t.engine rd.rd_timer;
+          Some rd.rd_k
       | None -> None
     in
     ctx.co_wait <- None;
-    Ids.Txn_map.replace t.presumed ctx.co_txn P.Abort;
-    Ids.Txn_map.replace t.decided ctx.co_txn P.Abort;
+    decide t ctx.co_txn P.Abort;
     Sset.iter
       (fun s ->
         if s = t.id then handle_abort_txn t ctx.co_txn
@@ -964,7 +947,7 @@ let abort_coord_early t ctx reason =
         end)
       ctx.co_touched;
     finish_coord t ctx (Aborted reason);
-    Option.iter (fun k -> k ()) pending_k
+    Option.iter (fun k -> k (Error reason)) pending_k
   end
 
 let reason_of_refusal = function
@@ -995,7 +978,7 @@ and handle_probe t ~initiator ~target =
     if Tid.equal initiator target then begin
       (* The probe went round a cycle: the initiator is deadlocked. *)
       match Ids.Txn_map.find_opt t.coords target with
-      | Some ctx when (not ctx.co_finished) && ctx.co_machine = None ->
+      | Some ctx when (not ctx.co_finished) && ctx.co_slot.machine = None ->
           Counter.incr t.counters "probe_deadlocks";
           abort_coord_early t ctx Deadlock
       | _ -> ()
@@ -1008,8 +991,7 @@ and handle_probe t ~initiator ~target =
           Ids.Txn_map.replace ctx.co_probes_seen initiator ();
           (* Forward to every site the transaction is waiting on. *)
           match ctx.co_wait with
-          | Some (W_read { rw_pending = pending; _ })
-          | Some (W_write { ww_pending = pending; _ }) ->
+          | Some rd ->
               Sset.iter
                 (fun site ->
                   if site = t.id then probe_local_blockers t ~initiator ~target
@@ -1018,7 +1000,7 @@ and handle_probe t ~initiator ~target =
                     t.send_raw ~dst:site
                       (Msg.txn_msg target (Msg.Probe { initiator }))
                   end)
-                pending
+                rd.rd_pending
           | None -> ())
       | _ -> ()
   end
@@ -1118,50 +1100,65 @@ let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
                     send_probe t ~initiator:ctx.pt_txn ~target:blocker)
                   (Lock.blocking t.locks ~txn:ctx.pt_txn)))
 
-let handle_read_req t ~txn ~key ~(reply : (string option * int, Msg.refusal) Result.t -> unit) =
-  if t.catching then reply (Error Msg.R_down)
-  else if Ids.Txn_map.mem t.decided txn then
-    (* Duplicate of an op from an already-decided transaction: refuse
-       without resurrecting a participant context for it. *)
-    reply (Error Msg.R_doomed)
-  else
-    acquire_for_op t (get_or_create_part t txn) ~mode:Lock.Shared ~key
-      ~on_granted:(fun () ->
-        let item = Kv.get t.kv key in
-        reply
-          (Ok
-             ( Option.map (fun (i : Kv.item) -> i.value) item,
-               Kv.version t.kv key )))
-      ~reply_refuse:(fun r -> reply (Error r))
+(* This copy's reply to [op]: its version of the key (and the value, for
+   a read), or [refused]. *)
+let op_reply t (op : Mix.op) refused : Msg.payload =
+  match (op, refused) with
+  | Mix.Read key, None ->
+      Msg.Read_reply
+        {
+          key;
+          result =
+            Ok
+              ( Option.map (fun (i : Kv.item) -> i.value) (Kv.get t.kv key),
+                Kv.version t.kv key );
+        }
+  | Mix.Read key, Some r -> Msg.Read_reply { key; result = Error r }
+  | Mix.Write (key, _), None ->
+      Msg.Write_reply { key; result = Ok (Kv.version t.kv key) }
+  | Mix.Write (key, _), Some r -> Msg.Write_reply { key; result = Error r }
 
-let handle_write_req t ~txn ~key ~(reply : (int, Msg.refusal) Result.t -> unit)
-    =
-  (* Writes are accepted even while catching up: a validating copy must
-     not miss commits that land during its transfer (reads stay refused
-     until validation completes). *)
-  if Ids.Txn_map.mem t.decided txn then reply (Error Msg.R_doomed)
+(* Serve one data operation of [txn] at this copy and [reply] exactly
+   once.  A copy still catching up refuses reads but accepts writes: a
+   validating copy must not miss commits that land during its transfer.
+   An op of an already-decided transaction is a duplicate: refuse it
+   without resurrecting a participant context. *)
+let serve_op t ~txn (op : Mix.op) ~reply =
+  let refuse r = reply (op_reply t op (Some r)) in
+  let read = Mix.is_read op in
+  if read && t.catching then refuse Msg.R_down
+  else if is_decided t txn then refuse Msg.R_doomed
   else
-    acquire_for_op t (get_or_create_part t txn) ~mode:Lock.Exclusive ~key
-      ~on_granted:(fun () -> reply (Ok (Kv.version t.kv key)))
-      ~reply_refuse:(fun r -> reply (Error r))
+    acquire_for_op t (get_or_create_part t txn)
+      ~mode:(if read then Lock.Shared else Lock.Exclusive)
+      ~key:(Mix.op_key op)
+      ~on_granted:(fun () -> reply (op_reply t op None))
+      ~reply_refuse:refuse
 
-(* One logical read: assemble the plan, collect replies, resolve the
-   newest version.  [k] fires exactly once. *)
-let rec do_read t ctx ~key ~k =
+(* One logical read or write: assemble the replica-control plan, send
+   [op] to every site of it, and collect the replies in [round_reply].
+   [k] fires exactly once. *)
+let rec run_op t ctx (op : Mix.op) ~k =
   if ctx.co_finished then
     k (Error (match ctx.co_outcome with
               | Some (Aborted r) -> r
               | _ -> Protocol_abort))
   else
-    match Hashtbl.find_opt ctx.co_cache key with
+    let cached =
+      match op with
+      | Mix.Read key -> Hashtbl.find_opt ctx.co_cache key
+      | Mix.Write _ -> None
+    in
+    match cached with
     | Some v -> k (Ok (Some v))  (* read-your-writes *)
     | None -> (
+        let key = Mix.op_key op in
+        let plan = if Mix.is_read op then RC.read_plan else RC.write_plan in
         match
-          RC.read_plan t.config.replica_control ~self:t.id ~up:(up_pred t)
+          plan t.config.replica_control ~self:t.id ~up:(up_pred t)
             ~replicas:(Placement.replicas_of_key t.placement key)
         with
-        | None ->
-            abort_coord_early t ctx Unavailable
+        | None -> abort_coord_early t ctx Unavailable
         | Some plan ->
             ctx.co_shards <-
               Sset.add (Placement.shard_of_key t.placement key) ctx.co_shards;
@@ -1172,140 +1169,91 @@ let rec do_read t ctx ~key ~k =
                 t.engine t.config.op_timeout
                 (guarded t (fun () -> abort_coord_early t ctx Op_timeout))
             in
-            let wait =
-              W_read
+            ctx.co_wait <-
+              Some
                 {
-                  rw_key = key;
-                  rw_pending = Sset.of_list plan;
-                  rw_version = -1;
-                  rw_value = None;
-                  rw_timer = timer;
-                  rw_k = k;
-                }
-            in
-            ctx.co_wait <- Some wait;
-            List.iter (fun s -> send_read t ctx ~dst:s ~key) plan)
-
-and do_write t ctx ~key ~value ~k =
-  if ctx.co_finished then
-    k (Error (match ctx.co_outcome with
-              | Some (Aborted r) -> r
-              | _ -> Protocol_abort))
-  else
-    match
-      RC.write_plan t.config.replica_control ~self:t.id ~up:(up_pred t)
-        ~replicas:(Placement.replicas_of_key t.placement key)
-    with
-    | None -> abort_coord_early t ctx Unavailable
-    | Some plan ->
-        ctx.co_shards <-
-          Sset.add (Placement.shard_of_key t.placement key) ctx.co_shards;
-        ctx.co_touched <- Sset.union ctx.co_touched (Sset.of_list plan);
-        let timer =
-          Engine.schedule_after
-            ~label:(Engine.Timer { site = t.id; name = "op-timeout" })
-            t.engine t.config.op_timeout
-            (guarded t (fun () -> abort_coord_early t ctx Op_timeout))
-        in
-        let wait =
-          W_write
-            {
-              ww_key = key;
-              ww_value = value;
-              ww_plan = plan;
-              ww_pending = Sset.of_list plan;
-              ww_maxv = 0;
-              ww_timer = timer;
-              ww_k = k;
-            }
-        in
-        ctx.co_wait <- Some wait;
-        List.iter (fun s -> send_write t ctx ~dst:s ~key ~value) plan
-
-and send_read t ctx ~dst ~key =
-  if dst = t.id then
-    handle_read_req t ~txn:ctx.co_txn ~key ~reply:(fun result ->
-        (* Loop back asynchronously so reply handling never re-enters. *)
-        ignore
-          (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine
-             Time.zero
-             (guarded t (fun () ->
-                  coord_read_reply t ctx ~src:t.id ~key ~result))))
-  else begin
-    Counter.incr t.counters "data_msgs";
-    t.send_raw ~dst (Msg.txn_msg ctx.co_txn (Msg.Read_req { key }))
-  end
-
-and send_write t ctx ~dst ~key ~value =
-  if dst = t.id then
-    handle_write_req t ~txn:ctx.co_txn ~key ~reply:(fun result ->
-        ignore
-          (Engine.schedule_after ~label:(Engine.Internal t.id) t.engine
-             Time.zero
-             (guarded t (fun () ->
-                  coord_write_reply t ctx ~src:t.id ~key ~result))))
-  else begin
-    Counter.incr t.counters "data_msgs";
-    t.send_raw ~dst (Msg.txn_msg ctx.co_txn (Msg.Write_req { key; value }))
-  end
-
-and coord_read_reply t ctx ~src ~key ~result =
-  match ctx.co_wait with
-  | Some (W_read rw) when String.equal rw.rw_key key -> (
-      match result with
-      | Error r -> abort_coord_early t ctx (reason_of_refusal r)
-      | Ok (value, version) ->
-          rw.rw_pending <- Sset.remove src rw.rw_pending;
-          if version > rw.rw_version then begin
-            rw.rw_version <- version;
-            rw.rw_value <- value
-          end;
-          if Sset.is_empty rw.rw_pending then begin
-            Engine.cancel t.engine rw.rw_timer;
-            ctx.co_wait <- None;
-            rw.rw_k (Ok rw.rw_value)
-          end)
-  | _ -> ()
-
-and coord_write_reply t ctx ~src ~key ~result =
-  match ctx.co_wait with
-  | Some (W_write ww) when String.equal ww.ww_key key -> (
-      match result with
-      | Error r -> abort_coord_early t ctx (reason_of_refusal r)
-      | Ok version ->
-          ww.ww_pending <- Sset.remove src ww.ww_pending;
-          if version > ww.ww_maxv then ww.ww_maxv <- version;
-          if Sset.is_empty ww.ww_pending then begin
-            Engine.cancel t.engine ww.ww_timer;
-            let new_version = ww.ww_maxv + 1 in
+                  rd_op = op;
+                  rd_plan = plan;
+                  rd_pending = Sset.of_list plan;
+                  rd_version = (if Mix.is_read op then -1 else 0);
+                  rd_value = None;
+                  rd_timer = timer;
+                  rd_k = k;
+                };
             List.iter
-              (fun s ->
-                let r =
-                  match Hashtbl.find_opt ctx.co_site_writes s with
-                  | Some r -> r
-                  | None ->
-                      let r = ref [] in
-                      Hashtbl.replace ctx.co_site_writes s r;
-                      r
-                in
-                r := (ww.ww_key, ww.ww_value, new_version) :: !r)
-              ww.ww_plan;
-            Hashtbl.replace ctx.co_cache ww.ww_key ww.ww_value;
-            ctx.co_wait <- None;
-            ww.ww_k (Ok ())
-          end)
+              (fun dst ->
+                if dst = t.id then
+                  serve_op t ~txn:ctx.co_txn op ~reply:(fun reply ->
+                      (* Loop back asynchronously so reply handling never
+                         re-enters. *)
+                      ignore
+                        (Engine.schedule_after ~label:(Engine.Internal t.id)
+                           t.engine Time.zero
+                           (guarded t (fun () ->
+                                round_reply t ctx ~src:t.id reply))))
+                else begin
+                  Counter.incr t.counters "data_msgs";
+                  t.send_raw ~dst
+                    (Msg.txn_msg ctx.co_txn
+                       (match op with
+                       | Mix.Read key -> Msg.Read_req { key }
+                       | Mix.Write (key, value) ->
+                           Msg.Write_req { key; value }))
+                end)
+              plan)
+
+(* [src]'s reply to a data op; only a reply of the current round's kind
+   and key counts. *)
+and round_reply t ctx ~src (reply : Msg.payload) =
+  match (ctx.co_wait, reply) with
+  | Some ({ rd_op = Mix.Read key; _ } as rd), Msg.Read_reply { key = k; result }
+    when String.equal key k -> (
+      match result with
+      | Error r -> abort_coord_early t ctx (reason_of_refusal r)
+      | Ok (value, version) -> round_answered t ctx rd ~src ~value ~version)
+  | ( Some ({ rd_op = Mix.Write (key, _); _ } as rd),
+      Msg.Write_reply { key = k; result } )
+    when String.equal key k -> (
+      match result with
+      | Error r -> abort_coord_early t ctx (reason_of_refusal r)
+      | Ok version -> round_answered t ctx rd ~src ~value:None ~version)
   | _ -> ()
+
+and round_answered t ctx rd ~src ~value ~version =
+  rd.rd_pending <- Sset.remove src rd.rd_pending;
+  if version > rd.rd_version then begin
+    rd.rd_version <- version;
+    rd.rd_value <- value
+  end;
+  if Sset.is_empty rd.rd_pending then begin
+    Engine.cancel t.engine rd.rd_timer;
+    (match rd.rd_op with
+    | Mix.Read _ -> ()
+    | Mix.Write (key, value) ->
+        (* Every copy in the plan installs the next version. *)
+        let new_version = rd.rd_version + 1 in
+        List.iter
+          (fun s ->
+            Hashtbl.replace ctx.co_site_writes s
+              ((key, value, new_version)
+              :: Option.value ~default:[]
+                   (Hashtbl.find_opt ctx.co_site_writes s)))
+          rd.rd_plan;
+        Hashtbl.replace ctx.co_cache key value);
+    ctx.co_wait <- None;
+    rd.rd_k (Ok rd.rd_value)
+  end
 
 let begin_commit t ctx =
   if not ctx.co_finished then begin
     let participants = Sset.elements ctx.co_touched in
     if participants = [] then finish_coord t ctx Committed
     else begin
-      ctx.co_machine <-
+      ctx.co_slot.machine <-
         Some
           (Commit_protocol.coordinator t.config.commit_protocol ~participants
              ~self:t.id ~timeouts:t.config.commit_timeouts);
-      feed_coord t ctx P.Start
+      feed t Coord ctx P.Start
     end
   end
 
@@ -1316,13 +1264,9 @@ let rec step_txn t ctx =
     | [] -> begin_commit t ctx
     | op :: rest ->
         ctx.co_ops <- rest;
-        let continue result =
-          match result with Ok _ -> step_txn t ctx | Error _ -> ()
-        in
-        (match op with
-        | Rt_workload.Mix.Read key -> do_read t ctx ~key ~k:continue
-        | Rt_workload.Mix.Write (key, value) ->
-            do_write t ctx ~key ~value ~k:(fun r -> continue r))
+        run_op t ctx op ~k:(function
+          | Ok _ -> step_txn t ctx
+          | Error _ -> ())
 
 let new_coord_ctx t ~ops ~k =
   t.txn_seq <- t.txn_seq + 1;
@@ -1338,8 +1282,7 @@ let new_coord_ctx t ~ops ~k =
       co_shards = Sset.empty;
       co_site_writes = Hashtbl.create 8;
       co_cache = Hashtbl.create 8;
-      co_machine = None;
-      co_timers = Hashtbl.create 4;
+      co_slot = new_slot ();
       co_wait = None;
       co_finished = false;
       co_outcome = None;
@@ -1363,8 +1306,10 @@ let begin_txn t =
   if not (serving t) then None
   else Some (new_coord_ctx t ~ops:[] ~k:(fun _ -> ()))
 
-let txn_read t h ~key ~k = do_read t h ~key ~k
-let txn_write t h ~key ~value ~k = do_write t h ~key ~value ~k
+let txn_read t h ~key ~k = run_op t h (Mix.Read key) ~k
+
+let txn_write t h ~key ~value ~k =
+  run_op t h (Mix.Write (key, value)) ~k:(fun r -> k (Result.map ignore r))
 
 let txn_commit t h ~k =
   match h.co_outcome with
@@ -1383,18 +1328,13 @@ let txn_abort t h =
 let all_machines_feed t input =
   (* Sorted by txn id: feeding a machine emits protocol actions, so the
      feed order is part of the replayed history. *)
-  let coords =
-    Ids.Txn_map.fold (fun txn c acc -> (txn, c) :: acc) t.coords []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-    |> List.map snd
-  in
-  let parts =
-    Ids.Txn_map.fold (fun txn p acc -> (txn, p) :: acc) t.parts []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-    |> List.map snd
-  in
-  List.iter (fun c -> if c.co_machine <> None then feed_coord t c input) coords;
-  List.iter (fun p -> if p.pt_machine <> None then feed_part t p input) parts
+  let coords = by_txn t.coords and parts = by_txn t.parts in
+  List.iter
+    (fun (_, c) -> if c.co_slot.machine <> None then feed t Coord c input)
+    coords;
+  List.iter
+    (fun (_, p) -> if p.pt_slot.machine <> None then feed t Part p input)
+    parts
 
 let on_peer_down t peer =
   Counter.incr t.counters "peer_down_events";
@@ -1494,27 +1434,17 @@ let crash ?torn t =
     t.locks <- Lock.create ();
     t.stamps <- Stamps.create ();
     (* Clients waiting on this coordinator learn the site died. *)
-    let pending =
-      Ids.Txn_map.fold
-        (fun txn ctx acc ->
-          if ctx.co_finished then acc else (txn, ctx) :: acc)
-        t.coords []
-      |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-      |> List.map snd
-    in
     List.iter
-      (fun ctx ->
+      (fun (_, ctx) ->
         ctx.co_finished <- true;
         Counter.incr t.counters "aborts";
         Counter.incr t.counters ("aborts_" ^ abort_reason_label Site_down);
         ctx.co_k (Aborted Site_down))
-      pending;
+      (List.filter (fun (_, ctx) -> not ctx.co_finished) (by_txn t.coords));
     Ids.Txn_map.reset t.coords;
     Ids.Txn_map.reset t.parts;
-    Ids.Txn_map.reset t.presumed;
-    Ids.Txn_map.reset t.decided;
-    Ids.Txn_map.reset t.px_early;
-    Ids.Txn_map.reset t.first_lsn
+    Ids.Txn_map.reset t.outcomes;
+    Ids.Txn_map.reset t.px_early
   end
 
 (* A crash landing inside the recovery replay window: the site is still
@@ -1590,15 +1520,11 @@ let recover t =
          (fun () ->
            if t.incarnation = inc && not t.up then begin
              t.up <- true;
-             let settle txn d =
-               Ids.Txn_map.replace t.presumed txn d;
-               Ids.Txn_map.replace t.decided txn d
-             in
-             List.iter (fun txn -> settle txn P.Commit) outcome.committed;
-             List.iter (fun txn -> settle txn P.Abort) outcome.aborted;
+             List.iter (fun txn -> decide t txn P.Commit) outcome.committed;
+             List.iter (fun txn -> decide t txn P.Abort) outcome.aborted;
              (* Presumed-commit coordinator records without a decision
                 must abort. *)
-             List.iter (fun txn -> settle txn P.Abort) outcome.collecting;
+             List.iter (fun txn -> decide t txn P.Abort) outcome.collecting;
              (* An in-doubt transaction coordinated *here* is settled by
                 this site's own log where the protocol allows: no
                 decision record means no decision was ever distributed,
@@ -1609,9 +1535,9 @@ let recover t =
                (fun (d : Recovery.in_doubt) ->
                  if
                    d.txn.Tid.origin = t.id
-                   && not (Ids.Txn_map.mem t.presumed d.txn)
+                   && not (Ids.Txn_map.mem t.outcomes d.txn)
                  then
-                   Option.iter (settle d.txn)
+                   Option.iter (decide t d.txn)
                      (Commit_protocol.presumption t.config.commit_protocol
                         ~participants:(doubt_participants t d)
                         ~coordinator:t.id))
@@ -1623,14 +1549,14 @@ let recover t =
                  let ctx = get_or_create_part t d.txn in
                  ctx.pt_writes <- d.writes;
                  ctx.pt_participants <- participants;
-                 ctx.pt_machine <-
+                 ctx.pt_slot.machine <-
                    Some
                      (Commit_protocol.recovered_participant
                         t.config.commit_protocol ~participants
                         ~coordinator:d.txn.Tid.origin ~self:t.id
                         ~state:(doubt_state_of d.state)
                         ~timeouts:t.config.commit_timeouts);
-                 feed_part t ctx P.Start)
+                 feed t Part ctx P.Start)
                outcome.in_doubt;
              (* Catch up missed committed updates when the replica-control
                 protocol requires validated copies.  Until the transfer
@@ -1700,21 +1626,14 @@ let receive t ~src (msg : Msg.t) =
     | None, Msg.Catchup_reply { entries; complete } ->
         handle_catchup_reply t entries ~complete
     | Some txn, Msg.Read_req { key } ->
-        handle_read_req t ~txn ~key ~reply:(fun result ->
-            t.send_raw ~dst:src
-              (Msg.txn_msg txn (Msg.Read_reply { key; result })))
+        serve_op t ~txn (Mix.Read key) ~reply:(fun reply ->
+            t.send_raw ~dst:src (Msg.txn_msg txn reply))
     | Some txn, Msg.Write_req { key; value } ->
-        ignore value;
-        handle_write_req t ~txn ~key ~reply:(fun result ->
-            t.send_raw ~dst:src
-              (Msg.txn_msg txn (Msg.Write_reply { key; result })))
-    | Some txn, Msg.Read_reply { key; result } -> (
+        serve_op t ~txn (Mix.Write (key, value)) ~reply:(fun reply ->
+            t.send_raw ~dst:src (Msg.txn_msg txn reply))
+    | Some txn, ((Msg.Read_reply _ | Msg.Write_reply _) as reply) -> (
         match Ids.Txn_map.find_opt t.coords txn with
-        | Some ctx -> coord_read_reply t ctx ~src ~key ~result
-        | None -> ())
-    | Some txn, Msg.Write_reply { key; result } -> (
-        match Ids.Txn_map.find_opt t.coords txn with
-        | Some ctx -> coord_write_reply t ctx ~src ~key ~result
+        | Some ctx -> round_reply t ctx ~src reply
         | None -> ())
     | Some txn, Msg.Abort_txn -> handle_abort_txn t txn
     | Some txn, Msg.Probe { initiator } ->
@@ -1796,79 +1715,81 @@ let dump t =
     (Lock.dump t.locks);
   add "\nto:%s" (Stamps.dump t.stamps);
   add "\nparts:";
-  Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.parts []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  |> List.iter (fun (txn, ctx) ->
-         add "%s{w=%s;ps=%s;m=%s;d=%s;res=%b;swp=%b;tm=%s;waits=%d};"
-           (tid_str txn) (writes_str ctx.pt_writes)
-           (String.concat ","
-              (List.map string_of_int
-                 (List.sort Int.compare ctx.pt_participants)))
-           (machine_str ctx.pt_machine)
-           (match ctx.pt_doomed with
-           | None -> "-"
-           | Some r -> Format.asprintf "%a" Msg.pp_refusal r)
-           ctx.pt_resolved
-           (Option.is_some ctx.pt_sweep)
-           (timers_str ctx.pt_timers)
-           (List.length (List.filter (fun w -> not w.w_done) ctx.pt_waits)));
+  let parts = by_txn t.parts in
+  List.iter
+    (fun (txn, ctx) ->
+      add "%s{w=%s;ps=%s;m=%s;d=%s;res=%b;swp=%b;tm=%s;waits=%d};"
+        (tid_str txn) (writes_str ctx.pt_writes)
+        (String.concat ","
+           (List.map string_of_int
+              (List.sort Int.compare ctx.pt_participants)))
+        (machine_str ctx.pt_slot.machine)
+        (match ctx.pt_doomed with
+        | None -> "-"
+        | Some r -> Format.asprintf "%a" Msg.pp_refusal r)
+        ctx.pt_resolved
+        (Option.is_some ctx.pt_sweep)
+        (timers_str ctx.pt_slot.timers)
+        (List.length (List.filter (fun w -> not w.w_done) ctx.pt_waits)))
+    parts;
   add "\ncoords:";
-  Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.coords []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  |> List.iter (fun (txn, ctx) ->
-         let op_str = function
-           | Rt_workload.Mix.Read k -> Printf.sprintf "r(%s)" k
-           | Rt_workload.Mix.Write (k, v) -> Printf.sprintf "w(%s=%s)" k v
-         in
-         let wait_str =
-           match ctx.co_wait with
-           | None -> "-"
-           | Some (W_read w) ->
-               Printf.sprintf "read{%s;p=%s;v=%d}" w.rw_key
-                 (sset_str w.rw_pending) w.rw_version
-           | Some (W_write w) ->
-               Printf.sprintf "write{%s=%s;p=%s;mv=%d}" w.ww_key w.ww_value
-                 (sset_str w.ww_pending) w.ww_maxv
-         in
-         let site_writes =
-           Hashtbl.fold (fun s ws acc -> (s, !ws) :: acc) ctx.co_site_writes []
-           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-           |> List.map (fun (s, ws) ->
-                  Printf.sprintf "%d:%s" s (writes_str ws))
-           |> String.concat "|"
-         in
-         let cache =
-           Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.co_cache []
-           |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-           |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
-           |> String.concat ","
-         in
-         add
-           "%s{ops=%s;tch=%s;sh=%s;m=%s;wait=%s;fin=%b;out=%s;tm=%s;sw=%s;\
-            c=%s};"
-           (tid_str txn)
-           (String.concat "," (List.map op_str ctx.co_ops))
-           (sset_str ctx.co_touched) (sset_str ctx.co_shards)
-           (machine_str ctx.co_machine) wait_str ctx.co_finished
-           (match ctx.co_outcome with
-           | None -> "-"
-           | Some Committed -> "C"
-           | Some (Aborted r) -> "A:" ^ abort_reason_label r)
-           (timers_str ctx.co_timers) site_writes cache);
-  let decisions tag map =
+  List.iter
+    (fun (txn, ctx) ->
+      let op_str = function
+        | Mix.Read k -> Printf.sprintf "r(%s)" k
+        | Mix.Write (k, v) -> Printf.sprintf "w(%s=%s)" k v
+      in
+      let wait_str =
+        match ctx.co_wait with
+        | None -> "-"
+        | Some { rd_op = Mix.Read key; rd_pending; rd_version; _ } ->
+            Printf.sprintf "read{%s;p=%s;v=%d}" key (sset_str rd_pending)
+              rd_version
+        | Some { rd_op = Mix.Write (key, value); rd_pending; rd_version; _ } ->
+            Printf.sprintf "write{%s=%s;p=%s;mv=%d}" key value
+              (sset_str rd_pending) rd_version
+      in
+      let site_writes =
+        Det.sorted_bindings ~cmp:Int.compare ctx.co_site_writes
+        |> List.map (fun (s, ws) -> Printf.sprintf "%d:%s" s (writes_str ws))
+        |> String.concat "|"
+      in
+      let cache =
+        Det.sorted_bindings ~cmp:String.compare ctx.co_cache
+        |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
+        |> String.concat ","
+      in
+      add "%s{ops=%s;tch=%s;sh=%s;m=%s;wait=%s;fin=%b;out=%s;tm=%s;sw=%s;c=%s};"
+        (tid_str txn)
+        (String.concat "," (List.map op_str ctx.co_ops))
+        (sset_str ctx.co_touched) (sset_str ctx.co_shards)
+        (machine_str ctx.co_slot.machine) wait_str ctx.co_finished
+        (match ctx.co_outcome with
+        | None -> "-"
+        | Some Committed -> "C"
+        | Some (Aborted r) -> "A:" ^ abort_reason_label r)
+        (timers_str ctx.co_slot.timers) site_writes cache)
+    (by_txn t.coords);
+  (* [presumed] is every answer the site gives, [decided] the genuine
+     outcomes among them. *)
+  let outcomes = by_txn t.outcomes in
+  let decisions tag decision_of =
     add "\n%s:" tag;
-    Ids.Txn_map.fold (fun txn d acc -> (txn, d) :: acc) map []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-    |> List.iter (fun (txn, d) ->
-           add "%s=%s;" (tid_str txn)
-             (match d with P.Commit -> "C" | P.Abort -> "A"))
+    List.iter
+      (fun (txn, known) ->
+        Option.iter
+          (fun d ->
+            add "%s=%s;" (tid_str txn)
+              (match d with P.Commit -> "C" | P.Abort -> "A"))
+          (decision_of known))
+      outcomes
   in
-  decisions "presumed" t.presumed;
-  decisions "decided" t.decided;
+  decisions "presumed" (function Pledged -> Some P.Abort | Decided d -> Some d);
+  decisions "decided" (function Pledged -> None | Decided d -> Some d);
   add "\nfirst_lsn:";
-  Ids.Txn_map.fold (fun txn l acc -> (txn, l) :: acc) t.first_lsn []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  |> List.iter (fun (txn, l) -> add "%s=%d;" (tid_str txn) l);
+  List.iter
+    (fun (txn, ctx) -> Option.iter (add "%s=%d;" (tid_str txn)) ctx.pt_slot.pin)
+    parts;
   add "\nview:%s\n"
     (String.concat "," (List.map string_of_int (up_view t)));
   Buffer.contents buf
