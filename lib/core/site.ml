@@ -50,7 +50,8 @@ type wait = {
 
 (* A commitment machine and what its driver keeps beside it: the
    protocol timers the machine armed, and [pin], the LSN of the first log
-   record it appended.  No checkpoint truncates from a pin on. *)
+   record it appended.  No checkpoint truncates from a pin on: until the
+   machine ends (see [ended]), recovery may need every record it wrote. *)
 type slot = {
   mutable machine : Erased.t option;
   timers : (P.timer, Engine.event_id) Hashtbl.t;
@@ -337,6 +338,16 @@ let slot_of : type c. c role -> c -> slot =
 let txn_of : type c. c role -> c -> Tid.t =
  fun role ctx -> match role with Part -> ctx.pt_txn | Coord -> ctx.co_txn
 
+(* A machine has ended once no site can need its records again: a
+   participant when it resolves; a coordinator when it has delivered the
+   outcome and armed no timer, that is, every acknowledgement is in (it
+   logged End) or it adopted a termination decision. *)
+let ended : type c. c role -> c -> slot -> bool =
+ fun role ctx slot ->
+  match role with
+  | Part -> ctx.pt_resolved
+  | Coord -> ctx.co_finished && Hashtbl.length slot.timers = 0
+
 (* Machine reclamation is a *delayed* cleanup, not a prompt continuation:
    it must be labelled as a timer, not [Internal], or an explorer that
    eagerly drains internal events reaps the machine ahead of in-flight
@@ -478,11 +489,15 @@ let maybe_checkpoint t =
     let durable = Wal.durable_lsn t.wal in
     Checkpoint.take t.cp ~kv:t.kv ~lsn:durable
       ~shard_of:(Placement.shard_of_key t.placement);
-    (* Keep records needed by unresolved transactions. *)
+    (* Keep the records of every live machine. *)
     let floor =
       (* rt_lint: allow deterministic-iteration -- commutative minimum *)
       Ids.Txn_map.fold (fun _ ctx acc -> min_pin ctx.pt_slot acc) t.parts
         (durable + 1)
+    in
+    let floor =
+      (* rt_lint: allow deterministic-iteration -- commutative minimum *)
+      Ids.Txn_map.fold (fun _ ctx acc -> min_pin ctx.co_slot acc) t.coords floor
     in
     let upto = min durable (floor - 1) in
     let upto =
@@ -566,6 +581,7 @@ and feed : type c. t -> c role -> c -> P.input -> unit =
         let m', actions = Erased.step m input in
         slot.machine <- Some m';
         interpret t role ctx slot actions;
+        if ended role ctx slot then slot.pin <- None;
         (* Step boundary: the machine consumed [input] and its actions are
            fully interpreted — a crash here loses everything volatile the
            step produced but nothing of the step itself. *)
@@ -606,11 +622,10 @@ and interpret : type c. t -> c role -> c -> slot -> P.action list -> unit =
           in
           out_commit_msg t (txn_of role ctx) ~dst pmsg ~prepare
       | P.Log (tag, mode) -> (
-          let first = Wal.tail_lsn t.wal + 1 in
+          if slot.pin = None then slot.pin <- Some (Wal.tail_lsn t.wal + 1);
           let lsn =
             match role with
             | Part ->
-                if slot.pin = None then slot.pin <- Some first;
                 append_log t ctx.pt_txn ~writes:ctx.pt_writes
                   ~participants:ctx.pt_participants tag
             | Coord -> append_log t ctx.co_txn ~writes:[] ~participants:[] tag
@@ -652,7 +667,6 @@ and interpret : type c. t -> c role -> c -> slot -> P.action list -> unit =
                 ctx.pt_resolved <- true;
                 cancel_sweep t ctx;
                 Counter.incr t.counters "readonly_releases";
-                slot.pin <- None;
                 Lock.release_all t.locks ~txn:ctx.pt_txn;
                 gc t Part ctx
               end
@@ -684,7 +698,6 @@ and resolve_part t ctx (d : P.decision) =
         t.commits_since_cp <- t.commits_since_cp + 1;
         maybe_checkpoint t
     | P.Abort -> Counter.incr t.counters "participant_aborts");
-    ctx.pt_slot.pin <- None;
     Stamps.release t.stamps ~txn:ctx.pt_txn;
     Lock.release_all t.locks ~txn:ctx.pt_txn;
     (* A coordinator on this site must learn the decision too: a
@@ -1715,7 +1728,7 @@ let dump t =
     (Lock.dump t.locks);
   add "\nto:%s" (Stamps.dump t.stamps);
   add "\nparts:";
-  let parts = by_txn t.parts in
+  let parts = by_txn t.parts and coords = by_txn t.coords in
   List.iter
     (fun (txn, ctx) ->
       add "%s{w=%s;ps=%s;m=%s;d=%s;res=%b;swp=%b;tm=%s;waits=%d};"
@@ -1769,7 +1782,7 @@ let dump t =
         | Some Committed -> "C"
         | Some (Aborted r) -> "A:" ^ abort_reason_label r)
         (timers_str ctx.co_slot.timers) site_writes cache)
-    (by_txn t.coords);
+    coords;
   (* [presumed] is every answer the site gives, [decided] the genuine
      outcomes among them. *)
   let outcomes = by_txn t.outcomes in
@@ -1787,9 +1800,11 @@ let dump t =
   decisions "presumed" (function Pledged -> Some P.Abort | Decided d -> Some d);
   decisions "decided" (function Pledged -> None | Decided d -> Some d);
   add "\nfirst_lsn:";
-  List.iter
-    (fun (txn, ctx) -> Option.iter (add "%s=%d;" (tid_str txn)) ctx.pt_slot.pin)
-    parts;
+  let pin role txn slot =
+    Option.iter (add "%s%s=%d;" role (tid_str txn)) slot.pin
+  in
+  List.iter (fun (txn, ctx) -> pin "" txn ctx.pt_slot) parts;
+  List.iter (fun (txn, ctx) -> pin "coord:" txn ctx.co_slot) coords;
   add "\nview:%s\n"
     (String.concat "," (List.map string_of_int (up_view t)));
   Buffer.contents buf

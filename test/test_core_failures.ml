@@ -52,6 +52,53 @@ let test_checkpoint_truncates_and_recovers () =
   Alcotest.(check bool) "state identical after restart" true
     (Kv.snapshot (Site.kv s0) = before)
 
+let fixed_links config =
+  {
+    config with
+    Config.link = Rt_net.Net.reliable_link (Rt_net.Latency.Fixed (Time.us 100));
+  }
+
+(* Checkpoints release what they pin: with a checkpoint after every
+   commit, 100 sequential fault-free transactions (origins round-robin,
+   each submitted 1 ms after the previous outcome) leave every site's log
+   short under every protocol. *)
+let test_checkpoint_pins_released () =
+  List.iter
+    (fun (name, protocol) ->
+      let config =
+        fixed_links
+          { (Config.default ~sites:3 ()) with
+            commit_protocol = protocol;
+            checkpoint_every = 1;
+            seed = 0 }
+      in
+      let cluster = Cluster.create config in
+      let engine = Cluster.engine cluster in
+      let committed = ref 0 in
+      let rec submit i =
+        if i < 100 then
+          Cluster.submit cluster ~site:(i mod 3)
+            ~ops:[ Mix.Write (Printf.sprintf "k%d" (i mod 7), string_of_int i) ]
+            ~k:(fun o ->
+              (match o with
+              | Site.Committed -> incr committed
+              | Site.Aborted _ -> ());
+              ignore
+                (Engine.schedule_after engine (Time.ms 1) (fun () ->
+                     submit (i + 1))))
+      in
+      ignore (Engine.schedule_at engine (Time.ms 1) (fun () -> submit 0));
+      Cluster.run ~until:(Time.sec 3) cluster;
+      Alcotest.(check int) (name ^ ": all committed") 100 !committed;
+      Array.iter
+        (fun s ->
+          let len = Site.log_length s in
+          if len > 10 then
+            Alcotest.failf "%s: site %d keeps %d log records" name (Site.id s)
+              len)
+        (Cluster.sites cluster))
+    Rt_commit.Commit_protocol.all
+
 (* --- presumed-commit recovery ------------------------------------------- *)
 
 let test_prc_collecting_aborts_after_coordinator_crash () =
@@ -85,6 +132,101 @@ let test_prc_collecting_aborts_after_coordinator_crash () =
         0 (Site.active_participants s))
     (Cluster.sites cluster);
   Alcotest.(check bool) "replicas agree" true (Cluster.converged cluster)
+
+(* --- coordinator log retention ------------------------------------------ *)
+
+let at cluster ms f =
+  ignore (Engine.schedule_at (Cluster.engine cluster) (Time.ms ms) f)
+
+(* The first transaction site 0 submits, at 1 ms. *)
+let t01 = Rt_types.Ids.Txn_id.make ~origin:0 ~seq:1 ~start_ts:(Time.ms 1)
+
+let decision_of site txn =
+  List.find_map
+    (fun (t, d) -> if Rt_types.Ids.Txn_id.equal t txn then Some d else None)
+    (Site.decided_txns site)
+
+(* A checkpoint must keep the records of a coordinator that still owes a
+   participant the decision.  Site 1 crashes right after logging Prepared
+   (its Yes is already out) and is down when T0.1's commit is sent.  The
+   commit of site 0's second transaction takes a checkpoint; site 0 then
+   crashes and recovers, and must still answer site 1's inquiry with the
+   commit it decided, not with its protocol's abort presumption. *)
+let coordinator_keeps_decision variant () =
+  let config =
+    fixed_links
+      { (Config.default ~sites:3 ()) with
+        commit_protocol = Config.Two_phase variant;
+        checkpoint_every = 1;
+        seed = 0 }
+  in
+  let cluster = Cluster.create config in
+  let injected =
+    Failure.crash_at_point cluster ~site:1 ~point:"part:logged-prepared"
+      ~occurrence:1 ~recover_after:(Time.ms 500) ()
+  in
+  let first = ref None in
+  at cluster 1 (fun () ->
+      Cluster.submit cluster ~site:0 ~ops:[ Mix.Write ("a", "1") ] ~k:(fun o ->
+          first := Some o));
+  at cluster 100 (fun () ->
+      Cluster.submit cluster ~site:0 ~ops:[ Mix.Read "a" ] ~k:(fun _ -> ()));
+  at cluster 200 (fun () -> Cluster.crash_site cluster 0);
+  at cluster 250 (fun () -> Cluster.recover_site cluster 0);
+  Cluster.run ~until:(Time.sec 3) cluster;
+  Alcotest.(check bool) "site 1 crashed after preparing" true (injected ());
+  check_committed !first;
+  List.iter
+    (fun (v : Audit.violation) ->
+      if v.inv = "agreement" then Alcotest.failf "agreement: %s" v.detail)
+    (Audit.standard cluster);
+  match decision_of (Cluster.site cluster 1) t01 with
+  | Some Rt_commit.Protocol.Commit -> ()
+  | Some Rt_commit.Protocol.Abort -> Alcotest.fail "site 1 aborted T0.1"
+  | None -> Alcotest.fail "site 1 never decided T0.1"
+
+(* The presumed-commit counterpart: the Collecting record of a
+   coordinator that is no participant must survive a checkpoint until
+   the transaction ends.  Four sites, range shards split at "b" with
+   three replicas each: "b" lives on sites 1-3, "a" on sites 0-2.  Site 3
+   crashes at its first forced write, so it never votes on T0.1.  Site
+   0's second transaction commits (and checkpoints) before site 0
+   crashes; recovery must find T0.1's Collecting record and abort it,
+   where an empty log would have presumed commit without site 3's vote. *)
+let test_prc_coordinator_keeps_collecting () =
+  let config =
+    fixed_links
+      { (Config.default ~sites:4 ()) with
+        commit_protocol = Config.Two_phase Rt_commit.Two_pc.Presumed_commit;
+        placement =
+          Some
+            (Rt_placement.Placement.create
+               ~map:(Rt_placement.Shard_map.range ~boundaries:[ "b" ])
+               ~sites:4 ~degree:3 ());
+        checkpoint_every = 1;
+        seed = 0 }
+  in
+  let cluster = Cluster.create config in
+  let injected =
+    Failure.crash_at_point cluster ~site:3 ~point:"wal:force-volatile"
+      ~occurrence:1 ~recover_after:(Time.ms 400) ()
+  in
+  at cluster 1 (fun () ->
+      Cluster.submit cluster ~site:0 ~ops:[ Mix.Write ("b", "1") ] ~k:ignore);
+  at cluster 2 (fun () ->
+      Cluster.submit cluster ~site:0 ~ops:[ Mix.Write ("a", "1") ] ~k:ignore);
+  at cluster 20 (fun () -> Cluster.crash_site cluster 0);
+  at cluster 30 (fun () -> Cluster.recover_site cluster 0);
+  Cluster.run ~until:(Time.sec 3) cluster;
+  Alcotest.(check bool) "site 3 crashed before voting" true (injected ());
+  Array.iter
+    (fun s ->
+      match decision_of s t01 with
+      | Some Rt_commit.Protocol.Commit ->
+          Alcotest.failf "site %d committed T0.1 without site 3's vote"
+            (Site.id s)
+      | Some Rt_commit.Protocol.Abort | None -> ())
+    (Cluster.sites cluster)
 
 (* --- read-only optimization end to end ---------------------------------- *)
 
@@ -345,11 +487,22 @@ let () =
         [
           Alcotest.test_case "truncation + recovery" `Quick
             test_checkpoint_truncates_and_recovers;
+          Alcotest.test_case "pins released" `Quick
+            test_checkpoint_pins_released;
         ] );
       ( "presumed-commit",
         [
           Alcotest.test_case "collecting record forces abort" `Quick
             test_prc_collecting_aborts_after_coordinator_crash;
+        ] );
+      ( "log-retention",
+        [
+          Alcotest.test_case "2PC-PrA coordinator keeps its decision" `Quick
+            (coordinator_keeps_decision Rt_commit.Two_pc.Presumed_abort);
+          Alcotest.test_case "2PC-PrN coordinator keeps its decision" `Quick
+            (coordinator_keeps_decision Rt_commit.Two_pc.Presumed_nothing);
+          Alcotest.test_case "2PC-PrC coordinator keeps Collecting" `Quick
+            test_prc_coordinator_keeps_collecting;
         ] );
       ( "read-only",
         [
