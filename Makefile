@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis explore clean
+.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis soak explore clean
 
 all: build
 
@@ -55,6 +55,15 @@ nemesis:
 disk-nemesis:
 	dune build bin/disk_nemesis.exe
 	dune exec bin/disk_nemesis.exe -- > DISK_NEMESIS.md; s=$$?; cat DISK_NEMESIS.md; exit $$s
+
+# Soak: one 2 s window of random MTTF crashes, with checkpoints and
+# catch-up, per commit protocol (see bin/soak.ml).  Every protocol runs;
+# the target fails if any audit reports a violation.
+soak:
+	dune build bin/soak.exe
+	@s=0; for p in 2pc-prn 2pc-pra 2pc-prc 3pc qc paxos; do \
+	  dune exec bin/soak.exe -- --protocol $$p --seed 1 || s=1; \
+	done; exit $$s
 
 # Bounded exhaustive schedule exploration with DPOR: the N=3 scenario
 # matrix across all six commit protocols (see docs/EXPLORER.md).  Every

@@ -158,15 +158,6 @@ type input =
   | Peer_down of Ids.site_id
   | Peers_reachable of Ids.site_id list
 
-let pp_input fmt = function
-  | Start -> Format.pp_print_string fmt "start"
-  | Recv (src, m) -> Format.fprintf fmt "recv(%a,%a)" Ids.pp_site src pp_msg m
-  | Log_done tag -> Format.fprintf fmt "log-done(%a)" pp_log_tag tag
-  | Timeout t -> Format.fprintf fmt "timeout(%a)" pp_timer t
-  | Peer_down s -> Format.fprintf fmt "peer-down(%a)" Ids.pp_site s
-  | Peers_reachable l ->
-      Format.fprintf fmt "peers-reachable(%d)" (List.length l)
-
 let msg_point = function
   | Vote_req -> "vote-req"
   | Vote_yes -> "vote-yes"

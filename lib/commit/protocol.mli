@@ -146,8 +146,6 @@ type input =
           well as form).  Used by the 3PC and quorum-commit termination
           machinery; other machines ignore it. *)
 
-val pp_input : Format.formatter -> input -> unit
-
 val input_point : input -> string
 (** Stable, site-free name of the step boundary an input represents, e.g.
     ["recv-decision-commit"], ["logged-prepared"], ["timeout-votes"].  The

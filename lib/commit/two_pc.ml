@@ -9,8 +9,6 @@ let variant_name = function
   | Presumed_abort -> "2PC-PrA"
   | Presumed_commit -> "2PC-PrC"
 
-let pp_variant fmt v = Format.pp_print_string fmt (variant_name v)
-
 let presumption = function
   | Presumed_nothing | Presumed_abort -> Abort
   | Presumed_commit -> Commit

@@ -26,8 +26,6 @@ open Protocol
 
 type variant = Presumed_nothing | Presumed_abort | Presumed_commit
 
-val pp_variant : Format.formatter -> variant -> unit
-
 val variant_name : variant -> string
 
 (** {1 Coordinator} *)

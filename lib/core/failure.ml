@@ -87,9 +87,6 @@ let observe_crash_points_sized cluster =
          seen := (site, point, cycle) :: !seen));
   fun () -> List.rev !seen
 
-let clear_crash_points cluster =
-  Engine.set_crash_hook (Cluster.engine cluster) None
-
 let crash_at_point cluster ?torn ~site ~point ~occurrence ~recover_after () =
   let engine = Cluster.engine cluster in
   let count = ref 0 in

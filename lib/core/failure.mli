@@ -71,6 +71,3 @@ val crash_at_point :
     {!Cluster.crash_site}).  The returned thunk reports whether the
     injection happened — a discovery-pass point that is never reached
     again under the same seed is a determinism violation. *)
-
-val clear_crash_points : Cluster.t -> unit
-(** Remove the engine's crash-point hook. *)

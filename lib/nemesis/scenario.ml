@@ -1,9 +1,9 @@
-(* Composable network-fault scenarios.
+(* Network-fault scenarios.
 
    A scenario is a recipe: given the cluster size and the fault window it
    emits a deterministic, time-sorted list of fault steps.  Scenarios are
-   pure data — the campaign runner interprets the steps against a live
-   cluster — so they compose by merging step lists. *)
+   pure data: the campaign runner interprets the steps against a live
+   cluster. *)
 
 open Rt_sim
 
@@ -164,7 +164,3 @@ let cuts_reachability steps =
   List.exists
     (function _, (Partition _ | Sever _) -> true | _ -> false)
     steps
-
-let compose name ts =
-  make name (fun ~sites ~duration ->
-      List.concat_map (fun t -> t.build ~sites ~duration) ts)

@@ -1,4 +1,4 @@
-(** Composable network-fault scenarios.
+(** Network-fault scenarios.
 
     A scenario is pure data: given the cluster size and the fault window
     it produces a deterministic, time-sorted step list.  The campaign
@@ -77,9 +77,6 @@ val churn : ?every:Time.t -> ?down_for:Time.t -> unit -> t
 val coordinator_faults : ?every:Time.t -> ?down_for:Time.t -> unit -> t
 (** Alternate crashing site 0 and severing its outbound links — votes
     reach the coordinator, its decisions vanish. *)
-
-val compose : string -> t list -> t
-(** Merge several scenarios' steps into one (sorted at build time). *)
 
 val cuts_reachability : step list -> bool
 (** Whether the steps sever reachability ({!Partition} or {!Sever}), as

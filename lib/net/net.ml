@@ -101,7 +101,6 @@ let create ?(fifo = true) ?batch ?seed_rng engine ~nodes ~default =
 let nodes t = Array.length t.handlers
 let engine t = t.engine
 let partition t = t.part
-let default_link t = t.default
 
 let check_node t n =
   if n < 0 || n >= Array.length t.handlers then
@@ -131,10 +130,6 @@ let link t ~src ~dst =
 let register t n handler =
   check_node t n;
   t.handlers.(n) <- Some handler
-
-let unregister t n =
-  check_node t n;
-  t.handlers.(n) <- None
 
 let deliver t ~src ~dst ~seq msgs () =
   Hashtbl.remove t.in_flight seq;
@@ -288,11 +283,3 @@ let dump t ~msg =
         row)
     t.pending;
   Buffer.contents b
-
-let reset_stats t =
-  t.stats.sent <- 0;
-  t.stats.delivered <- 0;
-  t.stats.dropped_link <- 0;
-  t.stats.dropped_partition <- 0;
-  t.stats.duplicated <- 0;
-  t.stats.envelopes <- 0

@@ -66,9 +66,6 @@ val partition : 'msg t -> Partition.t
 (** The network's partition state; mutate it to inject (possibly one-way)
     partitions. *)
 
-val default_link : 'msg t -> link
-(** The link every pair uses unless overridden with {!set_link}. *)
-
 val link : 'msg t -> src:node_id -> dst:node_id -> link
 (** The effective link for a pair: the override if set, else the default.
     Lets fault injectors transform the current link in place. *)
@@ -84,8 +81,6 @@ val clear_links : 'msg t -> unit
 
 val register : 'msg t -> node_id -> (src:node_id -> 'msg -> unit) -> unit
 (** Install the delivery handler for a node, replacing any previous one. *)
-
-val unregister : 'msg t -> node_id -> unit
 
 val send : 'msg t -> src:node_id -> dst:node_id -> 'msg -> unit
 (** Fire-and-forget message send.  Sending to self is delivered after the
@@ -135,8 +130,6 @@ module Stats : sig
 end
 
 val stats : 'msg t -> Stats.t
-
-val reset_stats : 'msg t -> unit
 
 val dump : 'msg t -> msg:('msg -> string) -> string
 (** Canonical rendering of the network's mutable state — delivery

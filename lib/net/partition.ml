@@ -80,10 +80,6 @@ let reachable t ~src ~dst =
 
 let connected t a b = reachable t ~src:a ~dst:b && reachable t ~src:b ~dst:a
 
-let component_of t n =
-  check_node t n;
-  t.component.(n)
-
 let is_split t =
   let c0 = t.component.(0) in
   Array.exists (fun c -> c <> c0) t.component || t.severed_count > 0

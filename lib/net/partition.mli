@@ -44,8 +44,6 @@ val reachable : t -> src:node_id -> dst:node_id -> bool
 val connected : t -> node_id -> node_id -> bool
 (** Symmetric reachability: [reachable] in both directions. *)
 
-val component_of : t -> node_id -> int
-
 val is_split : t -> bool
 (** Some pair of nodes cannot communicate (component split or at least
     one severed edge). *)

@@ -9,8 +9,6 @@
 val sorted_bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings, sorted by key with [cmp]. *)
 
-val sorted_keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
 val iter_sorted :
   cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted ~cmp f tbl] applies [f] to each binding in ascending

@@ -51,14 +51,6 @@ let uniform_time t ~lo ~hi = int_in t ~lo ~hi
 let exponential_time t ~mean =
   Time.of_float_s (exponential t ~mean:(Time.to_float_s mean))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))

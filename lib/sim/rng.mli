@@ -38,8 +38,5 @@ val uniform_time : t -> lo:Time.t -> hi:Time.t -> Time.t
 val exponential_time : t -> mean:Time.t -> Time.t
 (** Exponential with the given mean, rounded to whole nanoseconds. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

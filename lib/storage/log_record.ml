@@ -17,13 +17,6 @@ type t =
   | End of Ids.Txn_id.t
   | Checkpoint_marker of { active : Ids.Txn_id.t list }
 
-let txn_of = function
-  | Update { txn; _ } -> Some txn
-  | Prepared { txn; _ } -> Some txn
-  | Precommit t | Preabort t | Collecting t | Commit t | Abort t | End t ->
-      Some t
-  | Checkpoint_marker _ -> None
-
 (* Structural checksum over the whole record (digest of the marshalled
    bytes, folded to an int).  Stored alongside each record by the WAL so
    recovery can tell a validly-written record from a torn or corrupt

@@ -28,9 +28,6 @@ type t =
       (** Transaction fully resolved locally; allows log truncation. *)
   | Checkpoint_marker of { active : Ids.Txn_id.t list }
 
-val txn_of : t -> Ids.Txn_id.t option
-(** The transaction a record belongs to, if any. *)
-
 val checksum : t -> int
 (** Deterministic structural checksum of the record, covering every
     field.  The WAL stores it with the record (plus a sequence-chain

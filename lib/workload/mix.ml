@@ -16,15 +16,6 @@ let default =
     value_size = 16 }
 
 let read_only t = { t with read_fraction = 1.0 }
-let update_heavy t = { t with read_fraction = 0.0 }
-
-let ycsb_base =
-  { keys = 1000; theta = 0.99; ops_per_txn = 4; read_fraction = 0.5;
-    value_size = 100 }
-
-let ycsb_a = ycsb_base
-let ycsb_b = { ycsb_base with read_fraction = 0.95 }
-let ycsb_c = { ycsb_base with read_fraction = 1.0 }
 let key_of i = Printf.sprintf "k%06d" i
 
 type gen = { mix : t; zipf : Zipf.t; rng : Rt_sim.Rng.t; mutable counter : int }

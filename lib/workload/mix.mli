@@ -24,19 +24,6 @@ val default : t
 
 val read_only : t -> t
 
-val update_heavy : t -> t
-(** 100% writes. *)
-
-(** Named mixes in the style of the standard cloud-serving benchmark:
-    A = 50/50 read/update on a skewed keyspace, B = 95/5, C = read-only,
-    all over 1000 keys with Zipf 0.99 access. *)
-
-val ycsb_a : t
-
-val ycsb_b : t
-
-val ycsb_c : t
-
 val key_of : int -> string
 (** Stable key naming ("k000042"). *)
 
