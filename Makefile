@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis soak explore clean
+.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis soak explore reports clean
 
 all: build
 
@@ -59,9 +59,11 @@ disk-nemesis:
 # Soak: one 2 s window of random MTTF crashes, with checkpoints and
 # catch-up, per commit protocol (see bin/soak.ml).  Every protocol runs;
 # the target fails if any audit reports a violation.
+SOAK_PROTOCOLS = 2pc-prn 2pc-pra 2pc-prc 3pc qc paxos
+
 soak:
 	dune build bin/soak.exe
-	@s=0; for p in 2pc-prn 2pc-pra 2pc-prc 3pc qc paxos; do \
+	@s=0; for p in $(SOAK_PROTOCOLS); do \
 	  dune exec bin/soak.exe -- --protocol $$p --seed 1 || s=1; \
 	done; exit $$s
 
@@ -73,6 +75,35 @@ soak:
 explore:
 	dune build bin/explore.exe
 	dune exec bin/explore.exe -- > EXPLORE.md; s=$$?; cat EXPLORE.md; exit $$s
+
+# Every report a behaviour-preserving change must leave byte-identical,
+# written under OUT: the crash sweep, both nemesis campaigns, the full
+# explorer report and one replay, the experiment tables (without their
+# host timings), the bench snapshot and the six soak runs, plus each
+# run's exit status in exit-status.txt.  Run it on two checkouts and
+# compare with `diff -r`.  About 4½ minutes on a 2-core machine.
+reports:
+	@test -n "$(OUT)" || { echo "usage: make reports OUT=<dir>"; exit 2; }
+	dune build bin/crashpoints.exe bin/nemesis.exe bin/disk_nemesis.exe \
+	  bin/explore.exe bin/experiments.exe bin/soak.exe bench/main.exe
+	mkdir -p $(OUT)
+	rm -f $(OUT)/exit-status.txt $(OUT)/BENCH_*.json
+	@run() { name=$$1; shift; "$$@" > $(OUT)/$$name.txt; \
+	  echo "$$name $$?" >> $(OUT)/exit-status.txt; }; \
+	b=_build/default/bin; \
+	run crashpoints $$b/crashpoints.exe; \
+	run nemesis $$b/nemesis.exe; \
+	run disk-nemesis $$b/disk_nemesis.exe; \
+	run explore $$b/explore.exe; \
+	run explore-replay $$b/explore.exe --replay QC/crash --schedule 0,0,0,0,1; \
+	for p in $(SOAK_PROTOCOLS); do \
+	  run soak-$$p $$b/soak.exe --protocol $$p --seed 1; \
+	done; \
+	run experiments $$b/experiments.exe; \
+	sed '/^(generated in /d' $(OUT)/experiments.txt > $(OUT)/experiments.tmp; \
+	mv $(OUT)/experiments.tmp $(OUT)/experiments.txt; \
+	cd $(OUT) && $(CURDIR)/_build/default/bench/main.exe --json > /dev/null
+	@cat $(OUT)/exit-status.txt
 
 clean:
 	dune clean
