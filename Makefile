@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis soak explore reports clean
+.PHONY: all build test lint bench-json bench-diff perfbench perfbench-smoke crash nemesis disk-nemesis soak explore reports clean
 
 all: build
 
@@ -11,14 +11,11 @@ test:
 lint:
 	dune build @lint
 
-bench:
-	dune exec bench/main.exe
-
 # Deterministic machine-readable metrics snapshot: writes BENCH_<n>.json
 # (highest existing index + 1) with fixed field order; CI uploads it as
 # an artifact.
 bench-json:
-	dune exec bench/main.exe -- --json
+	dune exec bench/main.exe
 
 # Perf gate: regenerate the snapshot and diff it against the highest
 # committed BENCH_<n>.json.  Virtual time is deterministic, so it fails
@@ -102,7 +99,7 @@ reports:
 	run experiments $$b/experiments.exe; \
 	sed '/^(generated in /d' $(OUT)/experiments.txt > $(OUT)/experiments.tmp; \
 	mv $(OUT)/experiments.tmp $(OUT)/experiments.txt; \
-	cd $(OUT) && $(CURDIR)/_build/default/bench/main.exe --json > /dev/null
+	cd $(OUT) && $(CURDIR)/_build/default/bench/main.exe > /dev/null
 	@cat $(OUT)/exit-status.txt
 
 clean:

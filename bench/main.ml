@@ -1,288 +1,25 @@
-(* Benchmark harness.
+(* Deterministic metrics snapshot: writes BENCH_<n>.json (the highest
+   existing index in the working directory + 1), which
+   tools/bench_diff.exe compares against the committed baseline.  The
+   experiment tables come from bin/experiments.exe; host-time costs are
+   measured by perfbench/.
 
-   Running this executable regenerates every table/figure of the
-   reconstructed evaluation (the simulation results the paper-style
-   write-up reports), then runs a Bechamel micro-benchmark suite with one
-   measurement per experiment, timing the core code path that experiment
-   exercises (wall-clock cost of the simulator itself, not simulated
-   time). *)
+     dune exec bench/main.exe *)
 
-open Bechamel
-open Toolkit
-module Experiment = Rt_core.Experiment
 module Config = Rt_core.Config
 module Cluster = Rt_core.Cluster
 module Client = Rt_core.Client
 module Site = Rt_core.Site
 module Mix = Rt_workload.Mix
-module Sandbox = Rt_commit.Sandbox
-module Two_pc = Rt_commit.Two_pc
 module Placement = Rt_placement.Placement
 module Shard_map = Rt_placement.Shard_map
 module Sample = Rt_metrics.Sample
-module Counter = Rt_metrics.Counter
 module T = Rt_sim.Time
-
-(* ------------------------------------------------------------------ *)
-(* Experiment tables                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let print_tables () =
-  List.iter
-    (fun (spec : Experiment.spec) ->
-      Printf.printf "== %s: %s ==\n\n" spec.id spec.title;
-      (* rt_lint: allow no-wall-clock -- host-side progress report, outside any simulation *)
-      let t0 = Unix.gettimeofday () in
-      Rt_metrics.Table.print (spec.table ());
-      (* rt_lint: allow no-wall-clock -- host-side progress report, outside any simulation *)
-      Printf.printf "\n(generated in %.1fs)\n\n%!" (Unix.gettimeofday () -. t0))
-    Experiment.all
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the per-experiment core code path         *)
-(* ------------------------------------------------------------------ *)
-
-let one_sandbox_commit proto () =
-  let o = Sandbox.run_fifo ~proto ~sites:3 ~votes:[| true; true; true |] () in
-  assert o.agreement
-
-let one_cluster_txn rc () =
-  let config =
-    { (Config.default ~sites:3 ()) with replica_control = rc; seed = 1 }
-  in
-  let cluster = Cluster.create config in
-  let ok = ref false in
-  Cluster.submit cluster ~site:0
-    ~ops:[ Mix.Write ("k", "v") ]
-    ~k:(fun o -> ok := o = Site.Committed);
-  Cluster.run ~until:(T.ms 100) cluster;
-  assert !ok
-
-let availability_sweep () =
-  let v = Rt_quorum.Votes.majority ~sites:7 in
-  let acc = ref 0. in
-  for p10 = 1 to 9 do
-    acc :=
-      !acc
-      +. Rt_quorum.Availability.txn_availability v ~p:(float_of_int p10 /. 10.)
-  done;
-  !acc
-
-let recovery_1k =
-  let log =
-    List.concat
-      (List.init 334 (fun i ->
-           let t =
-             Rt_types.Ids.Txn_id.make ~origin:0 ~seq:i ~start_ts:(T.us i)
-           in
-           [
-             Rt_storage.Log_record.Update
-               { txn = t; key = Printf.sprintf "k%d" (i mod 100); value = "v";
-                 version = i; undo = None };
-             Rt_storage.Log_record.Prepared { txn = t; participants = [ 0 ] };
-             Rt_storage.Log_record.Commit t;
-           ]))
-  in
-  fun () ->
-    let kv = Rt_storage.Kv.create () in
-    (Rt_storage.Recovery.recover kv log).redone
-
-let one_local_txn scheme () =
-  let r =
-    Rt_cc.Workbench.run ~seed:1 ~scheme ~clients:1
-      ~mix:{ Mix.default with keys = 16; ops_per_txn = 4 }
-      ~duration:(T.us 200) ()
-  in
-  r.committed
-
-let engine_churn () =
-  let e = Rt_sim.Engine.create () in
-  for i = 1 to 500 do
-    ignore (Rt_sim.Engine.schedule_after e (T.us i) (fun () -> ()))
-  done;
-  Rt_sim.Engine.run e;
-  Rt_sim.Engine.processed e
-
-let quorum_planning () =
-  let rc = Rt_replica.Replica_control.majority ~sites:7 in
-  let replicas = List.init 7 (fun i -> i) in
-  let plans = ref 0 in
-  for self = 0 to 6 do
-    (match
-       Rt_replica.Replica_control.read_plan rc ~self ~up:(fun _ -> true)
-         ~replicas
-     with
-    | Some _ -> incr plans
-    | None -> ());
-    match
-      Rt_replica.Replica_control.write_plan rc ~self ~up:(fun s -> s <> 0)
-        ~replicas
-    with
-    | Some _ -> incr plans
-    | None -> ()
-  done;
-  !plans
-
-let sandbox_crash_run () =
-  let o =
-    Sandbox.run ~seed:3 ~crashes:[ (0, 10) ] ~max_steps:1500
-      ~proto:Config.Three_phase ~sites:3 ~votes:[| true; true; true |] ()
-  in
-  assert o.agreement
-
-let min_read_sets () =
-  let v =
-    Rt_quorum.Votes.make ~votes:[| 3; 1; 1; 1; 1 |] ~read_quorum:3
-      ~write_quorum:5
-  in
-  let n = ref 0 in
-  for down = 0 to 4 do
-    match Rt_quorum.Votes.min_read_set v ~up:(fun s -> s <> down) with
-    | Some set -> n := !n + List.length set
-    | None -> ()
-  done;
-  !n
-
-let lock_cycle () =
-  let t = Rt_lock.Lock_table.create () in
-  let txn i = Rt_types.Ids.Txn_id.make ~origin:0 ~seq:i ~start_ts:(T.us i) in
-  for i = 1 to 16 do
-    let tx = txn i in
-    for k = 0 to 3 do
-      ignore
-        (Rt_lock.Lock_table.acquire t ~txn:tx
-           ~key:(Printf.sprintf "k%d" ((i + k) mod 8))
-           ~mode:(if k = 0 then Rt_lock.Lock_table.Exclusive
-                  else Rt_lock.Lock_table.Shared)
-           ~on_grant:(fun () -> ()))
-    done;
-    ignore (Rt_lock.Lock_table.detect_deadlock t)
-  done;
-  for i = 1 to 16 do
-    Rt_lock.Lock_table.release_all t ~txn:(txn i)
-  done
-
-let partitioned_send () =
-  let e = Rt_sim.Engine.create () in
-  let net =
-    Rt_net.Net.create e ~nodes:5
-      ~default:(Rt_net.Net.reliable_link (Rt_net.Latency.Fixed (T.us 10)))
-  in
-  let got = ref 0 in
-  for i = 0 to 4 do
-    Rt_net.Net.register net i (fun ~src:_ _ -> incr got)
-  done;
-  Rt_net.Partition.split (Rt_net.Net.partition net) [ [ 0; 1 ]; [ 2; 3; 4 ] ];
-  for src = 0 to 4 do
-    Rt_net.Net.broadcast net ~src ()
-  done;
-  Rt_sim.Engine.run e;
-  !got
-
-let tests =
-  Test.make_grouped ~name:"experiments"
-    [
-      Test.make ~name:"T1 sandbox 2PC commit round"
-        (Staged.stage
-           (one_sandbox_commit (Config.Two_phase Two_pc.Presumed_abort)));
-      Test.make ~name:"T2 cluster update txn (ROWA)"
-        (Staged.stage (fun () ->
-             one_cluster_txn Rt_replica.Replica_control.rowa ()));
-      Test.make ~name:"T3 availability closed forms"
-        (Staged.stage availability_sweep);
-      Test.make ~name:"T4 cluster update txn (majority)"
-        (Staged.stage (fun () ->
-             one_cluster_txn (Rt_replica.Replica_control.majority ~sites:3) ()));
-      Test.make ~name:"T5 recovery of 1k-record log" (Staged.stage recovery_1k);
-      Test.make ~name:"T6 local 2PL transactions"
-        (Staged.stage (fun () -> one_local_txn Rt_cc.Workbench.Two_pl ()));
-      Test.make ~name:"F1 engine event churn" (Staged.stage engine_churn);
-      Test.make ~name:"F2 quorum plan computation"
-        (Staged.stage quorum_planning);
-      Test.make ~name:"F3 local OCC transactions"
-        (Staged.stage (fun () -> one_local_txn Rt_cc.Workbench.Optimistic ()));
-      Test.make ~name:"F4 sandbox 3PC with crash"
-        (Staged.stage sandbox_crash_run);
-      Test.make ~name:"F5 sandbox QC commit round"
-        (Staged.stage
-           (one_sandbox_commit
-              (Config.Quorum_commit
-                 { commit_quorum = Some 2; abort_quorum = Some 2 })));
-      Test.make ~name:"F6 weighted min read sets" (Staged.stage min_read_sets);
-      Test.make ~name:"F7 lock acquire/detect/release" (Staged.stage lock_cycle);
-      Test.make ~name:"F8 partitioned broadcast" (Staged.stage partitioned_send);
-      Test.make ~name:"A1 WAL group-commit cycle"
-        (Staged.stage (fun () ->
-             let e = Rt_sim.Engine.create () in
-             let wal = Rt_storage.Wal.create e ~force_latency:(T.us 50) () in
-             for i = 1 to 32 do
-               ignore (Rt_storage.Wal.append wal i);
-               Rt_storage.Wal.force wal (fun () -> ())
-             done;
-             Rt_sim.Engine.run e;
-             Rt_storage.Wal.force_count wal));
-      Test.make ~name:"A2 read-only 2PC round"
-        (Staged.stage (fun () ->
-             let o =
-               Sandbox.run ~read_only:[| false; true; true |]
-                 ~proto:(Config.Two_phase Two_pc.Presumed_abort) ~sites:3
-                 ~votes:[| true; true; true |] ()
-             in
-             assert o.agreement));
-      Test.make ~name:"A3 wound-wait transactions"
-        (Staged.stage (fun () ->
-             one_local_txn Rt_cc.Workbench.Two_pl_wound_wait ()));
-      Test.make ~name:"A4 lock blocking query"
-        (Staged.stage (fun () ->
-             let t = Rt_lock.Lock_table.create () in
-             let txn i =
-               Rt_types.Ids.Txn_id.make ~origin:0 ~seq:i ~start_ts:(T.us i)
-             in
-             for i = 1 to 8 do
-               ignore
-                 (Rt_lock.Lock_table.acquire t ~txn:(txn i) ~key:"hot"
-                    ~mode:Rt_lock.Lock_table.Exclusive ~on_grant:(fun () -> ()))
-             done;
-             let n =
-               List.length (Rt_lock.Lock_table.blocking t ~txn:(txn 8))
-             in
-             for i = 1 to 8 do
-               Rt_lock.Lock_table.release_all t ~txn:(txn i)
-             done;
-             n));
-    ]
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "== Bechamel micro-benchmarks (ns per run) ==\n\n";
-  let rows =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) -> Printf.printf "%-45s %12.0f ns\n" name t
-      | Some [] | None -> Printf.printf "%-45s %12s\n" name "n/a")
-    rows;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* --json: machine-readable metrics snapshot                            *)
-(* ------------------------------------------------------------------ *)
 
 (* One deterministic cluster probe per commit protocol × placement:
    throughput, latency, and message counts from the simulation (virtual
    time, so the numbers are reproducible bit-for-bit across hosts and
-   runs, unlike the bechamel wall-clock suite). *)
+   runs). *)
 
 type probe = {
   probe : string;
@@ -454,9 +191,4 @@ let run_json () =
   close_out oc;
   Printf.printf "wrote %s (%d probes)\n" path (List.length probes)
 
-let () =
-  if Array.exists (fun a -> a = "--json") Sys.argv then run_json ()
-  else begin
-    print_tables ();
-    run_benchmarks ()
-  end
+let () = run_json ()

@@ -21,11 +21,11 @@ let rc_of_string ~sites = function
 let scenario_of_string = function
   | "calm" -> Ok Scenario.calm
   | "lossy" -> Ok (Scenario.lossy ())
-  | "gray" -> Ok (Scenario.gray ())
+  | "gray" -> Ok Scenario.gray
   | "flapping" -> Ok (Scenario.flapping ())
-  | "one-way" -> Ok (Scenario.one_way ())
-  | "churn" -> Ok (Scenario.churn ())
-  | "coordinator" -> Ok (Scenario.coordinator_faults ())
+  | "one-way" -> Ok Scenario.one_way
+  | "churn" -> Ok Scenario.churn
+  | "coordinator" -> Ok Scenario.coordinator_faults
   | s -> Error (Printf.sprintf "unknown scenario %S" s)
 
 let txn_rate committed duration =
@@ -63,7 +63,7 @@ let experiment_n1 ~seed ~sites ~clients ~duration =
    asymmetric (one-way) partitions. *)
 let experiment_n2 ~seed ~sites ~clients ~duration =
   let scenarios =
-    [ Scenario.calm; Scenario.flapping (); Scenario.one_way () ]
+    [ Scenario.calm; Scenario.flapping (); Scenario.one_way ]
   in
   Printf.printf
     "| scenario | protocol | committed | abort %% | drain | sent | msgs/txn |\n";

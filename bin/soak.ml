@@ -60,7 +60,7 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
         if mttf_ms > 0 then
           Some
             (Failure.random_crashes cluster ~mttf:(Time.ms mttf_ms)
-               ~mttr:(Time.ms mttr_ms) ())
+               ~mttr:(Time.ms mttr_ms))
         else None
       in
       if partition then begin

@@ -132,78 +132,70 @@ let paxos_part =
   machine ~step:Paxos_commit.part_step ~decision:Paxos_commit.part_decision
     ~blocked:Paxos_commit.part_blocked Paxos_commit.describe_part
 
-let coordinator t ~participants ~self ~timeouts =
+let coordinator t ~participants ~self =
   match t with
   | Two_phase variant ->
-      Erased.make two_pc_coord
-        (Two_pc.coordinator ~variant ~participants ~timeouts)
+      Erased.make two_pc_coord (Two_pc.coordinator ~variant ~participants)
   | Three_phase ->
-      Erased.make three_pc_coord (Three_pc.coordinator ~participants ~timeouts)
+      Erased.make three_pc_coord (Three_pc.coordinator ~participants)
   | Quorum_commit { commit_quorum; abort_quorum } ->
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
-      Erased.make qc_coord (Quorum_commit.coordinator ~config ~self ~timeouts)
+      Erased.make qc_coord (Quorum_commit.coordinator ~config ~self)
   | Paxos_commit { f } ->
       let config = paxos_config f ~participants ~coordinator:self in
-      Erased.make paxos_coord (Paxos_commit.coordinator ~config ~self ~timeouts)
+      Erased.make paxos_coord (Paxos_commit.coordinator ~config ~self)
 
-let participant t ~participants ~coordinator ~self ~vote ~read_only ~timeouts
-    =
+let participant t ~participants ~coordinator ~self ~vote ~read_only =
   match t with
   | Two_phase variant ->
       Erased.make two_pc_part
         (Two_pc.participant ~read_only ~variant ~self ~coordinator
-           ~peers:participants ~vote ~timeouts ())
+           ~peers:participants ~vote ())
   | Three_phase ->
       Erased.make three_pc_part
-        (Three_pc.participant ~self ~coordinator ~all:participants ~vote
-           ~timeouts)
+        (Three_pc.participant ~self ~coordinator ~all:participants ~vote)
   | Quorum_commit { commit_quorum; abort_quorum } ->
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
       Erased.make qc_part
-        (Quorum_commit.participant ~config ~self ~coordinator ~vote ~timeouts)
+        (Quorum_commit.participant ~config ~self ~coordinator ~vote)
   | Paxos_commit { f } ->
       (* A participant co-located with the coordinator owns no acceptor:
          the coordinator machine holds the origin's, so ballots stay
          unique per machine. *)
       let config = paxos_config f ~participants ~coordinator in
-      Erased.make paxos_part
-        (Paxos_commit.participant ~config ~self ~vote ~timeouts)
+      Erased.make paxos_part (Paxos_commit.participant ~config ~self ~vote)
 
-let recovered_participant t ~participants ~coordinator ~self ~state ~timeouts
-    =
+let recovered_participant t ~participants ~coordinator ~self ~state =
   match t with
   | Two_phase variant ->
       Erased.make two_pc_part
         (Two_pc.participant_recovered ~variant ~self ~coordinator
-           ~peers:participants ~timeouts)
+           ~peers:participants)
   | Three_phase ->
       Erased.make three_pc_part
         (Three_pc.participant_recovered ~self ~coordinator ~all:participants
-           ~state ~timeouts)
+           ~state)
   | Quorum_commit { commit_quorum; abort_quorum } ->
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
       Erased.make qc_part
-        (Quorum_commit.participant_recovered ~config ~self ~coordinator ~state
-           ~timeouts)
+        (Quorum_commit.participant_recovered ~config ~self ~coordinator ~state)
   | Paxos_commit { f } ->
       let config = paxos_config f ~participants ~coordinator in
       Erased.make paxos_part
-        (Paxos_commit.participant_recovered ~config ~self ~state ~timeouts)
+        (Paxos_commit.participant_recovered ~config ~self ~state)
 
-let recovered_coordinator t ~participants ~self ~timeouts ~logged =
+let recovered_coordinator t ~participants ~self ~logged =
   match t with
   | Two_phase variant ->
       Some
         (Erased.make two_pc_coord
-           (Two_pc.coordinator_recovered ~variant ~participants ~timeouts
-              ~logged))
+           (Two_pc.coordinator_recovered ~variant ~participants ~logged))
   | Paxos_commit { f } -> (
       let config = paxos_config f ~participants ~coordinator:self in
       let rebuild logged =
         Some
           (Erased.make paxos_coord
-             (Paxos_commit.coordinator_recovered ~config ~self ~timeouts
-                ~logged))
+             (Paxos_commit.coordinator_recovered ~config ~self ~logged))
       in
       match logged with
       | `Decision d -> rebuild (`Decision d)

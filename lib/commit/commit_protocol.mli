@@ -65,26 +65,22 @@ val label : t -> sites:int -> string
     machine's [self]). *)
 
 val coordinator :
-  t -> participants:Ids.site_id list -> self:Ids.site_id ->
-  timeouts:timeouts -> Erased.t
+  t -> participants:Ids.site_id list -> self:Ids.site_id -> Erased.t
 
 val participant :
   t -> participants:Ids.site_id list -> coordinator:Ids.site_id ->
-  self:Ids.site_id -> vote:bool -> read_only:bool -> timeouts:timeouts ->
-  Erased.t
+  self:Ids.site_id -> vote:bool -> read_only:bool -> Erased.t
 (** [read_only] (the site wrote nothing) enables 2PC's read-only vote;
     the other protocols ignore it. *)
 
 val recovered_participant :
   t -> participants:Ids.site_id list -> coordinator:Ids.site_id ->
-  self:Ids.site_id -> state:participant_state -> timeouts:timeouts ->
-  Erased.t
+  self:Ids.site_id -> state:participant_state -> Erased.t
 (** Rebuilt from a durable in-doubt record; feed it [Start] to begin
     termination. *)
 
 val recovered_coordinator :
   t -> participants:Ids.site_id list -> self:Ids.site_id ->
-  timeouts:timeouts ->
   logged:[ `Decision of decision | `Collecting | `Nothing ] ->
   Erased.t option
 (** A coordinator rebuilt from its own log, or [None] when the protocol

@@ -160,7 +160,6 @@ type coord_phase =
 type coord = {
   c_cfg : config;
   c_self : Ids.site_id;
-  c_timeouts : timeouts;
   c_acc : acceptor;
   c_refused : Sset.t;  (* participants whose own ballot-0 vote was Abort *)
   c_phase : coord_phase;
@@ -168,13 +167,12 @@ type coord = {
 
 let c_parts c = Sset.of_list c.c_cfg.all
 
-let coordinator ~config ~self ~timeouts =
+let coordinator ~config ~self =
   if self <> config.coordinator then
     invalid_arg "Paxos_commit.coordinator: self is not the configured leader";
   {
     c_cfg = config;
     c_self = self;
-    c_timeouts = timeouts;
     c_acc = acc_init config;
     c_refused = Sset.empty;
     c_phase = C_init;
@@ -246,7 +244,7 @@ let coord_propose c ~ballot ~found =
   | C_proposing _ ->
       ( c,
         sends
-        @ [ Set_timer (T_precommit_ack, c.c_timeouts.decision_wait) ]
+        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
         @ actions )
   | _ -> (c, sends @ actions)
 
@@ -267,7 +265,7 @@ let coord_elect c =
     let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
     ( { c with c_phase = C_electing { ballot; heard; found; blocked = false } },
       List.map (fun a -> Send (a, Px_p1a ballot)) others
-      @ [ Set_timer (T_state, c.c_timeouts.decision_wait) ] )
+      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 (* Yield to a higher-ballot leader: keep polling for the outcome so the
    origin's client still learns it even if the rival's broadcast to us is
@@ -276,7 +274,7 @@ let coord_yield c =
   ( { c with c_phase = C_deposed },
     [ Clear_timer T_votes; Clear_timer T_state; Clear_timer T_precommit_ack ]
     @ send_to (c_parts c) Decision_req
-    @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+    @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
 let coord_our_ballot c =
   match c.c_phase with
@@ -316,7 +314,7 @@ let coord_step c input =
   | C_init, Start ->
       ( { c with c_phase = C_collecting { tally = tally_init c.c_cfg } },
         send_to (c_parts c) Vote_req
-        @ [ Set_timer (T_votes, c.c_timeouts.vote_collect) ] )
+        @ [ Set_timer (T_votes, default_timeouts.vote_collect) ] )
   (* Ballot 0: participants drive their own instances.  Their phase-2a
      reaches us directly (we are an acceptor); other acceptors forward
      phase-2b acknowledgements. *)
@@ -386,7 +384,7 @@ let coord_step c input =
       in
       ( { c with c_phase = C_electing { e with blocked = true } },
         List.map (fun a -> Send (a, Px_p1a ballot)) unheard
-        @ [ Set_timer (T_state, c.c_timeouts.decision_wait) ]
+        @ [ Set_timer (T_state, default_timeouts.decision_wait) ]
         @ (if blocked then [] else [ Blocked ]) )
   | ( C_proposing { ballot; proposal; tally; blocked },
       Recv (src, Px_p2b (b, rm, v)) )
@@ -410,7 +408,7 @@ let coord_step c input =
       ( { c with
           c_phase = C_proposing { ballot; proposal; tally; blocked = true } },
         resend
-        @ [ Set_timer (T_precommit_ack, c.c_timeouts.decision_wait) ]
+        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
         @ (if blocked then [] else [ Blocked ]) )
   (* Rival leaders: serve the embedded acceptor and step aside when their
      ballot beats ours.  (Ballot-0 phase-2a is matched above.) *)
@@ -433,7 +431,7 @@ let coord_step c input =
       else
         ( { c with c_phase = C_decided { d; await_acks = ackers } },
           sends
-          @ [ Set_timer (T_resend, c.c_timeouts.resend_every); Deliver d ] )
+          @ [ Set_timer (T_resend, default_timeouts.resend_every); Deliver d ] )
   | C_decided { d; await_acks }, Recv (src, Decision_ack) ->
       let await_acks = Sset.remove src await_acks in
       if Sset.is_empty await_acks then
@@ -443,11 +441,11 @@ let coord_step c input =
   | C_decided { d; await_acks }, Timeout T_resend ->
       ( c,
         send_to await_acks (Decision_msg d)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | C_deposed, Timeout T_resend ->
       ( c,
         send_to (c_parts c) Decision_req
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | C_deposed, Recv (_, Decision_msg d) ->
       ( { c with c_phase = C_done d },
         [ Clear_timer T_resend; Deliver d; Log (L_decision d, `Lazy) ] )
@@ -490,8 +488,8 @@ let coord_step c input =
    rebuild a coordinator from an empty log: a recovery leader may have
    decided meanwhile, so the site must answer [Decision_unknown] and let
    the participants' election terminate the transaction. *)
-let coordinator_recovered ~config ~self ~timeouts ~logged =
-  let c = coordinator ~config ~self ~timeouts in
+let coordinator_recovered ~config ~self ~logged =
+  let c = coordinator ~config ~self in
   match logged with
   | `Decision (d : decision) ->
       { c with c_phase = C_decided { d; await_acks = c_parts c } }
@@ -506,7 +504,7 @@ let coord_step c input =
   | C_decided { d; await_acks }, Start ->
       ( c,
         send_to await_acks (Decision_msg d)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | _ -> coord_step c input
 
 (* ------------------------------------------------------------------ *)
@@ -533,7 +531,6 @@ type part = {
   x_cfg : config;
   x_self : Ids.site_id;
   x_vote : bool;
-  x_timeouts : timeouts;
   x_up : Sset.t;  (* participants currently reachable, self included *)
   x_ballot : epoch;  (* highest ballot seen; ours while leading *)
   x_base : base;
@@ -542,12 +539,11 @@ type part = {
   x_acc : acceptor option;  (* Some iff an acceptor (volatile: lost on crash) *)
 }
 
-let participant ~config ~self ~vote ~timeouts =
+let participant ~config ~self ~vote =
   {
     x_cfg = config;
     x_self = self;
     x_vote = vote;
-    x_timeouts = timeouts;
     x_up = Sset.of_list config.all;
     x_ballot = ballot0 config;
     x_base = B_idle;
@@ -601,7 +597,7 @@ let ask_around p =
 
 let leader_blocked p =
   ( { p with x_role = R_follower; x_blocked = true },
-    [ Set_timer (T_resend, p.x_timeouts.resend_every) ]
+    [ Set_timer (T_resend, default_timeouts.resend_every) ]
     @ (if p.x_blocked then [] else [ Blocked ]) )
 
 let leader_decided p d = log_outcome p d ~ack:false
@@ -645,7 +641,7 @@ let part_propose p ~found =
   | R_leader (L_proposing _) ->
       ( p,
         sends
-        @ [ Set_timer (T_precommit_ack, p.x_timeouts.decision_wait) ]
+        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
         @ actions )
   | _ -> (p, sends @ actions)
 
@@ -667,7 +663,7 @@ let become_leader p =
     let others = List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors in
     ( { p with x_role = R_leader (L_electing { heard; found }) },
       List.map (fun a -> Send (a, Px_p1a ballot)) others
-      @ [ Set_timer (T_state, p.x_timeouts.decision_wait) ] )
+      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 let start_termination p =
   match Sset.min_elt_opt (candidates p) with
@@ -677,7 +673,7 @@ let start_termination p =
         send_to
           (Sset.add p.x_cfg.coordinator (Sset.remove p.x_self p.x_up))
           Decision_req
-        @ [ Set_timer (T_resend, p.x_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
 (* Serve the embedded acceptor; a rival ballot at or above ours dethrones
    any local leadership (mirroring quorum commit's epoch rule). *)
@@ -689,7 +685,7 @@ let part_acc_demote p src b =
   | R_leader _ when src <> p.x_self && epoch_compare b p.x_ballot >= 0 ->
       ( { p with x_role = R_follower },
         [ Clear_timer T_state; Clear_timer T_precommit_ack;
-          Set_timer (T_resend, p.x_timeouts.resend_every) ] )
+          Set_timer (T_resend, default_timeouts.resend_every) ] )
   | _ -> (p, [])
 
 let part_acc_p1a p src b =
@@ -761,7 +757,7 @@ let part_step p input =
   | B_logging_prepared, R_normal, Log_done L_prepared ->
       let p, sends = cast_vote p Commit in
       ( { p with x_base = B_uncertain },
-        sends @ [ Set_timer (T_decision, p.x_timeouts.decision_wait) ] )
+        sends @ [ Set_timer (T_decision, default_timeouts.decision_wait) ] )
   (* The outcome. *)
   | (B_idle | B_logging_prepared | B_uncertain), _, Recv (_, Decision_msg d)
     ->
@@ -792,11 +788,13 @@ let part_step p input =
       if degenerate p.x_cfg then
         ( { p with x_blocked = true },
           ask_around p
-          @ [ Set_timer (T_resend, p.x_timeouts.resend_every); Blocked ] )
+          @ [ Set_timer (T_resend, default_timeouts.resend_every); Blocked ] )
       else start_termination p
   | B_uncertain, (R_normal | R_follower), Timeout T_resend ->
       if degenerate p.x_cfg then
-        (p, ask_around p @ [ Set_timer (T_resend, p.x_timeouts.resend_every) ])
+        ( p,
+          ask_around p
+          @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
       else start_termination p
   (* Leader: phase 1 and phase 2 bookkeeping. *)
   | _, R_leader (L_electing { heard; found }), Recv (src, Px_p1b (b, triples))
@@ -818,7 +816,7 @@ let part_step p input =
   | _, R_leader _, Recv (_, Px_nack b) when epoch_compare b p.x_ballot > 0 ->
       ( { p with x_ballot = b; x_role = R_follower },
         [ Clear_timer T_state; Clear_timer T_precommit_ack;
-          Set_timer (T_resend, p.x_timeouts.resend_every) ] )
+          Set_timer (T_resend, default_timeouts.resend_every) ] )
   (* Acceptor duties are independent of the RM's own progress: serving a
      ballot is always safe, and keeps replies deterministic no matter
      when straggling traffic arrives.  (Acceptor-less participants stay
@@ -845,14 +843,14 @@ let part_step p input =
       become_leader p
   | _, _, (Recv _ | Timeout _ | Log_done _ | Start) -> (p, [])
 
-let participant_recovered ~config ~self ~state ~timeouts =
+let participant_recovered ~config ~self ~state =
   let base =
     match state with
     | P_uncertain | P_precommitted | P_preaborted -> B_uncertain
     | P_committed -> B_finished Commit
     | P_aborted -> B_finished Abort
   in
-  let p = participant ~config ~self ~vote:true ~timeouts in
+  let p = participant ~config ~self ~vote:true in
   (* Acceptor state was volatile: a recovered acceptor must abstain
      forever (it may have promised or accepted before the crash), which
      is indistinguishable from staying down — 2F+1 acceptors tolerate F
@@ -864,7 +862,9 @@ let part_step p input =
   match (input, p.x_base, p.x_role) with
   | Start, B_uncertain, R_normal ->
       if degenerate p.x_cfg then
-        (p, ask_around p @ [ Set_timer (T_resend, p.x_timeouts.resend_every) ])
+        ( p,
+          ask_around p
+          @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
       else start_termination p
   | _ -> part_step p input
 

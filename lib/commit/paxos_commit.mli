@@ -75,13 +75,12 @@ val acc_accepted : acceptor -> (Ids.site_id * epoch * decision) list
 
 type coord
 
-val coordinator : config:config -> self:Ids.site_id -> timeouts:timeouts -> coord
+val coordinator : config:config -> self:Ids.site_id -> coord
 (** Raises [Invalid_argument] if [self] is not [config.coordinator]. *)
 
 val coordinator_recovered :
   config:config ->
   self:Ids.site_id ->
-  timeouts:timeouts ->
   logged:[ `Decision of decision | `Nothing ] ->
   coord
 (** Rebuild after a crash.  [`Decision d] resumes redistribution of [d]
@@ -100,13 +99,12 @@ val coord_blocked : coord -> bool
 type part
 
 val participant :
-  config:config -> self:Ids.site_id -> vote:bool -> timeouts:timeouts -> part
+  config:config -> self:Ids.site_id -> vote:bool -> part
 
 val participant_recovered :
   config:config ->
   self:Ids.site_id ->
   state:participant_state ->
-  timeouts:timeouts ->
   part
 (** Rebuild from the durable log.  The volatile acceptor state is gone,
     so a recovered acceptor abstains from every future ballot (2F+1

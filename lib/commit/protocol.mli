@@ -152,7 +152,7 @@ val input_point : input -> string
     crash-point sweep keys injections on these names (plus an occurrence
     index, since the same point can recur). *)
 
-(** Timeout configuration shared by all machines. *)
+(** Protocol timer periods. *)
 type timeouts = {
   vote_collect : Rt_sim.Time.t;  (** Coordinator waits for votes. *)
   decision_wait : Rt_sim.Time.t;  (** Participant waits for the outcome. *)
@@ -160,3 +160,5 @@ type timeouts = {
 }
 
 val default_timeouts : timeouts
+(** The one set every commit machine runs with (50 ms, 50 ms, 100 ms);
+    Site also paces its orphan sweep and catch-up retries by it. *)

@@ -39,16 +39,14 @@ type coord = {
   c_cfg : config;
   c_self : Ids.site_id;
   c_all : Sset.t;
-  c_timeouts : timeouts;
   c_phase : coord_phase;
 }
 
-let coordinator ~config ~self ~timeouts =
+let coordinator ~config ~self =
   {
     c_cfg = config;
     c_self = self;
     c_all = Sset.of_list config.all;
-    c_timeouts = timeouts;
     c_phase = C_init;
   }
 
@@ -82,7 +80,7 @@ let coord_step c input =
   | C_init, Start ->
       ( { c with c_phase = C_collecting { pending = c.c_all; yes = Sset.empty } },
         send_to c.c_all Vote_req
-        @ [ Set_timer (T_votes, c.c_timeouts.vote_collect) ] )
+        @ [ Set_timer (T_votes, default_timeouts.vote_collect) ] )
   | C_collecting { pending; yes }, Recv (src, Vote_yes) ->
       let pending = Sset.remove src pending in
       let yes = Sset.add src yes in
@@ -100,7 +98,7 @@ let coord_step c input =
           c_phase = C_precommit_wait
               { pc = Sset.empty; pending = c.c_all; blocked = false } },
         send_to c.c_all (Pq_precommit (epoch0 c))
-        @ [ Set_timer (T_precommit_ack, c.c_timeouts.decision_wait) ] )
+        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
   | C_precommit_wait { pc; pending; _ }, Recv (src, Pq_precommit_ack e)
     when epoch_compare e (epoch0 c) = 0 ->
       coord_check_commit c ~pc:(Sset.add src pc) ~pending:(Sset.remove src pending)
@@ -113,7 +111,7 @@ let coord_step c input =
            measurement hook for experiment F5/F8. *)
         ( { c with c_phase = C_precommit_wait { pc; pending; blocked = true } },
           send_to pending (Pq_precommit (epoch0 c))
-          @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ]
+          @ [ Set_timer (T_resend, default_timeouts.resend_every) ]
           @ (if blocked then [] else [ Blocked ]) )
   | C_logging_decision { d = Commit; _ }, Log_done (L_decision Commit) ->
       ( { c with c_phase = C_done Commit },
@@ -125,7 +123,8 @@ let coord_step c input =
       else
         ( { c with c_phase = C_abort_wait { await = yes } },
           send_to yes (Decision_msg Abort)
-          @ [ Set_timer (T_resend, c.c_timeouts.resend_every); Deliver Abort ] )
+          @ [ Set_timer (T_resend, default_timeouts.resend_every);
+              Deliver Abort ] )
   | C_abort_wait { await }, Recv (src, Decision_ack) ->
       let await = Sset.remove src await in
       if Sset.is_empty await then
@@ -135,7 +134,7 @@ let coord_step c input =
   | C_abort_wait { await }, Timeout T_resend ->
       ( c,
         send_to await (Decision_msg Abort)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | (C_done d | C_logging_decision { d; _ }), Recv (src, Decision_req) ->
       (c, [ Send (src, Decision_msg d) ])
   (* Still undecided: stay silent rather than answer [Decision_unknown].
@@ -192,7 +191,6 @@ type part = {
   p_self : Ids.site_id;
   p_coordinator : Ids.site_id;
   p_vote : bool;
-  p_timeouts : timeouts;
   p_up : Sset.t;  (* participants currently reachable, self included *)
   p_epoch : epoch;  (* highest epoch seen *)
   p_base : base;
@@ -200,13 +198,12 @@ type part = {
   p_blocked : bool;
 }
 
-let participant ~config ~self ~coordinator ~vote ~timeouts =
+let participant ~config ~self ~coordinator ~vote =
   {
     p_cfg = config;
     p_self = self;
     p_coordinator = coordinator;
     p_vote = vote;
-    p_timeouts = timeouts;
     p_up = Sset.of_list config.all;
     p_epoch = (0, coordinator);
     p_base = B_idle;
@@ -247,7 +244,7 @@ let next_epoch p : epoch = (fst p.p_epoch + 1, p.p_self)
 
 let leader_blocked p =
   ( { p with p_role = R_follower; p_blocked = true },
-    [ Set_timer (T_resend, p.p_timeouts.resend_every) ]
+    [ Set_timer (T_resend, default_timeouts.resend_every) ]
     @ (if p.p_blocked then [] else [ Blocked ]) )
 
 let leader_decided p d =
@@ -283,7 +280,9 @@ let leader_apply p reports =
       (* Drive the uncertain sites to pre-commit. *)
       let targets = Sset.remove p.p_self uncertain in
       let sends = send_to targets (Pq_precommit p.p_epoch) in
-      let timer = [ Set_timer (T_precommit_ack, p.p_timeouts.decision_wait) ] in
+      let timer =
+        [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
+      in
       if Sset.mem p.p_self uncertain then
         ( { p with
             p_base = B_logging_precommit { ack_to = None; at = p.p_epoch };
@@ -298,7 +297,9 @@ let leader_apply p reports =
     else if pa_w >= p.p_cfg.abort_quorum then begin
       let targets = Sset.remove p.p_self uncertain in
       let sends = send_to targets (Pq_preabort p.p_epoch) in
-      let timer = [ Set_timer (T_precommit_ack, p.p_timeouts.decision_wait) ] in
+      let timer =
+        [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
+      in
       if Sset.mem p.p_self uncertain then
         ( { p with
             p_base = B_logging_preabort { ack_to = None; at = p.p_epoch };
@@ -322,7 +323,7 @@ let become_leader p =
   else
     ( { p with p_role = R_leader (L_collect { awaiting; reports }) },
       send_to awaiting (Pq_state_req e)
-      @ [ Set_timer (T_state, p.p_timeouts.decision_wait) ] )
+      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 let start_termination p =
   match Sset.min_elt_opt p.p_up with
@@ -332,7 +333,7 @@ let start_termination p =
          case one of them already knows the outcome. *)
       ( { p with p_role = R_follower },
         send_to (Sset.remove p.p_self p.p_up) Decision_req
-        @ [ Set_timer (T_resend, p.p_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
 let leader_check_commit p ~pc ~awaiting =
   if Sset.cardinal pc >= p.p_cfg.commit_quorum then leader_decided p Commit
@@ -366,7 +367,7 @@ let part_step p input =
   | B_logging_prepared, R_normal, Log_done L_prepared ->
       ( { p with p_base = B_uncertain },
         [ Send (p.p_coordinator, Vote_yes);
-          Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+          Set_timer (T_decision, default_timeouts.decision_wait) ] )
   (* Pre-decisions (epoch-guarded). *)
   | B_uncertain, _, Recv (src, Pq_precommit e)
     when epoch_compare e p.p_epoch >= 0 ->
@@ -391,7 +392,7 @@ let part_step p input =
       | Some src, _ ->
           ( p,
             [ Send (src, Pq_precommit_ack at);
-              Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+              Set_timer (T_decision, default_timeouts.decision_wait) ] )
       | None, R_leader (L_drive_commit { pc; awaiting }) ->
           leader_check_commit p ~pc:(Sset.add p.p_self pc) ~awaiting
       | None, _ -> (p, []))
@@ -401,7 +402,7 @@ let part_step p input =
       | Some src, _ ->
           ( p,
             [ Send (src, Pq_preabort_ack at);
-              Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+              Set_timer (T_decision, default_timeouts.decision_wait) ] )
       | None, R_leader (L_drive_abort { pa; awaiting }) ->
           leader_check_abort p ~pa:(Sset.add p.p_self pa) ~awaiting
       | None, _ -> (p, []))
@@ -470,7 +471,7 @@ let part_step p input =
         [ Send (src, Pq_state_report (e, part_state p)) ]
         @
         match role with
-        | R_follower -> [ Set_timer (T_resend, p.p_timeouts.resend_every) ]
+        | R_follower -> [ Set_timer (T_resend, default_timeouts.resend_every) ]
         | _ -> [] )
   | (B_finished d | B_logging_outcome d), _, Recv (src, Decision_req) ->
       (p, [ Send (src, Decision_msg d) ])
@@ -502,7 +503,7 @@ let part_step p input =
   | _, _, Peers_reachable up -> (part_reachable_update p ~up, [])
   | _, _, (Recv _ | Timeout _ | Log_done _ | Start) -> (p, [])
 
-let participant_recovered ~config ~self ~coordinator ~state ~timeouts =
+let participant_recovered ~config ~self ~coordinator ~state =
   let base =
     match state with
     | P_uncertain -> B_uncertain
@@ -511,7 +512,7 @@ let participant_recovered ~config ~self ~coordinator ~state ~timeouts =
     | P_committed -> B_finished Commit
     | P_aborted -> B_finished Abort
   in
-  let p = participant ~config ~self ~coordinator ~vote:true ~timeouts in
+  let p = participant ~config ~self ~coordinator ~vote:true in
   { p with p_base = base }
 
 (* Recovered participants begin termination on [Start]. *)

@@ -40,7 +40,7 @@ val config : all:Ids.site_id list -> ?commit_quorum:int -> ?abort_quorum:int ->
 
 type coord
 
-val coordinator : config:config -> self:Ids.site_id -> timeouts:timeouts -> coord
+val coordinator : config:config -> self:Ids.site_id -> coord
 
 val coord_step : coord -> input -> coord * action list
 
@@ -57,7 +57,6 @@ val participant :
   self:Ids.site_id ->
   coordinator:Ids.site_id ->
   vote:bool ->
-  timeouts:timeouts ->
   part
 
 val participant_recovered :
@@ -65,7 +64,6 @@ val participant_recovered :
   self:Ids.site_id ->
   coordinator:Ids.site_id ->
   state:participant_state ->
-  timeouts:timeouts ->
   part
 (** Rebuilt from the log after a crash; feed it [Start] to begin inquiry. *)
 

@@ -55,8 +55,6 @@ type sim = {
 
 let coordinator_site = 0
 
-let timeouts = Protocol.default_timeouts
-
 let all_sites sim = List.init sim.sites (fun i -> i)
 
 let durable_tags sim site =
@@ -186,7 +184,7 @@ let recover sim site =
             Some
               (Commit_protocol.recovered_participant sim.proto
                  ~participants:all ~coordinator:coordinator_site ~self:site
-                 ~state ~timeouts)
+                 ~state)
         end
         else
           (* Never prepared: the site may abort unilaterally. *)
@@ -202,7 +200,7 @@ let recover sim site =
       in
       match
         Commit_protocol.recovered_coordinator sim.proto ~participants:all
-          ~self:site ~timeouts ~logged
+          ~self:site ~logged
       with
       | Some m ->
           sim.coord <- Some m;
@@ -290,13 +288,13 @@ let run ?seed ?(crashes = []) ?(recoveries = []) ?(max_steps = 10_000)
       coord =
         Some
           (Commit_protocol.coordinator proto ~participants
-             ~self:coordinator_site ~timeouts);
+             ~self:coordinator_site);
       parts =
         Array.init sites (fun i ->
             Some
               (Commit_protocol.participant proto ~participants
                  ~coordinator:coordinator_site ~self:i ~vote:votes.(i)
-                 ~read_only:read_only.(i) ~timeouts));
+                 ~read_only:read_only.(i)));
       pending = [];
       timers = Hashtbl.create 16;
       durable = Hashtbl.create 16;

@@ -19,13 +19,12 @@ type coord_phase =
 
 type coord = {
   c_participants : Sset.t;
-  c_timeouts : timeouts;
   c_phase : coord_phase;
 }
 
-let coordinator ~participants ~timeouts =
+let coordinator ~participants =
   if participants = [] then invalid_arg "Three_pc.coordinator: no participants";
-  { c_participants = Sset.of_list participants; c_timeouts = timeouts;
+  { c_participants = Sset.of_list participants;
     c_phase = C_init }
 
 let coord_decision c =
@@ -56,7 +55,7 @@ let coord_step c input =
       ( { c with c_phase = C_collecting { pending = c.c_participants;
                                           yes = Sset.empty } },
         send_to c.c_participants Vote_req
-        @ [ Set_timer (T_votes, c.c_timeouts.vote_collect) ] )
+        @ [ Set_timer (T_votes, default_timeouts.vote_collect) ] )
   | C_collecting { pending; yes }, Recv (src, Vote_yes) ->
       let pending = Sset.remove src pending in
       let yes = Sset.add src yes in
@@ -73,7 +72,7 @@ let coord_step c input =
   | C_logging_precommit, Log_done L_precommit ->
       ( { c with c_phase = C_precommit_wait { await = c.c_participants } },
         send_to c.c_participants Precommit_msg
-        @ [ Set_timer (T_precommit_ack, c.c_timeouts.decision_wait) ] )
+        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
   | C_precommit_wait { await }, Recv (src, Precommit_ack) ->
       let await = Sset.remove src await in
       if Sset.is_empty await then
@@ -108,7 +107,8 @@ let coord_step c input =
       else
         ( { c with c_phase = C_abort_wait { await } },
           send_to notify (Decision_msg Abort)
-          @ [ Set_timer (T_resend, c.c_timeouts.resend_every); Deliver Abort ] )
+          @ [ Set_timer (T_resend, default_timeouts.resend_every);
+              Deliver Abort ] )
   | C_abort_wait { await }, Recv (src, Decision_ack) ->
       let await = Sset.remove src await in
       if Sset.is_empty await then
@@ -118,7 +118,7 @@ let coord_step c input =
   | C_abort_wait { await }, Timeout T_resend ->
       ( c,
         send_to await (Decision_msg Abort)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | C_abort_wait { await }, Peer_down p when Sset.mem p await ->
       let await = Sset.remove p await in
       if Sset.is_empty await then
@@ -177,14 +177,13 @@ type part = {
   p_coordinator : Ids.site_id;
   p_all : Sset.t;  (* every participant site, self included *)
   p_vote : bool;
-  p_timeouts : timeouts;
   p_up : Sset.t;  (* sites believed operational (participants only) *)
   p_coord_up : bool;
   p_base : base;
   p_role : role;
 }
 
-let participant ~self ~coordinator ~all ~vote ~timeouts =
+let participant ~self ~coordinator ~all ~vote =
   let all_set = Sset.of_list all in
   if not (Sset.mem self all_set) then
     invalid_arg "Three_pc.participant: self not in participant set";
@@ -193,7 +192,6 @@ let participant ~self ~coordinator ~all ~vote ~timeouts =
     p_coordinator = coordinator;
     p_all = all_set;
     p_vote = vote;
-    p_timeouts = timeouts;
     p_up = all_set;
     p_coord_up = true;
     p_base = B_idle;
@@ -260,15 +258,18 @@ let rec leader_apply p reports =
           { p with p_base = B_logging_precommit { ack_to = None };
                    p_role = R_leader (L_precommit_acks { awaiting = uncertain }) }
         in
-        (p, sends @ [ Log (L_precommit, `Forced);
-                      Set_timer (T_precommit_ack, p.p_timeouts.decision_wait) ])
+        ( p,
+          sends
+          @ [ Log (L_precommit, `Forced);
+              Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
       end
       else if Sset.is_empty uncertain then
         let p, actions = log_outcome p Commit in
         ({ p with p_role = R_leader (L_deciding Commit) }, actions)
       else
         ( { p with p_role = R_leader (L_precommit_acks { awaiting = uncertain }) },
-          sends @ [ Set_timer (T_precommit_ack, p.p_timeouts.decision_wait) ] )
+          sends
+          @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
 
 and leader_collect_done p ~awaiting ~reports =
   (* Treat non-responders as crashed (crash-stop model). *)
@@ -282,7 +283,7 @@ let become_leader p =
   else
     ( { p with p_role = R_leader (L_collect { awaiting; reports }) },
       send_to awaiting State_req
-      @ [ Set_timer (T_state, p.p_timeouts.decision_wait) ] )
+      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 let start_termination p =
   match leader_candidate p with
@@ -293,7 +294,7 @@ let start_termination p =
          before we joined the termination) answers immediately. *)
       ( { p with p_role = R_follower },
         send_to (peers_up p) Decision_req
-        @ [ Set_timer (T_resend, p.p_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
 (* --- main transition ----------------------------------------------- *)
 
@@ -342,7 +343,7 @@ let part_step p input =
   | B_logging_prepared, R_normal, Log_done L_prepared ->
       ( { p with p_base = B_uncertain },
         [ Send (p.p_coordinator, Vote_yes);
-          Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+          Set_timer (T_decision, default_timeouts.decision_wait) ] )
   (* Pre-commit from the original coordinator or a termination leader. *)
   | B_uncertain, _, Recv (src, Precommit_msg) ->
       ( { p with p_base = B_logging_precommit { ack_to = Some src } },
@@ -353,7 +354,7 @@ let part_step p input =
       | Some src, _ ->
           ( p,
             [ Send (src, Precommit_ack);
-              Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+              Set_timer (T_decision, default_timeouts.decision_wait) ] )
       | None, R_leader (L_precommit_acks { awaiting })
         when Sset.is_empty awaiting ->
           let p, actions = log_outcome p Commit in
@@ -459,7 +460,7 @@ let part_step p input =
       (p', actions @ send_to targets (Decision_msg d))
   | _ -> (p', actions)
 
-let participant_recovered ~self ~coordinator ~all ~state ~timeouts =
+let participant_recovered ~self ~coordinator ~all ~state =
   let base =
     match state with
     | P_uncertain -> B_uncertain
@@ -467,7 +468,7 @@ let participant_recovered ~self ~coordinator ~all ~state ~timeouts =
     | P_committed -> B_finished Commit
     | P_aborted | P_preaborted -> B_finished Abort
   in
-  let p = participant ~self ~coordinator ~all ~vote:true ~timeouts in
+  let p = participant ~self ~coordinator ~all ~vote:true in
   { p with p_base = base }
 
 (* A recovered participant starts its own inquiry on [Start]. *)
@@ -477,7 +478,7 @@ let part_step p input =
       (* Ask around rather than wait for a timeout. *)
       let asks = send_to (peers_up p) Decision_req in
       ( { p with p_role = R_normal },
-        asks @ [ Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+        asks @ [ Set_timer (T_decision, default_timeouts.decision_wait) ] )
   | _ -> part_step p input
 
 (* ------------------------------------------------------------------ *)

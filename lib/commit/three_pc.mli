@@ -22,7 +22,7 @@ open Protocol
 type coord
 
 val coordinator :
-  participants:Ids.site_id list -> timeouts:timeouts -> coord
+  participants:Ids.site_id list -> coord
 
 val coord_step : coord -> input -> coord * action list
 
@@ -37,7 +37,6 @@ val participant :
   coordinator:Ids.site_id ->
   all:Ids.site_id list ->
   vote:bool ->
-  timeouts:timeouts ->
   part
 (** [all] is the full participant set, [self] included. *)
 
@@ -46,7 +45,6 @@ val participant_recovered :
   coordinator:Ids.site_id ->
   all:Ids.site_id list ->
   state:participant_state ->
-  timeouts:timeouts ->
   part
 (** Rebuild a participant after a crash from its logged state
     ([P_uncertain] if prepared, [P_precommitted] if pre-committed); it

@@ -53,16 +53,14 @@ type coord_phase =
 type coord = {
   c_variant : variant;
   c_participants : Sset.t;
-  c_timeouts : timeouts;
   c_phase : coord_phase;
 }
 
-let coordinator ~variant ~participants ~timeouts =
+let coordinator ~variant ~participants =
   if participants = [] then invalid_arg "Two_pc.coordinator: no participants";
   {
     c_variant = variant;
     c_participants = Sset.of_list participants;
-    c_timeouts = timeouts;
     c_phase = C_init;
   }
 
@@ -79,7 +77,7 @@ let start_voting c =
   let phase = C_collecting { pending = c.c_participants; yes = Sset.empty } in
   ( { c with c_phase = phase },
     send_to c.c_participants Vote_req
-    @ [ Set_timer (T_votes, c.c_timeouts.vote_collect) ] )
+    @ [ Set_timer (T_votes, default_timeouts.vote_collect) ] )
 
 (* Move to a decision: write the decision record with the variant's
    forcing discipline.  [yes] tracks who voted yes (these must be notified
@@ -108,7 +106,8 @@ and distribute c ~d ~yes ~pending =
   let ackers = (match d with Commit -> yes | Abort -> yes) in
   if needs_acks c.c_variant d && not (Sset.is_empty ackers) then
     ( { c with c_phase = C_decided { d; await_acks = ackers } },
-      sends @ [ Set_timer (T_resend, c.c_timeouts.resend_every); Deliver d ] )
+      sends
+      @ [ Set_timer (T_resend, default_timeouts.resend_every); Deliver d ] )
   else
     ( { c with c_phase = C_done d },
       sends @ [ Log (L_end, `Lazy); Deliver d ] )
@@ -155,7 +154,7 @@ let coord_step c input =
   | C_decided { d; await_acks }, Timeout T_resend ->
       ( c,
         send_to await_acks (Decision_msg d)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | (C_decided { d; _ } | C_done d), Recv (src, Decision_req) ->
       (c, [ Send (src, Decision_msg d) ])
   | C_logging_decision { d; _ }, Recv (src, Decision_req) ->
@@ -169,8 +168,8 @@ let coord_step c input =
   (* Stale/duplicate traffic is ignored. *)
   | _, (Recv _ | Timeout _ | Log_done _ | Peer_down _ | Peers_reachable _ | Start) -> (c, [])
 
-let coordinator_recovered ~variant ~participants ~timeouts ~logged =
-  let c = coordinator ~variant ~participants ~timeouts in
+let coordinator_recovered ~variant ~participants ~logged =
+  let c = coordinator ~variant ~participants in
   match logged with
   | `Decision (d : decision) ->
       if needs_acks variant d then
@@ -194,7 +193,7 @@ let coord_step c input =
   | C_decided { d; await_acks }, Start ->
       ( c,
         send_to await_acks (Decision_msg d)
-        @ [ Set_timer (T_resend, c.c_timeouts.resend_every) ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | C_logging_decision { d; _ }, Start -> (c, [ Log (L_decision d, `Forced) ])
   | _ -> coord_step c input
 
@@ -218,12 +217,11 @@ type part = {
   p_peers : Ids.site_id list;
   p_vote : bool;
   p_read_only : bool;
-  p_timeouts : timeouts;
   p_phase : part_phase;
 }
 
 let participant ?(read_only = false) ~variant ~self ~coordinator ~peers ~vote
-    ~timeouts () =
+    () =
   {
     p_variant = variant;
     p_self = self;
@@ -231,7 +229,6 @@ let participant ?(read_only = false) ~variant ~self ~coordinator ~peers ~vote
     p_peers = List.filter (fun p -> p <> self) peers;
     p_vote = vote;
     p_read_only = read_only;
-    p_timeouts = timeouts;
     p_phase = P_idle;
   }
 
@@ -304,16 +301,16 @@ let part_step p input =
   | P_logging_prepared, Log_done L_prepared ->
       ( { p with p_phase = P_wait_decision { blocked = false } },
         [ Send (p.p_coordinator, Vote_yes);
-          Set_timer (T_decision, p.p_timeouts.decision_wait) ] )
+          Set_timer (T_decision, default_timeouts.decision_wait) ] )
   | (P_wait_decision _ | P_logging_prepared), Recv (_, Decision_msg d) ->
       receive_decision p d
   | P_wait_decision _, Timeout T_decision ->
       ( { p with p_phase = P_wait_decision { blocked = true } },
         ask_around p
-        @ [ Set_timer (T_resend, p.p_timeouts.resend_every); Blocked ] )
+        @ [ Set_timer (T_resend, default_timeouts.resend_every); Blocked ] )
   | P_wait_decision { blocked }, Timeout T_resend ->
       ( { p with p_phase = P_wait_decision { blocked } },
-        ask_around p @ [ Set_timer (T_resend, p.p_timeouts.resend_every) ] )
+        ask_around p @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | P_wait_decision _, Recv (_, Decision_unknown) -> (p, [])
   | P_wait_decision _, Recv (src, Decision_req) ->
       (* A peer is also uncertain; we cannot help. *)
@@ -340,9 +337,9 @@ let part_step p input =
       else (p, [])
   | _, (Recv _ | Timeout _ | Log_done _ | Peer_down _ | Peers_reachable _ | Start) -> (p, [])
 
-let participant_recovered ~variant ~self ~coordinator ~peers ~timeouts =
+let participant_recovered ~variant ~self ~coordinator ~peers =
   let p =
-    participant ~variant ~self ~coordinator ~peers ~vote:true ~timeouts ()
+    participant ~variant ~self ~coordinator ~peers ~vote:true ()
   in
   { p with p_phase = P_wait_decision { blocked = false } }
 
@@ -351,7 +348,7 @@ let part_step p input =
   match (p.p_phase, input) with
   | P_wait_decision { blocked }, Start ->
       ( { p with p_phase = P_wait_decision { blocked } },
-        ask_around p @ [ Set_timer (T_resend, p.p_timeouts.resend_every) ] )
+        ask_around p @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
   | _ -> part_step p input
 
 (* ------------------------------------------------------------------ *)

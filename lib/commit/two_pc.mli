@@ -35,7 +35,6 @@ type coord
 val coordinator :
   variant:variant ->
   participants:Ids.site_id list ->
-  timeouts:timeouts ->
   coord
 (** [participants] are every site that must vote, including the
     coordinator's own site if it holds data. *)
@@ -43,7 +42,6 @@ val coordinator :
 val coordinator_recovered :
   variant:variant ->
   participants:Ids.site_id list ->
-  timeouts:timeouts ->
   logged:[ `Decision of decision | `Collecting | `Nothing ] ->
   coord
 (** Rebuild a coordinator from its log after a crash.  [`Decision d]: the
@@ -74,7 +72,6 @@ val participant :
   coordinator:Ids.site_id ->
   peers:Ids.site_id list ->
   vote:bool ->
-  timeouts:timeouts ->
   unit ->
   part
 (** [peers] are the other participants, consulted by cooperative
@@ -88,7 +85,6 @@ val participant_recovered :
   self:Ids.site_id ->
   coordinator:Ids.site_id ->
   peers:Ids.site_id list ->
-  timeouts:timeouts ->
   part
 (** Rebuild a prepared-but-undecided participant after a crash; it is in
     the uncertain window and asks around when fed [Start]. *)

@@ -22,12 +22,8 @@ type t = {
 }
 
 let create ~cluster ~site ~mix ?(think = Time.zero) ?(retry_aborts = true)
-    ?(ordered_keys = true) ?(route_by_shard = false) ?rng () =
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Rng.split (Engine.rng (Cluster.engine cluster))
-  in
+    ?(ordered_keys = true) ?(route_by_shard = false) () =
+  let rng = Rng.split (Engine.rng (Cluster.engine cluster)) in
   {
     cluster;
     site;
@@ -48,16 +44,16 @@ let stop t = t.running <- false
    uniform draw from [delay/2, delay] where delay = min(cap, base * 2^(k-1)).
    The jitter comes from the client's own split RNG, so fleets stay
    deterministic per seed while avoiding retry convoys. *)
+let backoff_base = Time.us 400
+let backoff_cap = Time.ms 25
+
 let backoff t ~attempt =
-  let config = Cluster.config t.cluster in
-  let base = config.Config.retry_backoff_base in
-  let cap = config.Config.retry_backoff_cap in
   let delay =
     (* Shift-based doubling with an overflow guard: beyond the cap (or 62
        doublings) the exponential is irrelevant anyway. *)
     let exp = min (attempt - 1) 62 in
-    if exp >= 62 || base > cap / (1 lsl exp) then cap
-    else base * (1 lsl exp)
+    if exp >= 62 || backoff_base > backoff_cap / (1 lsl exp) then backoff_cap
+    else backoff_base * (1 lsl exp)
   in
   Rng.uniform_time t.rng ~lo:(delay / 2) ~hi:delay
 

@@ -22,7 +22,6 @@ val create :
   ?retry_aborts:bool ->
   ?ordered_keys:bool ->
   ?route_by_shard:bool ->
-  ?rng:Rng.t ->
   unit ->
   t
 (** [think] (default 0) is the delay between a completion and the next
@@ -33,7 +32,8 @@ val create :
     [route_by_shard] (default false) coordinates each transaction at a
     replica of its first key's shard instead of the fixed home site, so
     single-shard transactions under a sharded placement avoid remote
-    data rounds. *)
+    data rounds.  The client draws from its own RNG, split from the
+    engine's.  Retry backoff doubles from 400µs to a 25ms cap. *)
 
 val start : t -> unit
 

@@ -22,14 +22,7 @@ type t = {
   force_latency : Time.t;
   group_commit_window : Time.t;
   batch_window : Time.t option;
-  lock_wait_timeout : Time.t;
-  op_timeout : Time.t;
-  commit_timeouts : Rt_commit.Protocol.timeouts;
-  retry_backoff_base : Time.t;
-  retry_backoff_cap : Time.t;
   heartbeat_interval : Time.t;
-  heartbeat_miss : int;
-  recovery_per_record : Time.t;
   checkpoint_every : int;
   orphan_window_factor : int;
   probe_deadlocks : bool;
@@ -52,19 +45,7 @@ let default ?(sites = 3) () =
     force_latency = Time.us 50;
     group_commit_window = Time.zero;
     batch_window = None;
-    lock_wait_timeout = Time.ms 20;
-    op_timeout = Time.ms 40;
-    commit_timeouts =
-      {
-        vote_collect = Time.ms 50;
-        decision_wait = Time.ms 50;
-        resend_every = Time.ms 100;
-      };
-    retry_backoff_base = Time.us 400;
-    retry_backoff_cap = Time.ms 25;
     heartbeat_interval = Time.ms 10;
-    heartbeat_miss = 3;
-    recovery_per_record = Time.us 5;
     checkpoint_every = 0;
     orphan_window_factor = 10;
     probe_deadlocks = false;
@@ -97,22 +78,8 @@ let validate t =
   | Some w ->
       if Rt_sim.Time.(w <= zero) then
         invalid_arg "Config: batch_window must be positive when set");
-  non_negative "lock_wait_timeout" t.lock_wait_timeout;
-  non_negative "op_timeout" t.op_timeout;
-  non_negative "commit_timeouts.vote_collect" t.commit_timeouts.vote_collect;
-  non_negative "commit_timeouts.decision_wait" t.commit_timeouts.decision_wait;
-  non_negative "commit_timeouts.resend_every" t.commit_timeouts.resend_every;
-  non_negative "recovery_per_record" t.recovery_per_record;
-  if Rt_sim.Time.(t.retry_backoff_base <= zero) then
-    invalid_arg "Config: retry_backoff_base must be positive";
-  if Rt_sim.Time.(t.retry_backoff_cap <= zero) then
-    invalid_arg "Config: retry_backoff_cap must be positive";
-  if Rt_sim.Time.(t.retry_backoff_cap < t.retry_backoff_base) then
-    invalid_arg "Config: retry_backoff_cap must be at least retry_backoff_base";
   if Rt_sim.Time.(t.heartbeat_interval <= zero) then
     invalid_arg "Config: heartbeat_interval must be positive";
-  if t.heartbeat_miss < 1 then
-    invalid_arg "Config: heartbeat_miss must be at least 1";
   if t.checkpoint_every < 0 then
     invalid_arg "Config: checkpoint_every must be non-negative";
   Rt_storage.Storage_faults.validate t.storage_faults;

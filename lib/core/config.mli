@@ -44,21 +44,7 @@ type t = {
           sample and one loss/duplication roll for the whole envelope,
           FIFO unpack at delivery).  [None] (the default) sends every
           message as its own envelope. *)
-  lock_wait_timeout : Time.t;
-      (** A lock request waiting longer than this is refused (distributed
-          deadlocks resolve by timeout; local ones by cycle detection). *)
-  op_timeout : Time.t;
-      (** Coordinator gives up on a read/write round after this long. *)
-  commit_timeouts : Rt_commit.Protocol.timeouts;
-  retry_backoff_base : Time.t;
-      (** First client retry delay after an abort; later attempts double it
-          (capped, jittered).  Must be positive. *)
-  retry_backoff_cap : Time.t;
-      (** Ceiling on the exponential retry delay.  Must be positive and at
-          least [retry_backoff_base]. *)
   heartbeat_interval : Time.t;
-  heartbeat_miss : int;
-  recovery_per_record : Time.t;  (** Restart replay cost per log record. *)
   checkpoint_every : int;
       (** Take a checkpoint every n committed transactions (0 = never). *)
   orphan_window_factor : int;
@@ -107,8 +93,8 @@ val validate : t -> unit
     count, a placement whose site count or replication degree disagrees
     with [sites], a primary site out of range, commit-protocol
     thresholds the cluster cannot meet (see
-    {!Rt_commit.Commit_protocol.validate}), negative
-    latencies/timeouts, a non-positive heartbeat interval, retry
-    backoff knobs that are non-positive or cap below base, a storage
-    fault probability outside [0,1], or a non-positive
-    [px_early_stash_cap]. *)
+    {!Rt_commit.Commit_protocol.validate}), a negative force latency or
+    group-commit window, a non-positive batch window or heartbeat
+    interval, a negative checkpoint interval, an orphan window factor
+    below 1, a storage fault probability outside [0,1], or a
+    non-positive [px_early_stash_cap]. *)

@@ -309,7 +309,7 @@ let t5 =
                 :: Rt_storage.Log_record.Prepared
                      { txn = t; participants = [ 0; 1; 2 ] }
                 :: Rt_storage.Log_record.Update
-                     { txn = t; key; value = "v"; version = !i; undo = None }
+                     { txn = t; key; value = "v"; version = !i }
                 :: !log
             done;
             let t = txn (!i + 1) in
@@ -317,15 +317,14 @@ let t5 =
               Rt_storage.Log_record.Prepared
                 { txn = t; participants = [ 0; 1; 2 ] }
               :: Rt_storage.Log_record.Update
-                   { txn = t; key = "hot"; value = "v"; version = 1;
-                     undo = None }
+                   { txn = t; key = "hot"; value = "v"; version = 1 }
               :: !log;
             let log = List.rev !log in
             let kv = Rt_storage.Kv.create () in
             let o = Rt_storage.Recovery.recover kv log in
             let d =
-              Rt_storage.Recovery.replay_duration ~per_record:(Time.us 5)
-                ~scanned:o.scanned ~redone:o.redone
+              Rt_storage.Recovery.replay_duration ~scanned:o.scanned
+                ~redone:o.redone
             in
             Table.add_row table
               [
@@ -548,9 +547,7 @@ let f4 =
                   Client.start_fleet ~cluster ~clients:6 ~mix
                     ~retry_aborts:false ~think:(Time.us 200) ()
                 in
-                let proc =
-                  Failure.random_crashes cluster ~mttf ~mttr ()
-                in
+                let proc = Failure.random_crashes cluster ~mttf ~mttr in
                 Cluster.run ~until:(Time.sec 4) cluster;
                 Failure.stop proc;
                 List.iter Client.stop fleet;

@@ -33,7 +33,7 @@ let isolate_shard cluster ~shard =
 (* rt_lint: allow fingerprint-coverage -- fault-injector toggle, not simulated site state *)
 type process = { mutable running : bool }
 
-let random_crashes cluster ~mttf ~mttr ?(protect = []) () =
+let random_crashes cluster ~mttf ~mttr =
   let engine = Cluster.engine cluster in
   let rng = Rng.split (Engine.rng engine) in
   let p = { running = true } in
@@ -56,7 +56,7 @@ let random_crashes cluster ~mttf ~mttr ?(protect = []) () =
     end
   in
   for site = 0 to sites - 1 do
-    if not (List.mem site protect) then cycle site
+    cycle site
   done;
   p
 

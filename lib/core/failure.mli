@@ -24,10 +24,8 @@ val random_crashes :
   Cluster.t ->
   mttf:Time.t ->
   mttr:Time.t ->
-  ?protect:Ids.site_id list ->
-  unit ->
   process
-(** Each unprotected site independently alternates up/down with
+(** Each site independently alternates up/down with
     exponentially distributed times to failure ([mttf]) and repair
     ([mttr]).  Deterministic given the engine's seed.  Runs until
     {!stop}. *)

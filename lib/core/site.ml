@@ -243,6 +243,13 @@ let pending_protocol_timers t =
    reclaimed, so that late protocol traffic still finds its machine. *)
 let reclaim_delay = Time.sec 2
 
+(* A lock request waiting longer than this is refused: distributed
+   deadlocks resolve by timeout, local ones by cycle detection. *)
+let lock_wait_timeout = Time.ms 20
+
+(* A coordinator gives up on a read/write round after this long. *)
+let op_timeout = Time.ms 40
+
 let create ~engine ~id ~config ~send ~counters =
   Config.validate config;
   let placement = Config.placement config in
@@ -268,8 +275,8 @@ let create ~engine ~id ~config ~send ~counters =
     kv = Kv.create ();
     wal =
       Wal.create ~owner:id ~group_window:config.Config.group_commit_window
-        ~faults:config.Config.storage_faults ?fault_rng
-        ~checksum:LR.checksum engine ~force_latency:config.force_latency ();
+        ~faults:config.Config.storage_faults ?fault_rng engine
+        ~force_latency:config.force_latency ();
     cp = Checkpoint.create ();
     fault_rng;
     torn_truncated = 0;
@@ -289,7 +296,7 @@ let create ~engine ~id ~config ~send ~counters =
     sweep_line =
       Engine.line engine
         (config.Config.orphan_window_factor
-        * config.Config.commit_timeouts.decision_wait);
+        * P.default_timeouts.decision_wait);
     txn_seq = 0;
     commits_since_cp = 0;
     lat = Sample.create ();
@@ -460,8 +467,7 @@ let append_log t txn ~writes ~participants (tag : P.log_tag) =
         List.iter
           (fun (key, value, version) ->
             ignore
-              (Wal.append t.wal
-                 (LR.Update { txn; key; value; version; undo = None })))
+              (Wal.append t.wal (LR.Update { txn; key; value; version })))
           writes;
         LR.Prepared { txn; participants }
     | P.L_precommit -> LR.Precommit txn
@@ -773,8 +779,7 @@ and handle_vote_req t ~src txn (prepare : Msg.prepare_info option) =
         (Commit_protocol.participant t.config.commit_protocol
            ~participants:ctx.pt_participants ~coordinator:txn.Tid.origin
            ~self:t.id ~vote
-           ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization)
-           ~timeouts:t.config.commit_timeouts);
+           ~read_only:(ctx.pt_writes = [] && t.config.read_only_optimization));
     feed t Part ctx (P.Recv (src, P.Vote_req));
     (* Replay paxos acceptor traffic that arrived before the machine
        existed, in arrival order (see [px_early]). *)
@@ -1100,7 +1105,7 @@ let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
               let timer =
                 Engine.schedule_after
                   ~label:(Engine.Timer { site = t.id; name = "lock-wait" })
-                  t.engine t.config.lock_wait_timeout
+                  t.engine lock_wait_timeout
                   (guarded t (fun () ->
                        if not wait.w_done then
                          doom_part t ctx Msg.R_lock_timeout))
@@ -1179,7 +1184,7 @@ let rec run_op t ctx (op : Mix.op) ~k =
             let timer =
               Engine.schedule_after
                 ~label:(Engine.Timer { site = t.id; name = "op-timeout" })
-                t.engine t.config.op_timeout
+                t.engine op_timeout
                 (guarded t (fun () -> abort_coord_early t ctx Op_timeout))
             in
             ctx.co_wait <-
@@ -1265,7 +1270,7 @@ let begin_commit t ctx =
       ctx.co_slot.machine <-
         Some
           (Commit_protocol.coordinator t.config.commit_protocol ~participants
-             ~self:t.id ~timeouts:t.config.commit_timeouts);
+             ~self:t.id);
       feed t Coord ctx P.Start
     end
   end
@@ -1364,7 +1369,6 @@ let start_hb t =
       let hb =
         Heartbeat.create t.engine ~self:t.id ~peers:t.site_ids
           ~interval:t.config.heartbeat_interval
-          ~miss_threshold:t.config.heartbeat_miss
           ~send_beat:(fun peer ->
             if t.up then t.send_raw ~dst:peer (Msg.site_msg Msg.Heartbeat))
           ~on_down:(fun peer -> if t.up then on_peer_down t peer)
@@ -1524,8 +1528,7 @@ let recover t =
     let log = Wal.durable_records t.wal in
     let outcome = Recovery.recover t.kv log in
     let duration =
-      Recovery.replay_duration ~per_record:t.config.recovery_per_record
-        ~scanned:outcome.scanned ~redone:outcome.redone
+      Recovery.replay_duration ~scanned:outcome.scanned ~redone:outcome.redone
     in
     let inc = t.incarnation in
     ignore
@@ -1567,8 +1570,7 @@ let recover t =
                      (Commit_protocol.recovered_participant
                         t.config.commit_protocol ~participants
                         ~coordinator:d.txn.Tid.origin ~self:t.id
-                        ~state:(doubt_state_of d.state)
-                        ~timeouts:t.config.commit_timeouts);
+                        ~state:(doubt_state_of d.state));
                  feed t Part ctx P.Start)
                outcome.in_doubt;
              (* Catch up missed committed updates when the replica-control
@@ -1608,7 +1610,7 @@ let recover t =
                           ~label:
                             (Engine.Timer
                                { site = t.id; name = "catchup-retry" })
-                          t.engine t.config.commit_timeouts.resend_every
+                          t.engine P.default_timeouts.resend_every
                           (guarded t ask))
                    end
                in

@@ -82,7 +82,7 @@ type sweep_config = {
          k < n.  Requires cf_tune to arm storage_faults.torn_writes. *)
 }
 
-let default_configs =
+let configs =
   [
     {
       cf_name = "full";
@@ -221,8 +221,7 @@ let run_case ?placement ?tune ~case ~protocol ~seed () =
   Cluster.run ~until:horizon cluster;
   audit ~case ~cluster ~outcome ~reached:(injected ())
 
-let sweep ?(seed = 0) ?(protocols = default_protocols) ?(ns = default_ns)
-    ?(configs = default_configs) () =
+let sweep ?(seed = 0) ?(protocols = default_protocols) ?(ns = default_ns) () =
   let summaries = ref [] in
   let violations = ref [] in
   let total = ref 0 in

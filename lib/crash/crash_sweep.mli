@@ -61,45 +61,22 @@ val default_protocols : (string * Rt_core.Config.commit_protocol) list
 val default_ns : int list
 (** Cluster sizes swept by default: 3 and 5. *)
 
-val sharded_placement : n:int -> Rt_placement.Placement.t
-(** Two range shards split at "b" with round-robin replica sets of
-    [min 3 (n-1)] sites: the sweep's partial-replication configuration
-    (the coordinator replicates one shard, the targeted participant
-    both, and for n=5 site 4 replicates nothing). *)
-
-type placement_choice = Full | Sharded of Rt_placement.Placement.t | Skip
-
-type sweep_config = {
-  cf_name : string;
-  cf_choose : int -> placement_choice;
-      (** Placement for a cluster size, or [Skip] to omit that size. *)
-  cf_tune : Rt_core.Config.t -> Rt_core.Config.t;
-      (** Knob adjustments applied to the built config (e.g. enable group
-          commit or batching); [Fun.id] for the classical settings. *)
-  cf_torn : bool;
-      (** Enumerate torn-write variants of every ["wal:force-durable"]
-          point: crash after [k] of the cycle's [n] records, for each
-          [k < n].  [cf_tune] must arm [storage_faults.torn_writes]. *)
-}
-
-val default_configs : sweep_config list
-(** Full replication at every size, plus the {!sharded_placement}
-    configuration at sizes ≥ 4, plus full replication with WAL group
-    commit and link batching enabled ("full+gc") — group commit moves
-    the force boundaries, so the sweep re-discovers its crash points
-    there — plus "full+torn": the same windows with
-    [storage_faults.torn_writes] armed and every torn variant of every
-    observed force-durable cycle injected. *)
-
 val sweep :
   ?seed:int ->
   ?protocols:(string * Rt_core.Config.commit_protocol) list ->
   ?ns:int list ->
-  ?configs:sweep_config list ->
   unit ->
   report
-(** Run the full sweep (default: every protocol × every size × every
-    placement configuration, seed 0). *)
+(** Run the sweep (default: every protocol × every size, seed 0) under
+    four configurations: full replication ("full"); at sizes ≥ 4, two
+    range shards split at "b" with round-robin replica sets of
+    [min 3 (n-1)] sites ("sharded": the coordinator replicates one
+    shard, the targeted participant both, and for n=5 site 4 nothing);
+    full replication with WAL group commit and link batching
+    ("full+gc") — group commit moves the force boundaries, so the sweep
+    re-discovers its crash points there; and "full+torn": the same
+    windows with [storage_faults.torn_writes] armed and every torn
+    variant of every observed force-durable cycle injected. *)
 
 val run_case :
   ?placement:Rt_placement.Placement.t ->

@@ -652,7 +652,9 @@ let follow ?(opts = default_opts) make_sys (choices : int list) =
    (the suffix re-grows as default-0 choices), then lower each index as
    far as it will go.  Every candidate costs one full re-execution, so
    the probe budget is capped. *)
-let minimize ?(opts = default_opts) ?(max_probes = 300) make_sys schedule =
+let max_probes = 300
+
+let minimize ?(opts = default_opts) make_sys schedule =
   let probes = ref 0 in
   let viol cs =
     if !probes >= max_probes then false

@@ -123,8 +123,7 @@ val follow : ?opts:opts -> (unit -> sys) -> int list -> replay_out
     semantics counterexamples are exchanged in.  Drains and audits the
     reached leaf. *)
 
-val minimize :
-  ?opts:opts -> ?max_probes:int -> (unit -> sys) -> int list -> int list
+val minimize : ?opts:opts -> (unit -> sys) -> int list -> int list
 (** Greedy counterexample shrinking under {!follow} semantics: shortest
     violating prefix, then lower each index.  Each probe is one full
-    re-execution; capped at [max_probes] (default 300). *)
+    re-execution; capped at 300 probes. *)

@@ -3,6 +3,9 @@ open Rt_types
 
 type peer_state = { mutable last_heard : Time.t; mutable up : bool }
 
+(* A peer silent for this many consecutive intervals is declared down. *)
+let miss_threshold = 3
+
 type t = {
   engine : Engine.t;
   self : Ids.site_id;
@@ -12,7 +15,6 @@ type t = {
      hash-table walk and no sort. *)
   peers : peer_state option array;
   interval : Time.t;
-  miss_threshold : int;
   send_beat : Ids.site_id -> unit;
   on_down : Ids.site_id -> unit;
   on_up : Ids.site_id -> unit;
@@ -20,9 +22,7 @@ type t = {
   mutable epoch : int;  (* invalidates scheduled ticks after stop *)
 }
 
-let create engine ~self ~peers ~interval ~miss_threshold ~send_beat ~on_down
-    ~on_up =
-  if miss_threshold < 1 then invalid_arg "Heartbeat: miss_threshold >= 1";
+let create engine ~self ~peers ~interval ~send_beat ~on_down ~on_up =
   List.iter
     (fun p -> if p < 0 then invalid_arg "Heartbeat: negative site id")
     peers;
@@ -38,7 +38,6 @@ let create engine ~self ~peers ~interval ~miss_threshold ~send_beat ~on_down
     self;
     peers = table;
     interval;
-    miss_threshold;
     send_beat;
     on_down;
     on_up;
@@ -59,7 +58,7 @@ let peer_state t site =
    schedule simulator events. *)
 let check t =
   let now = Engine.now t.engine in
-  let deadline = t.miss_threshold * t.interval in
+  let deadline = miss_threshold * t.interval in
   iter_peers t (fun peer st ->
       if st.up && Time.sub now st.last_heard > deadline then begin
         st.up <- false;

@@ -1,8 +1,8 @@
 (** Heartbeat failure detector.
 
-    Each site periodically beats to its peers; a peer silent for
-    [miss_threshold] consecutive intervals is declared down, and declared
-    up again on the next beat heard.  The detector is deliberately simple
+    Each site periodically beats to its peers; a peer silent for three
+    consecutive intervals is declared down, and declared up again on the
+    next beat heard.  The detector is deliberately simple
     (and, under partitions, deliberately wrong in the way real timeout
     detectors are wrong): unreachable and crashed look identical, which is
     exactly the ambiguity quorum commit is designed to survive. *)
@@ -17,7 +17,6 @@ val create :
   self:Ids.site_id ->
   peers:Ids.site_id list ->
   interval:Time.t ->
-  miss_threshold:int ->
   send_beat:(Ids.site_id -> unit) ->
   on_down:(Ids.site_id -> unit) ->
   on_up:(Ids.site_id -> unit) ->

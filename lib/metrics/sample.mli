@@ -1,7 +1,6 @@
 (** Exact sample set: stores every observation, gives exact quantiles.
 
-    Suitable for simulation runs (up to a few million samples); for compact
-    streaming aggregation use {!Histogram} instead. *)
+    Suitable for simulation runs (up to a few million samples). *)
 
 type t
 

@@ -32,11 +32,11 @@ let default_scenarios =
   [
     Scenario.calm;
     Scenario.lossy ();
-    Scenario.gray ();
+    Scenario.gray;
     Scenario.flapping ();
-    Scenario.one_way ();
-    Scenario.churn ();
-    Scenario.coordinator_faults ();
+    Scenario.one_way;
+    Scenario.churn;
+    Scenario.coordinator_faults;
   ]
 
 (* Hash placement so the workload's keys spread over all shards (the
@@ -141,7 +141,7 @@ let drain_step = Time.ms 50
 let drain_cap = Time.sec 5
 
 let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
-    ?(rc = Rt_replica.Replica_control.rowa) ?(keys = 48) ?(tune = Fun.id)
+    ?(rc = Rt_replica.Replica_control.rowa) ?(tune = Fun.id)
     ~scenario ~protocol:(protocol_name, commit_protocol)
     ~placement:(placement_name, placement) () =
   let config =
@@ -157,7 +157,8 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   in
   let cluster = Cluster.create config in
   let mix =
-    { Mix.default with keys; read_fraction = 0.5; theta = 0.8; ops_per_txn = 3 }
+    { Mix.default with
+      keys = 48; read_fraction = 0.5; theta = 0.8; ops_per_txn = 3 }
   in
   Cluster.populate cluster mix;
   let fleet = Client.start_fleet ~cluster ~clients ~mix () in
@@ -247,8 +248,7 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   }
 
 let run ?seed ?sites:(n = 5) ?clients ?duration ?rc ?tune
-    ?(scenarios = default_scenarios) ?(protocols = Rt_commit.Commit_protocol.all)
-    ?placements () =
+    ?(scenarios = default_scenarios) ?placements () =
   let placements =
     match placements with
     | Some ps -> ps
@@ -263,7 +263,7 @@ let run ?seed ?sites:(n = 5) ?clients ?duration ?rc ?tune
               run_one ?seed ~sites:n ?clients ?duration ?rc ?tune ~scenario
                 ~protocol ~placement ())
             placements)
-        protocols)
+        Rt_commit.Commit_protocol.all)
     scenarios
 
 let pp_drain fmt = function

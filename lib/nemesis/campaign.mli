@@ -70,7 +70,6 @@ val run_one :
   ?clients:int ->
   ?duration:Time.t ->
   ?rc:Rt_replica.Replica_control.t ->
-  ?keys:int ->
   ?tune:(Config.t -> Config.t) ->
   scenario:Scenario.t ->
   protocol:string * Config.commit_protocol ->
@@ -90,13 +89,12 @@ val run :
   ?rc:Rt_replica.Replica_control.t ->
   ?tune:(Config.t -> Config.t) ->
   ?scenarios:Scenario.t list ->
-  ?protocols:(string * Config.commit_protocol) list ->
   ?placements:(string * Rt_placement.Placement.t option) list ->
   unit ->
   result list
-(** The full scenario × protocol × placement matrix (default: every
-    protocol of {!Rt_commit.Commit_protocol.all}), every cell tuned by
-    [tune] (default: no adjustment). *)
+(** The full scenario × protocol × placement matrix over every protocol
+    of {!Rt_commit.Commit_protocol.all}, every cell tuned by [tune]
+    (default: no adjustment). *)
 
 val pp_drain : Format.formatter -> Time.t option -> unit
 (** ["stuck"] for [None], otherwise the drain time in milliseconds. *)

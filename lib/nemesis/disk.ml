@@ -13,7 +13,8 @@ let ms = Time.ms
    baseline must look exactly like a calm network run. *)
 let calm_disk = Scenario.make "calm-disk" (fun ~sites:_ ~duration:_ -> [])
 
-let torn_churn ?(every = ms 60) ?(down_for = ms 30) () =
+let torn_churn =
+  let every = ms 60 and down_for = ms 30 in
   Scenario.make
     (Printf.sprintf "torn-churn(%dms/%dms)" (every / ms 1) (down_for / ms 1))
     (fun ~sites ~duration ->
@@ -29,7 +30,8 @@ let torn_churn ?(every = ms 60) ?(down_for = ms 30) () =
                (Time.add at down_for, Scenario.Recover site);
              ])))
 
-let checkpoint_corrupt ?(every = ms 90) ?(down_for = ms 45) () =
+let checkpoint_corrupt =
+  let every = ms 90 and down_for = ms 45 in
   Scenario.make
     (Printf.sprintf "cp-corrupt(%dms/%dms)" (every / ms 1) (down_for / ms 1))
     (fun ~sites ~duration ->
@@ -47,7 +49,8 @@ let checkpoint_corrupt ?(every = ms 90) ?(down_for = ms 45) () =
                (Time.add at down_for, Scenario.Recover site);
              ])))
 
-let recovery_recrash ?(every = ms 100) () =
+let recovery_recrash =
+  let every = ms 100 in
   Scenario.make
     (Printf.sprintf "recovery-recrash(%dms)" (every / ms 1))
     (fun ~sites ~duration ->
@@ -69,7 +72,8 @@ let recovery_recrash ?(every = ms 100) () =
                (up, Scenario.Recover site);
              ])))
 
-let torn_plus_checkpoint ?(every = ms 80) ?(down_for = ms 40) () =
+let torn_plus_checkpoint =
+  let every = ms 80 and down_for = ms 40 in
   Scenario.make
     (Printf.sprintf "torn+cp(%dms/%dms)" (every / ms 1) (down_for / ms 1))
     (fun ~sites ~duration ->
@@ -90,10 +94,10 @@ let torn_plus_checkpoint ?(every = ms 80) ?(down_for = ms 40) () =
 let default_scenarios =
   [
     calm_disk;
-    torn_churn ();
-    checkpoint_corrupt ();
-    recovery_recrash ();
-    torn_plus_checkpoint ();
+    torn_churn;
+    checkpoint_corrupt;
+    recovery_recrash;
+    torn_plus_checkpoint;
   ]
 
 (* Arm torn writes; the probabilistic corruption knobs stay 0, so every

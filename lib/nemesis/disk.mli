@@ -15,31 +15,31 @@ val calm_disk : Scenario.t
 (** Storage faults armed, nothing injected — the campaign's control row
     must behave exactly like a calm run. *)
 
-val torn_churn : ?every:Time.t -> ?down_for:Time.t -> unit -> Scenario.t
+val torn_churn : Scenario.t
 (** Round-robin torn crashes: each round tears the victim's in-flight
     WAL device cycle at a different survivor count (0, 1, 2 records
-    kept), then recovers it.  Defaults: a crash every 60 ms, down for
-    30 ms. *)
+    kept), then recovers it.  A crash every 60 ms, down for 30 ms. *)
 
-val checkpoint_corrupt : ?every:Time.t -> ?down_for:Time.t -> unit -> Scenario.t
+val checkpoint_corrupt : Scenario.t
 (** Crash a site, corrupt its latest checkpoint snapshot while it is
     down, then recover it: restoration must fall back to the previous
-    snapshot or a full log replay, never install garbage. *)
+    snapshot or a full log replay, never install garbage.  Every 90 ms,
+    down for 45 ms. *)
 
-val recovery_recrash : ?every:Time.t -> unit -> Scenario.t
+val recovery_recrash : Scenario.t
 (** Crash; crash again while still down; recover; re-crash the instant
     replay finishes; recover once more.  The double replay must be
-    idempotent and the log must survive repeated hits. *)
+    idempotent and the log must survive repeated hits.  Every 100 ms. *)
 
-val torn_plus_checkpoint : ?every:Time.t -> ?down_for:Time.t -> unit -> Scenario.t
+val torn_plus_checkpoint : Scenario.t
 (** The composed worst case: a torn crash AND a corrupted latest
     checkpoint on the same site, so one recovery must both truncate the
-    garbled tail and fall back past the bad snapshot. *)
+    garbled tail and fall back past the bad snapshot.  Every 80 ms, down
+    for 40 ms. *)
 
 val default_scenarios : Scenario.t list
 (** {!calm_disk}, {!torn_churn}, {!checkpoint_corrupt},
-    {!recovery_recrash}, and {!torn_plus_checkpoint} at their default
-    cadences. *)
+    {!recovery_recrash}, and {!torn_plus_checkpoint}. *)
 
 val arm : Rt_core.Config.t -> Rt_core.Config.t
 (** The campaign's tune: arm [storage_faults.torn_writes] (leaving the

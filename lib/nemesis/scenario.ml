@@ -92,7 +92,8 @@ let lossy ?(drop = 0.05) ?(duplicate = 0.05) () =
     (fun ~sites:_ ~duration:_ ->
       [ (Time.zero, Lossy { pairs = None; drop; duplicate }) ])
 
-let gray ?(factor = 8) () =
+let gray =
+  let factor = 8 in
   make
     (Printf.sprintf "gray(x%d)" factor)
     (fun ~sites ~duration:_ ->
@@ -114,7 +115,8 @@ let flapping ?(period = Time.ms 100) () =
         [ Partition [ left; right ] ]
         [ Heal_partition ])
 
-let one_way ?(period = Time.ms 100) () =
+let one_way =
+  let period = Time.ms 100 in
   make
     (Printf.sprintf "one-way(%dms)" (period / Time.ms 1))
     (fun ~sites ~duration ->
@@ -124,7 +126,8 @@ let one_way ?(period = Time.ms 100) () =
       let out = edges_out ~sites left in
       square ~period ~duration [ Sever out ] [ Restore out ])
 
-let churn ?(every = Time.ms 120) ?(down_for = Time.ms 60) () =
+let churn =
+  let every = Time.ms 120 and down_for = Time.ms 60 in
   make
     (Printf.sprintf "churn(%dms/%dms)" (every / Time.ms 1)
        (down_for / Time.ms 1))
@@ -138,7 +141,8 @@ let churn ?(every = Time.ms 120) ?(down_for = Time.ms 60) () =
              let at = k * every in
              [ (at, Crash site); (Time.add at down_for, Recover site) ])))
 
-let coordinator_faults ?(every = Time.ms 150) ?(down_for = Time.ms 50) () =
+let coordinator_faults =
+  let every = Time.ms 150 and down_for = Time.ms 50 in
   make
     (Printf.sprintf "coordinator(%dms/%dms)" (every / Time.ms 1)
        (down_for / Time.ms 1))

@@ -60,23 +60,25 @@ val lossy : ?drop:float -> ?duplicate:float -> unit -> t
 (** Every link drops and duplicates with the given probabilities for the
     whole window (defaults 0.05 each). *)
 
-val gray : ?factor:int -> unit -> t
-(** Site 0's links (both directions) run [factor]× slower (default 8). *)
+val gray : t
+(** Site 0's links (both directions) run 8× slower. *)
 
 val flapping : ?period:Time.t -> unit -> t
 (** The cluster splits into halves at every period boundary and heals
     half a period later (default period 100 ms). *)
 
-val one_way : ?period:Time.t -> unit -> t
+val one_way : t
 (** Asymmetric partition: the left half's outbound edges are severed
-    (requests arrive, replies vanish) on the same square wave. *)
+    (requests arrive, replies vanish) on flapping's default 100 ms
+    square wave. *)
 
-val churn : ?every:Time.t -> ?down_for:Time.t -> unit -> t
-(** Round-robin crash/recover, one site down at a time. *)
+val churn : t
+(** Round-robin crash/recover, one site down at a time: a crash every
+    120 ms, down for 60 ms. *)
 
-val coordinator_faults : ?every:Time.t -> ?down_for:Time.t -> unit -> t
-(** Alternate crashing site 0 and severing its outbound links — votes
-    reach the coordinator, its decisions vanish. *)
+val coordinator_faults : t
+(** Every 150 ms, alternately crash site 0 or sever its outbound links
+    for 50 ms — votes reach the coordinator, its decisions vanish. *)
 
 val cuts_reachability : step list -> bool
 (** Whether the steps sever reachability ({!Partition} or {!Sever}), as

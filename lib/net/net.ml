@@ -72,18 +72,15 @@ type 'msg t = {
   stats : Stats.t;
 }
 
-let create ?(fifo = true) ?batch ?seed_rng engine ~nodes ~default =
+let create ?(fifo = true) ?batch engine ~nodes ~default =
   if nodes <= 0 then invalid_arg "Net.create: nodes must be positive";
   (match batch with
   | Some w when Time.(w <= zero) ->
       invalid_arg "Net.create: batch window must be positive"
   | Some _ | None -> ());
-  let rng =
-    match seed_rng with Some r -> r | None -> Rng.split (Engine.rng engine)
-  in
   {
     engine;
-    rng;
+    rng = Rng.split (Engine.rng engine);
     fifo;
     batch;
     default;

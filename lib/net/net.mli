@@ -46,7 +46,6 @@ type 'msg t
 val create :
   ?fifo:bool ->
   ?batch:Time.t ->
-  ?seed_rng:Rng.t ->
   Engine.t ->
   nodes:int ->
   default:link ->
@@ -56,7 +55,7 @@ val create :
     delivery.  [batch] (default off) enables per-link batching with the
     given flush window (must be positive); the flush event is labelled
     [Timer {site = src; name = "net-flush"}].  The RNG is split from the
-    engine's root RNG unless [seed_rng] is given. *)
+    engine's root RNG. *)
 
 val nodes : 'msg t -> int
 

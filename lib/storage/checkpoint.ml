@@ -56,25 +56,6 @@ let merged shards = List.concat_map snd shards
 let latest t =
   Option.map (fun s -> (merged s.cs_shards, s.cs_lsn)) t.snapshot
 
-let shards t =
-  match t.snapshot with
-  | None -> []
-  | Some s -> List.map fst s.cs_shards
-
-let shard_snapshot t ~shard =
-  match t.snapshot with
-  | None -> None
-  | Some s -> List.assoc_opt shard s.cs_shards
-
-let restore_latest t kv =
-  match t.snapshot with
-  | None ->
-      Kv.clear kv;
-      0
-  | Some s ->
-      Kv.restore kv (merged s.cs_shards);
-      s.cs_lsn
-
 let corrupt t =
   match t.snapshot with
   | None -> ()

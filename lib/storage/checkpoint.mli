@@ -8,9 +8,8 @@
     rather than a write stall.
 
     Snapshots are kept per shard: the caller supplies the key→shard
-    mapping and each shard's slice is stored (and inspectable)
-    separately, so a partially-replicated site checkpoints exactly the
-    shards it holds.  Under full replication everything is shard 0 and
+    mapping and each shard's slice is stored separately, so a
+    partially-replicated site checkpoints exactly the shards it holds.  Under full replication everything is shard 0 and
     the behaviour is the classical whole-store snapshot. *)
 
 type t
@@ -25,18 +24,6 @@ val latest : t -> ((string * Kv.item) list * Wal.lsn) option
 (** Most recent snapshot (all shards merged, in shard order) and its LSN,
     if any. *)
 
-val shards : t -> int list
-(** Shard ids present in the latest snapshot, ascending. *)
-
-val shard_snapshot : t -> shard:int -> (string * Kv.item) list option
-(** The latest snapshot's slice for one shard (key-sorted). *)
-
-val restore_latest : t -> Kv.t -> Wal.lsn
-(** Load the latest snapshot into the store (clearing it first) and return
-    the LSN recovery should replay from; replays from LSN 1 over an empty
-    store when no checkpoint exists.  Trusts the snapshot blindly — use
-    {!restore_validated} when the storage fault profile is on. *)
-
 type restored =
   | R_latest of Wal.lsn  (** Latest snapshot valid and restored. *)
   | R_previous of Wal.lsn
@@ -44,16 +31,17 @@ type restored =
   | R_none  (** No usable snapshot; store cleared, full log replay. *)
 
 val restore_validated : t -> Kv.t -> restored
-(** Corruption-aware install: validate the latest snapshot's checksum
-    before restoring it; on failure fall back to the previous snapshot,
-    and when that is also unusable clear the store so recovery replays
-    the full log.  With no corruption this is exactly
-    {!restore_latest}. *)
+(** Load a snapshot into the store (clearing it first); recovery
+    replays the log after the returned snapshot's LSN.  The latest
+    snapshot's checksum is validated before restoring it; on failure
+    fall back to the previous snapshot, and when that is also unusable
+    (or no checkpoint exists) clear the store so recovery replays the
+    full log. *)
 
 val corrupt : t -> unit
 (** Fault injection: break the latest snapshot's stored checksum (no-op
-    when no snapshot exists).  {!restore_validated} will then fall back;
-    {!restore_latest} would restore it blindly. *)
+    when no snapshot exists).  {!restore_validated} will then fall
+    back. *)
 
 val has_previous : t -> bool
 (** Whether a previous (pre-latest) snapshot is retained.  Fault

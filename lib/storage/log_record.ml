@@ -6,7 +6,6 @@ type t =
       key : string;
       value : string;
       version : Kv.version;
-      undo : Kv.item option;
     }
   | Prepared of { txn : Ids.Txn_id.t; participants : Ids.site_id list }
   | Precommit of Ids.Txn_id.t
@@ -15,17 +14,6 @@ type t =
   | Commit of Ids.Txn_id.t
   | Abort of Ids.Txn_id.t
   | End of Ids.Txn_id.t
-  | Checkpoint_marker of { active : Ids.Txn_id.t list }
-
-(* Structural checksum over the whole record (digest of the marshalled
-   bytes, folded to an int).  Stored alongside each record by the WAL so
-   recovery can tell a validly-written record from a torn or corrupt
-   sector. *)
-let checksum t =
-  let d = Digest.string (Marshal.to_string t []) in
-  let h = ref 0 in
-  String.iter (fun c -> h := (!h * 131) + Char.code c) d;
-  !h land max_int
 
 let pp fmt = function
   | Update { txn; key; version; _ } ->
@@ -39,5 +27,3 @@ let pp fmt = function
   | Commit t -> Format.fprintf fmt "Commit(%a)" Ids.Txn_id.pp t
   | Abort t -> Format.fprintf fmt "Abort(%a)" Ids.Txn_id.pp t
   | End t -> Format.fprintf fmt "End(%a)" Ids.Txn_id.pp t
-  | Checkpoint_marker { active } ->
-      Format.fprintf fmt "Checkpoint(%d active)" (List.length active)

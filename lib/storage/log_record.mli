@@ -1,8 +1,8 @@
 (** Log records written by the transaction and commitment machinery.
 
-    The [Update] record carries both redo information (new value/version)
-    and undo information (the previous item), so either policy can replay
-    it.  Commit-protocol records ([Prepared], [Precommit], decision
+    The [Update] record carries redo information (new value/version):
+    updates reach stable state only after commit, so recovery never
+    undoes.  Commit-protocol records ([Prepared], [Precommit], decision
     records) are what the termination protocols consult after a crash. *)
 
 open Rt_types
@@ -13,7 +13,6 @@ type t =
       key : string;
       value : string;
       version : Kv.version;
-      undo : Kv.item option;  (** Item before this update; [None] = absent. *)
     }
   | Prepared of { txn : Ids.Txn_id.t; participants : Ids.site_id list }
       (** Participant is ready to commit (2PC/3PC vote Yes).  The member
@@ -26,12 +25,5 @@ type t =
   | Abort of Ids.Txn_id.t
   | End of Ids.Txn_id.t
       (** Transaction fully resolved locally; allows log truncation. *)
-  | Checkpoint_marker of { active : Ids.Txn_id.t list }
-
-val checksum : t -> int
-(** Deterministic structural checksum of the record, covering every
-    field.  The WAL stores it with the record (plus a sequence-chain
-    field); a recovery scan recomputes it to detect torn or corrupt
-    records. *)
 
 val pp : Format.formatter -> t -> unit

@@ -58,8 +58,7 @@ let recover kv log =
       | Collecting txn -> Ids.Txn_map.replace collecting txn ()
       | Commit txn -> Ids.Txn_map.replace status txn Won
       | Abort txn -> Ids.Txn_map.replace status txn Lost
-      | End txn -> Ids.Txn_map.remove collecting txn
-      | Checkpoint_marker _ -> ())
+      | End txn -> Ids.Txn_map.remove collecting txn)
     log;
   (* Redo pass: winners only, in log order. *)
   let redone = ref 0 in
@@ -122,5 +121,8 @@ let recover kv log =
     scanned = !scanned;
   }
 
-let replay_duration ~per_record ~scanned ~redone =
+(* Redo cost per log record; scanning one costs a tenth of it. *)
+let per_record = Rt_sim.Time.us 5
+
+let replay_duration ~scanned ~redone =
   Rt_sim.Time.add (redone * per_record) (scanned * per_record / 10)

@@ -41,8 +41,7 @@ val recover : Kv.t -> Log_record.t list -> outcome
     transaction seen.  Idempotent: re-running on the same input yields the
     same state, because updates carry absolute values and versions. *)
 
-val replay_duration :
-  per_record:Rt_sim.Time.t -> scanned:int -> redone:int -> Rt_sim.Time.t
+val replay_duration : scanned:int -> redone:int -> Rt_sim.Time.t
 (** Simulated wall time for a restart that scans [scanned] records and
-    re-applies [redone]: redo costs [per_record] each, scanning a tenth of
+    re-applies [redone]: redo costs 5µs per record, scanning a tenth of
     that.  Used by the recovery-time experiment (T5). *)

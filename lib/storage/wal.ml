@@ -26,7 +26,6 @@ type 'r t = {
   owner : int;  (* owning site, for crash points; -1 = anonymous *)
   faults : Storage_faults.t;
   fault_rng : Rng.t option;  (* present only when the profile is on *)
-  checksum : 'r -> int;
   mutable records : 'r slot array;  (* index i holds LSN base + i + 1 *)
   mutable size : int;
   mutable base : lsn;  (* number of truncated records *)
@@ -58,7 +57,7 @@ type 'r t = {
 (* Deterministic structural checksum.  [Hashtbl.hash] truncates deep
    structures (and polymorphic hashing of ids is linted against); a
    digest of the marshalled bytes covers the whole record. *)
-let default_checksum r =
+let checksum r =
   let d = Digest.string (Marshal.to_string r []) in
   let h = ref 0 in
   String.iter (fun c -> h := (!h * 131) + Char.code c) d;
@@ -67,8 +66,7 @@ let default_checksum r =
 let chain_next prev crc = ((prev * 1000003) + crc + 1) land max_int
 
 let create ?(owner = -1) ?(group_window = Time.zero)
-    ?(faults = Storage_faults.off) ?fault_rng ?(checksum = default_checksum)
-    engine ~force_latency () =
+    ?(faults = Storage_faults.off) ?fault_rng engine ~force_latency () =
   if Time.(group_window < zero) then
     invalid_arg "Wal.create: group_window must be non-negative";
   Storage_faults.validate faults;
@@ -79,7 +77,6 @@ let create ?(owner = -1) ?(group_window = Time.zero)
     owner;
     faults;
     fault_rng = (if Storage_faults.is_off faults then None else fault_rng);
-    checksum;
     records = [||];
     size = 0;
     base = 0;
@@ -125,7 +122,7 @@ let stats t =
   }
 
 let append t r =
-  let crc = t.checksum r in
+  let crc = checksum r in
   let prev_chain =
     if t.size = 0 then t.base_chain else t.records.(t.size - 1).s_chain
   in
@@ -282,7 +279,7 @@ let corrupt_record t ~lsn =
 let scan t =
   let valid i chain =
     let s = t.records.(i) in
-    s.s_crc = t.checksum s.s_rec && s.s_chain = chain_next chain s.s_crc
+    s.s_crc = checksum s.s_rec && s.s_chain = chain_next chain s.s_crc
   in
   let rec first_break i chain =
     if i >= t.size then None

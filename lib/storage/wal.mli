@@ -30,7 +30,6 @@ val create :
   ?group_window:Time.t ->
   ?faults:Storage_faults.t ->
   ?fault_rng:Rng.t ->
-  ?checksum:('r -> int) ->
   Engine.t ->
   force_latency:Time.t ->
   unit ->
@@ -50,8 +49,8 @@ val create :
     [faults] (default {!Storage_faults.off}) arms the storage fault
     model; [fault_rng] drives the probabilistic knobs and is consulted
     only when the profile is on (it is discarded when the profile is
-    off, so a faults-off log never draws from it).  [checksum] computes
-    per-record checksums (default: digest of the marshalled record). *)
+    off, so a faults-off log never draws from it).  Each record's
+    checksum is a digest of its marshalled bytes. *)
 
 type lsn = int
 (** Log sequence numbers are 1-based; 0 means "nothing". *)

@@ -14,7 +14,6 @@ let action = Alcotest.testable pp_action (fun a b -> a = b)
 let test_pra_coordinator_commit_walk () =
   let c =
     Two_pc.coordinator ~variant:Two_pc.Presumed_abort ~participants:[ 0; 1; 2 ]
-      ~timeouts
   in
   (* Start: vote requests to everyone plus the collection timer. *)
   let c, actions = Two_pc.coord_step c Start in
@@ -52,7 +51,6 @@ let test_pra_coordinator_commit_walk () =
 let test_pra_coordinator_abort_is_lazy () =
   let c =
     Two_pc.coordinator ~variant:Two_pc.Presumed_abort ~participants:[ 0; 1 ]
-      ~timeouts
   in
   let c, _ = Two_pc.coord_step c Start in
   let c, _ = Two_pc.coord_step c (Recv (0, Vote_yes)) in
@@ -69,7 +67,6 @@ let test_pra_coordinator_abort_is_lazy () =
 let test_prn_coordinator_abort_is_forced_with_acks () =
   let c =
     Two_pc.coordinator ~variant:Two_pc.Presumed_nothing ~participants:[ 0; 1 ]
-      ~timeouts
   in
   let c, _ = Two_pc.coord_step c Start in
   let c, _ = Two_pc.coord_step c (Recv (0, Vote_yes)) in
@@ -86,7 +83,6 @@ let test_prn_coordinator_abort_is_forced_with_acks () =
 let test_prc_coordinator_forces_collecting_first () =
   let c =
     Two_pc.coordinator ~variant:Two_pc.Presumed_commit ~participants:[ 0 ]
-      ~timeouts
   in
   let c, actions = Two_pc.coord_step c Start in
   Alcotest.(check (list action)) "collecting record first"
@@ -102,7 +98,7 @@ let test_prc_coordinator_forces_collecting_first () =
 let test_participant_yes_walk () =
   let p =
     Two_pc.participant ~variant:Two_pc.Presumed_abort ~self:1 ~coordinator:0
-      ~peers:[ 0; 1; 2 ] ~vote:true ~timeouts ()
+      ~peers:[ 0; 1; 2 ] ~vote:true ()
   in
   let p, actions = Two_pc.part_step p (Recv (0, Vote_req)) in
   Alcotest.(check (list action)) "prepared forced"
@@ -127,7 +123,7 @@ let test_participant_yes_walk () =
 let test_participant_no_vote_aborts_unilaterally () =
   let p =
     Two_pc.participant ~variant:Two_pc.Presumed_abort ~self:1 ~coordinator:0
-      ~peers:[ 0; 1 ] ~vote:false ~timeouts ()
+      ~peers:[ 0; 1 ] ~vote:false ()
   in
   let p, actions = Two_pc.part_step p (Recv (0, Vote_req)) in
   Alcotest.(check (list action)) "no + local abort"
@@ -138,7 +134,7 @@ let test_participant_no_vote_aborts_unilaterally () =
 let test_participant_timeout_asks_around () =
   let p =
     Two_pc.participant ~variant:Two_pc.Presumed_abort ~self:1 ~coordinator:0
-      ~peers:[ 0; 1; 2 ] ~vote:true ~timeouts ()
+      ~peers:[ 0; 1; 2 ] ~vote:true ()
   in
   let p, _ = Two_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Two_pc.part_step p (Log_done L_prepared) in
@@ -159,7 +155,7 @@ let test_participant_timeout_asks_around () =
 let test_read_only_participant_forgets () =
   let p =
     Two_pc.participant ~read_only:true ~variant:Two_pc.Presumed_abort ~self:1
-      ~coordinator:0 ~peers:[ 0; 1 ] ~vote:true ~timeouts ()
+      ~coordinator:0 ~peers:[ 0; 1 ] ~vote:true ()
   in
   let p, actions = Two_pc.part_step p (Recv (0, Vote_req)) in
   Alcotest.(check (list action)) "read-only vote and forget"
@@ -180,7 +176,7 @@ let test_recovered_coordinator_redistributes () =
     (fun variant ->
       let name = Two_pc.variant_name variant in
       let c =
-        Two_pc.coordinator_recovered ~variant ~participants:[ 0; 1 ] ~timeouts
+        Two_pc.coordinator_recovered ~variant ~participants:[ 0; 1 ]
           ~logged:(`Decision Commit)
       in
       Alcotest.(check bool) (name ^ ": not done yet") false (Two_pc.coord_done c);
@@ -202,7 +198,7 @@ let test_recovered_prc_commit_needs_nothing () =
      back finished and only answers inquiries. *)
   let c =
     Two_pc.coordinator_recovered ~variant:Two_pc.Presumed_commit
-      ~participants:[ 0; 1 ] ~timeouts ~logged:(`Decision Commit)
+      ~participants:[ 0; 1 ] ~logged:(`Decision Commit)
   in
   Alcotest.(check bool) "done immediately" true (Two_pc.coord_done c);
   let c, actions = Two_pc.coord_step c Start in
@@ -217,7 +213,7 @@ let test_recovered_prc_collecting_aborts () =
      decision: it must abort, force the record, and collect abort acks. *)
   let c =
     Two_pc.coordinator_recovered ~variant:Two_pc.Presumed_commit
-      ~participants:[ 0; 1 ] ~timeouts ~logged:`Collecting
+      ~participants:[ 0; 1 ] ~logged:`Collecting
   in
   let c, actions = Two_pc.coord_step c Start in
   Alcotest.(check (list action)) "re-force the abort record"
@@ -243,7 +239,7 @@ let test_recovered_coordinator_presumes () =
     (fun (variant, presumed) ->
       let name = Two_pc.variant_name variant in
       let c =
-        Two_pc.coordinator_recovered ~variant ~participants:[ 0; 1 ] ~timeouts
+        Two_pc.coordinator_recovered ~variant ~participants:[ 0; 1 ]
           ~logged:`Nothing
       in
       Alcotest.(check bool) (name ^ ": done") true (Two_pc.coord_done c);
@@ -264,7 +260,7 @@ let test_recovered_participant_asks_around () =
      window and immediately runs cooperative termination. *)
   let p =
     Two_pc.participant_recovered ~variant:Two_pc.Presumed_abort ~self:1
-      ~coordinator:0 ~peers:[ 0; 1; 2 ] ~timeouts
+      ~coordinator:0 ~peers:[ 0; 1; 2 ]
   in
   Alcotest.(check bool) "uncertain" true (Two_pc.part_state p = P_uncertain);
   let p, actions = Two_pc.part_step p Start in
@@ -290,7 +286,7 @@ let test_recovered_participant_outcomes_by_variant () =
   let recovered variant =
     let p =
       Two_pc.participant_recovered ~variant ~self:1 ~coordinator:0
-        ~peers:[ 0; 1; 2 ] ~timeouts
+        ~peers:[ 0; 1; 2 ]
     in
     fst (Two_pc.part_step p Start)
   in
@@ -336,7 +332,7 @@ let test_idle_participant_adopts_decision () =
      the message, leaving the coordinator resending forever. *)
   let p =
     Two_pc.participant ~variant:Two_pc.Presumed_nothing ~self:1 ~coordinator:0
-      ~peers:[ 0; 1; 2 ] ~vote:true ~timeouts ()
+      ~peers:[ 0; 1; 2 ] ~vote:true ()
   in
   let p, actions = Two_pc.part_step p (Recv (0, Decision_msg Abort)) in
   Alcotest.(check (list action)) "adopts the coordinator's abort"
@@ -355,7 +351,7 @@ let test_forgotten_participant_reacks () =
   let forgotten variant =
     let p =
       Two_pc.participant ~read_only:true ~variant ~self:1 ~coordinator:0
-        ~peers:[ 0; 1 ] ~vote:true ~timeouts ()
+        ~peers:[ 0; 1 ] ~vote:true ()
     in
     fst (Two_pc.part_step p (Recv (0, Vote_req)))
   in
@@ -380,7 +376,7 @@ let test_early_decision_req_gets_unknown () =
      answered Decision_unknown, not dropped — the asker is blocked. *)
   let p =
     Two_pc.participant ~variant:Two_pc.Presumed_abort ~self:1 ~coordinator:0
-      ~peers:[ 0; 1; 2 ] ~vote:true ~timeouts ()
+      ~peers:[ 0; 1; 2 ] ~vote:true ()
   in
   let _, actions = Two_pc.part_step p (Recv (2, Decision_req)) in
   Alcotest.(check (list action)) "idle answers unknown"
@@ -395,7 +391,7 @@ let test_early_decision_req_gets_unknown () =
 (* --- 3PC ------------------------------------------------------------------ *)
 
 let test_3pc_walk () =
-  let c = Three_pc.coordinator ~participants:[ 0; 1 ] ~timeouts in
+  let c = Three_pc.coordinator ~participants:[ 0; 1 ] in
   let c, _ = Three_pc.coord_step c Start in
   let c, _ = Three_pc.coord_step c (Recv (0, Vote_yes)) in
   let c, actions = Three_pc.coord_step c (Recv (1, Vote_yes)) in
@@ -421,7 +417,6 @@ let test_3pc_walk () =
 let test_3pc_participant_precommit_phase () =
   let p =
     Three_pc.participant ~self:1 ~coordinator:0 ~all:[ 0; 1; 2 ] ~vote:true
-      ~timeouts
   in
   let p, _ = Three_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Three_pc.part_step p (Log_done L_prepared) in
@@ -442,7 +437,6 @@ let test_3pc_participant_precommit_phase () =
 let test_3pc_precommitted_reacks_duplicate_precommit () =
   let p =
     Three_pc.participant ~self:1 ~coordinator:0 ~all:[ 0; 1; 2 ] ~vote:true
-      ~timeouts
   in
   let p, _ = Three_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Three_pc.part_step p (Log_done L_prepared) in
@@ -460,7 +454,6 @@ let test_3pc_precommitted_reacks_duplicate_precommit () =
 let test_3pc_finished_reacks_resent_decision () =
   let p =
     Three_pc.participant ~self:1 ~coordinator:0 ~all:[ 0; 1; 2 ] ~vote:true
-      ~timeouts
   in
   let p, _ = Three_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Three_pc.part_step p (Log_done L_prepared) in
@@ -479,7 +472,6 @@ let test_qc_participant_rejects_stale_epochs () =
   let config = Quorum_commit.config ~all:[ 0; 1; 2 ] () in
   let p =
     Quorum_commit.participant ~config ~self:1 ~coordinator:0 ~vote:true
-      ~timeouts
   in
   let p, _ = Quorum_commit.part_step p (Recv (0, Vote_req)) in
   let p, _ = Quorum_commit.part_step p (Log_done L_prepared) in
@@ -503,7 +495,6 @@ let test_qc_finished_reacks_resent_decision () =
   let config = Quorum_commit.config ~all:[ 0; 1; 2 ] () in
   let p =
     Quorum_commit.participant ~config ~self:1 ~coordinator:0 ~vote:true
-      ~timeouts
   in
   let p, _ = Quorum_commit.part_step p (Recv (0, Vote_req)) in
   let p, _ = Quorum_commit.part_step p (Log_done L_prepared) in
@@ -523,7 +514,7 @@ let test_qc_coordinator_commits_at_quorum () =
     Quorum_commit.config ~all:[ 0; 1; 2; 3; 4 ] ~commit_quorum:3
       ~abort_quorum:3 ()
   in
-  let c = Quorum_commit.coordinator ~config ~self:0 ~timeouts in
+  let c = Quorum_commit.coordinator ~config ~self:0 in
   let c, _ = Quorum_commit.coord_step c Start in
   let c =
     List.fold_left
@@ -551,7 +542,7 @@ let test_qc_coordinator_commits_at_quorum () =
 (* Walk a fresh QC participant to [B_uncertain]. *)
 let qc_uncertain ~config ~self ~coordinator =
   let p =
-    Quorum_commit.participant ~config ~self ~coordinator ~vote:true ~timeouts
+    Quorum_commit.participant ~config ~self ~coordinator ~vote:true
   in
   let p, _ = Quorum_commit.part_step p (Recv (coordinator, Vote_req)) in
   let p, _ = Quorum_commit.part_step p (Log_done L_prepared) in
@@ -656,7 +647,7 @@ let test_qc_live_state_silent_on_decision_req () =
   Alcotest.(check (list action)) "finished participant answers"
     [ Send (2, Decision_msg Abort) ]
     actions;
-  let c = Quorum_commit.coordinator ~config ~self:0 ~timeouts in
+  let c = Quorum_commit.coordinator ~config ~self:0 in
   let c, _ = Quorum_commit.coord_step c Start in
   let _, actions = Quorum_commit.coord_step c (Recv (1, Decision_req)) in
   Alcotest.(check (list action)) "undecided coordinator silent" [] actions
@@ -667,7 +658,7 @@ let test_qc_live_state_silent_on_decision_req () =
    it resends [Pq_precommit] forever and never delivers to its client. *)
 let test_qc_deposed_coordinator_adopts_decision () =
   let config = Quorum_commit.config ~all:[ 0; 1; 2 ] () in
-  let c = Quorum_commit.coordinator ~config ~self:0 ~timeouts in
+  let c = Quorum_commit.coordinator ~config ~self:0 in
   let c, _ = Quorum_commit.coord_step c Start in
   let c, actions = Quorum_commit.coord_step c (Recv (1, Decision_msg Abort)) in
   Alcotest.(check (list action)) "adopts the rival decision"
@@ -682,7 +673,7 @@ let test_qc_deposed_coordinator_adopts_decision () =
    the usurper terminates the whole group. *)
 let test_3pc_usurps_amnesiac_leader () =
   let all = [ 0; 1; 2 ] in
-  let p = Three_pc.participant ~self:1 ~coordinator:0 ~all ~vote:true ~timeouts in
+  let p = Three_pc.participant ~self:1 ~coordinator:0 ~all ~vote:true in
   let p, _ = Three_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Three_pc.part_step p (Log_done L_prepared) in
   let p, actions = Three_pc.part_step p (Recv (0, Decision_unknown)) in
@@ -703,12 +694,12 @@ let test_3pc_usurps_amnesiac_leader () =
 
 let test_3pc_live_state_silent_on_decision_req () =
   let all = [ 0; 1; 2 ] in
-  let p = Three_pc.participant ~self:1 ~coordinator:0 ~all ~vote:true ~timeouts in
+  let p = Three_pc.participant ~self:1 ~coordinator:0 ~all ~vote:true in
   let p, _ = Three_pc.part_step p (Recv (0, Vote_req)) in
   let p, _ = Three_pc.part_step p (Log_done L_prepared) in
   let _, actions = Three_pc.part_step p (Recv (2, Decision_req)) in
   Alcotest.(check (list action)) "uncertain participant silent" [] actions;
-  let c = Three_pc.coordinator ~participants:[ 1; 2 ] ~timeouts in
+  let c = Three_pc.coordinator ~participants:[ 1; 2 ] in
   let c, _ = Three_pc.coord_step c Start in
   let _, actions = Three_pc.coord_step c (Recv (1, Decision_req)) in
   Alcotest.(check (list action)) "undecided coordinator silent" [] actions

@@ -325,7 +325,7 @@ let test_soak_crash_recover_available_copies () =
   Cluster.populate cluster mix;
   let fleet = Client.start_fleet ~cluster ~clients:6 ~mix () in
   let proc =
-    Failure.random_crashes cluster ~mttf:(Time.ms 400) ~mttr:(Time.ms 80) ()
+    Failure.random_crashes cluster ~mttf:(Time.ms 400) ~mttr:(Time.ms 80)
   in
   Cluster.run ~until:(Time.sec 3) cluster;
   Failure.stop proc;

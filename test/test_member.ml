@@ -11,7 +11,6 @@ let make_pair () =
   let downs = ref [] and ups = ref [] in
   let hb self peer =
     Heartbeat.create engine ~self ~peers:[ peer ] ~interval:(Time.ms 10)
-      ~miss_threshold:3
       ~send_beat:(fun p ->
         match boxes.(p) with
         | Some other -> Heartbeat.beat_received other ~from:self
@@ -98,47 +97,6 @@ let test_restart_resets_suspicion () =
   Alcotest.(check bool) "peer presumed up right after restart" true
     (Heartbeat.is_up a 1)
 
-(* --- View -------------------------------------------------------------- *)
-
-let test_view_basics () =
-  let v = View.create ~members:[ 2; 0; 1; 1 ] in
-  Alcotest.(check int) "initial id" 1 (View.id v);
-  Alcotest.(check (list int)) "sorted dedup members" [ 0; 1; 2 ]
-    (View.members v);
-  Alcotest.(check bool) "contains" true (View.contains v 1);
-  Alcotest.(check bool) "same membership: no change" false
-    (View.update v ~up:[ 1; 0; 2 ]);
-  Alcotest.(check int) "id unchanged" 1 (View.id v)
-
-let test_view_changes_and_callbacks () =
-  let v = View.create ~members:[ 0; 1; 2 ] in
-  let log = ref [] in
-  View.on_change v (fun id members -> log := (id, members) :: !log);
-  Alcotest.(check bool) "change detected" true (View.update v ~up:[ 0; 1 ]);
-  Alcotest.(check bool) "another change" true (View.update v ~up:[ 0; 1; 2 ]);
-  Alcotest.(check (list (pair int (list int)))) "callback trace"
-    [ (3, [ 0; 1; 2 ]); (2, [ 0; 1 ]) ]
-    !log;
-  Alcotest.(check int) "monotone id" 3 (View.id v)
-
-let test_view_tracks_heartbeat () =
-  let engine, a, b, _, _ = make_pair () in
-  let v = View.create ~members:[ 0; 1 ] in
-  Heartbeat.start a;
-  Heartbeat.start b;
-  (* Poll the detector into the view every 5ms. *)
-  let rec poll () =
-    ignore (View.update v ~up:(0 :: Heartbeat.up_peers a));
-    ignore (Engine.schedule_after engine (Time.ms 5) poll)
-  in
-  poll ();
-  Engine.run ~until:(Time.ms 100) engine;
-  Alcotest.(check (list int)) "both in view" [ 0; 1 ] (View.members v);
-  Heartbeat.stop b;
-  Engine.run ~until:(Time.ms 250) engine;
-  Alcotest.(check (list int)) "b expelled" [ 0 ] (View.members v);
-  Alcotest.(check bool) "view advanced" true (View.id v > 1)
-
 let () =
   Alcotest.run "member"
     [
@@ -152,12 +110,5 @@ let () =
           Alcotest.test_case "recovery detected" `Quick test_recovery_detected;
           Alcotest.test_case "restart resets suspicion" `Quick
             test_restart_resets_suspicion;
-        ] );
-      ( "view",
-        [
-          Alcotest.test_case "basics" `Quick test_view_basics;
-          Alcotest.test_case "changes and callbacks" `Quick
-            test_view_changes_and_callbacks;
-          Alcotest.test_case "tracks heartbeat" `Quick test_view_tracks_heartbeat;
         ] );
     ]

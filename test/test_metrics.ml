@@ -1,5 +1,5 @@
-(* Tests for the metrics library: exact samples, bucketed histograms,
-   counters, and table rendering. *)
+(* Tests for the metrics library: exact samples, counters, and table
+   rendering. *)
 
 open Rt_metrics
 
@@ -53,79 +53,6 @@ let prop_sample_percentile_monotone =
         | _ -> true
       in
       mono vals)
-
-(* --- Histogram --------------------------------------------------------- *)
-
-let test_histogram_accuracy () =
-  let h = Histogram.create ~precision:0.01 () in
-  let s = Sample.create () in
-  let rng = Rt_sim.Rng.create ~seed:5 in
-  for _ = 1 to 10_000 do
-    let v = Rt_sim.Rng.exponential rng ~mean:10.0 in
-    Histogram.add h v;
-    Sample.add s v
-  done;
-  Alcotest.(check int) "counts agree" (Sample.count s) (Histogram.count h);
-  List.iter
-    (fun p ->
-      let exact = Sample.percentile s p and approx = Histogram.percentile h p in
-      let err = abs_float (approx -. exact) /. exact in
-      Alcotest.(check bool)
-        (Printf.sprintf "p%.0f within 2%%" p)
-        true (err < 0.02))
-    [ 50.; 90.; 99. ]
-
-let test_histogram_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  Histogram.add a 1.;
-  Histogram.add b 100.;
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "count" 2 (Histogram.count m);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Histogram.min m);
-  Alcotest.(check (float 1e-9)) "max" 100.0 (Histogram.max m);
-  Alcotest.check_raises "mismatched precision"
-    (Invalid_argument "Histogram.merge: mismatched precision") (fun () ->
-      ignore (Histogram.merge a (Histogram.create ~precision:0.5 ())))
-
-let test_histogram_zero () =
-  (* Zero is a legal sample: it lands in the underflow bucket, whose
-     representative value is 0, so percentiles agree with min/max. *)
-  let h = Histogram.create () in
-  Histogram.add h 0.;
-  Histogram.add h 10.;
-  Alcotest.(check int) "both counted" 2 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "min" 0. (Histogram.min h);
-  Alcotest.(check (float 1e-9)) "p1 = min" 0. (Histogram.percentile h 1.)
-
-let test_histogram_rejects_negative () =
-  (* Negative samples used to collapse into the underflow bucket and
-     report as 0 in percentile queries while min/max kept the real
-     value; they are rejected now instead of lying. *)
-  let h = Histogram.create () in
-  let reject x =
-    Alcotest.check_raises
-      (Printf.sprintf "add %f rejected" x)
-      (Invalid_argument "Histogram.add: sample must be a non-negative number")
-      (fun () -> Histogram.add h x)
-  in
-  reject (-5.);
-  reject Float.nan;
-  Alcotest.(check int) "nothing recorded" 0 (Histogram.count h)
-
-let test_histogram_single_sample () =
-  let h = Histogram.create () in
-  Histogram.add h 7.;
-  Alcotest.(check int) "count" 1 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "min" 7. (Histogram.min h);
-  Alcotest.(check (float 1e-9)) "max" 7. (Histogram.max h);
-  (* With one sample every percentile is that sample (clamped into the
-     observed range, so bucket-midpoint error cannot leak out). *)
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%.0f" p)
-        7. (Histogram.percentile h p))
-    [ 0.; 1.; 50.; 100. ]
 
 (* --- Counter ------------------------------------------------------------ *)
 
@@ -183,15 +110,6 @@ let () =
           Alcotest.test_case "merge/clear" `Quick test_sample_merge_clear;
           Alcotest.test_case "stddev" `Quick test_sample_stddev;
           QCheck_alcotest.to_alcotest prop_sample_percentile_monotone;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "accuracy" `Quick test_histogram_accuracy;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "zero sample" `Quick test_histogram_zero;
-          Alcotest.test_case "rejects negative" `Quick
-            test_histogram_rejects_negative;
-          Alcotest.test_case "single sample" `Quick test_histogram_single_sample;
         ] );
       ("counter", [ Alcotest.test_case "counter" `Quick test_counter ]);
       ( "table",

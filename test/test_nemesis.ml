@@ -53,7 +53,7 @@ let test_cuts_reachability () =
     (Scenario.cuts_reachability (at (Scenario.Crash 0)))
 
 let test_scenario_steps_deterministic () =
-  let s = Scenario.churn () in
+  let s = Scenario.churn in
   let a = Scenario.steps s ~sites:5 ~duration:(Time.ms 300) in
   let b = Scenario.steps s ~sites:5 ~duration:(Time.ms 300) in
   Alcotest.(check bool) "same steps" true (a = b)

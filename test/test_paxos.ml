@@ -7,8 +7,6 @@
 open Rt_commit
 open Protocol
 
-let timeouts = default_timeouts
-
 let cfg ?f n =
   Paxos_commit.config ~all:(List.init n (fun i -> i)) ~coordinator:0 ?f ()
 
@@ -41,7 +39,7 @@ let test_config_rejects () =
 let test_recovery_presumption () =
   (* F = 0: an empty coordinator log is the 2PC-PrN abort presumption. *)
   let c =
-    Paxos_commit.coordinator_recovered ~config:(cfg ~f:0 3) ~self:0 ~timeouts
+    Paxos_commit.coordinator_recovered ~config:(cfg ~f:0 3) ~self:0
       ~logged:`Nothing
   in
   Alcotest.(check (option dec)) "presumed abort" (Some Abort)
@@ -52,7 +50,7 @@ let test_recovery_presumption () =
     (fun () ->
       ignore
         (Paxos_commit.coordinator_recovered ~config:(cfg ~f:1 3) ~self:0
-           ~timeouts ~logged:`Nothing))
+           ~logged:`Nothing))
 
 (* --- acceptor core -------------------------------------------------- *)
 
@@ -341,7 +339,7 @@ let test_recovered_acceptor_abstains () =
      that 2F+1 acceptors buy). *)
   let p =
     Paxos_commit.participant_recovered ~config:(cfg ~f:1 3) ~self:1
-      ~state:P_uncertain ~timeouts
+      ~state:P_uncertain
   in
   let _, a1 = Paxos_commit.part_step p (Recv (2, Px_p1a (4, 2))) in
   Alcotest.(check int) "no phase-1 reply" 0 (List.length a1);

@@ -171,33 +171,9 @@ let test_validate_rejections () =
     };
   check "negative force latency" true
     { base with force_latency = Time.us (-1) };
-  check "negative lock wait" true
-    { base with lock_wait_timeout = Time.us (-5) };
-  check "negative op timeout" true { base with op_timeout = Time.us (-5) };
   check "zero heartbeat interval" true
     { base with heartbeat_interval = Time.zero };
-  check "heartbeat miss < 1" true { base with heartbeat_miss = 0 };
   check "negative checkpoint interval" true { base with checkpoint_every = -1 };
-  check "negative recovery cost" true
-    { base with recovery_per_record = Time.us (-1) };
-  check "zero retry backoff base" true
-    { base with retry_backoff_base = Time.zero };
-  check "negative retry backoff base" true
-    { base with retry_backoff_base = Time.us (-3) };
-  check "zero retry backoff cap" true
-    {
-      base with
-      retry_backoff_base = Time.us 1;
-      retry_backoff_cap = Time.zero;
-    };
-  check "retry backoff cap below base" true
-    {
-      base with
-      retry_backoff_base = Time.ms 10;
-      retry_backoff_cap = Time.ms 1;
-    };
-  check "equal retry backoff base and cap passes" false
-    { base with retry_backoff_base = Time.ms 1; retry_backoff_cap = Time.ms 1 };
   check "primary out of range" true
     { base with replica_control = Rt_replica.Replica_control.primary 7 };
   check "quorum thresholds below 1" true

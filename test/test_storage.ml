@@ -216,7 +216,7 @@ let test_wal_truncate () =
 (* --- Recovery -------------------------------------------------------- *)
 
 let upd t key value version =
-  Log_record.Update { txn = t; key; value; version; undo = None }
+  Log_record.Update { txn = t; key; value; version }
 
 let test_recovery_winners_only () =
   let t1 = txn 1 and t2 = txn 2 in
@@ -314,6 +314,14 @@ let prop_recovery_never_applies_losers =
 
 (* --- Checkpoint ------------------------------------------------------ *)
 
+(* Restore an uncorrupted checkpoint: the LSN replay resumes after, 0
+   when there is no snapshot. *)
+let restore cp kv =
+  match Checkpoint.restore_validated cp kv with
+  | Checkpoint.R_latest lsn -> lsn
+  | Checkpoint.R_previous _ -> Alcotest.fail "fell back past an intact snapshot"
+  | Checkpoint.R_none -> 0
+
 let test_checkpoint_roundtrip () =
   let cp = Checkpoint.create () in
   let kv = Kv.create () in
@@ -321,7 +329,7 @@ let test_checkpoint_roundtrip () =
   Checkpoint.take cp ~kv ~lsn:10;
   Kv.set kv ~key:"a" ~value:"2" ~version:2;
   let kv2 = Kv.create () in
-  let from = Checkpoint.restore_latest cp kv2 in
+  let from = restore cp kv2 in
   Alcotest.(check int) "replay from" 10 from;
   Alcotest.(check int) "snapshot version" 1 (Kv.version kv2 "a");
   Alcotest.(check int) "count" 1 (Checkpoint.count cp)
@@ -330,7 +338,7 @@ let test_checkpoint_empty () =
   let cp = Checkpoint.create () in
   let kv = Kv.create () in
   Kv.set kv ~key:"junk" ~value:"x" ~version:1;
-  let from = Checkpoint.restore_latest cp kv in
+  let from = restore cp kv in
   Alcotest.(check int) "from scratch" 0 from;
   Alcotest.(check int) "cleared" 0 (Kv.size kv)
 
@@ -358,7 +366,7 @@ let test_storage_crash_cycle () =
   Wal.crash wal;
   (* Restart: snapshot + durable suffix replay. *)
   let kv' = Kv.create () in
-  let from = Checkpoint.restore_latest cp kv' in
+  let from = restore cp kv' in
   let suffix =
     List.filteri (fun i _ -> i >= from) (Wal.durable_records wal)
   in
