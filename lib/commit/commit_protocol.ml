@@ -1,5 +1,3 @@
-open Protocol
-
 type t =
   | Two_phase of Two_pc.variant
   | Three_phase
@@ -75,10 +73,15 @@ let qc_config ~commit_quorum ~abort_quorum ~participants =
   in
   Quorum_commit.config ~all:participants ~commit_quorum ~abort_quorum ()
 
+(* With an effective F of 0 the origin is the sole acceptor, and Paxos
+   Commit is two-phase commit with presumed nothing (Gray & Lamport):
+   [None] says the transaction runs the 2PC-PrN machines. *)
 let paxos_config f ~participants ~coordinator =
-  Paxos_commit.config ~all:participants ~coordinator
-    ~f:(paxos_f f ~participants ~coordinator)
-    ()
+  match paxos_f f ~participants ~coordinator with
+  | 0 -> None
+  | f -> Some (Paxos_commit.config ~all:participants ~coordinator ~f ())
+
+let prn = Two_phase Two_pc.Presumed_nothing
 
 let label t ~sites =
   let participants = List.init sites Fun.id in
@@ -132,7 +135,7 @@ let paxos_part =
   machine ~step:Paxos_commit.part_step ~decision:Paxos_commit.part_decision
     ~blocked:Paxos_commit.part_blocked Paxos_commit.describe_part
 
-let coordinator t ~participants ~self =
+let rec coordinator t ~participants ~self =
   match t with
   | Two_phase variant ->
       Erased.make two_pc_coord (Two_pc.coordinator ~variant ~participants)
@@ -141,11 +144,13 @@ let coordinator t ~participants ~self =
   | Quorum_commit { commit_quorum; abort_quorum } ->
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
       Erased.make qc_coord (Quorum_commit.coordinator ~config ~self)
-  | Paxos_commit { f } ->
-      let config = paxos_config f ~participants ~coordinator:self in
-      Erased.make paxos_coord (Paxos_commit.coordinator ~config ~self)
+  | Paxos_commit { f } -> (
+      match paxos_config f ~participants ~coordinator:self with
+      | None -> coordinator prn ~participants ~self
+      | Some config ->
+          Erased.make paxos_coord (Paxos_commit.coordinator ~config ~self))
 
-let participant t ~participants ~coordinator ~self ~vote ~read_only =
+let rec participant t ~participants ~coordinator ~self ~vote ~read_only =
   match t with
   | Two_phase variant ->
       Erased.make two_pc_part
@@ -158,14 +163,19 @@ let participant t ~participants ~coordinator ~self ~vote ~read_only =
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
       Erased.make qc_part
         (Quorum_commit.participant ~config ~self ~coordinator ~vote)
-  | Paxos_commit { f } ->
-      (* A participant co-located with the coordinator owns no acceptor:
-         the coordinator machine holds the origin's, so ballots stay
-         unique per machine. *)
-      let config = paxos_config f ~participants ~coordinator in
-      Erased.make paxos_part (Paxos_commit.participant ~config ~self ~vote)
+  | Paxos_commit { f } -> (
+      match paxos_config f ~participants ~coordinator with
+      | None ->
+          (* Paxos Commit has no read-only vote. *)
+          participant prn ~participants ~coordinator ~self ~vote
+            ~read_only:false
+      | Some config ->
+          (* A participant co-located with the coordinator owns no
+             acceptor: the coordinator machine holds the origin's, so
+             ballots stay unique per machine. *)
+          Erased.make paxos_part (Paxos_commit.participant ~config ~self ~vote))
 
-let recovered_participant t ~participants ~coordinator ~self ~state =
+let rec recovered_participant t ~participants ~coordinator ~self ~state =
   match t with
   | Two_phase variant ->
       Erased.make two_pc_part
@@ -179,37 +189,36 @@ let recovered_participant t ~participants ~coordinator ~self ~state =
       let config = qc_config ~commit_quorum ~abort_quorum ~participants in
       Erased.make qc_part
         (Quorum_commit.participant_recovered ~config ~self ~coordinator ~state)
-  | Paxos_commit { f } ->
-      let config = paxos_config f ~participants ~coordinator in
-      Erased.make paxos_part
-        (Paxos_commit.participant_recovered ~config ~self ~state)
+  | Paxos_commit { f } -> (
+      match paxos_config f ~participants ~coordinator with
+      | None -> recovered_participant prn ~participants ~coordinator ~self ~state
+      | Some config ->
+          Erased.make paxos_part
+            (Paxos_commit.participant_recovered ~config ~self ~state))
 
-let recovered_coordinator t ~participants ~self ~logged =
+let rec recovered_coordinator t ~participants ~self ~logged =
   match t with
   | Two_phase variant ->
       Some
         (Erased.make two_pc_coord
            (Two_pc.coordinator_recovered ~variant ~participants ~logged))
   | Paxos_commit { f } -> (
-      let config = paxos_config f ~participants ~coordinator:self in
-      let rebuild logged =
-        Some
-          (Erased.make paxos_coord
-             (Paxos_commit.coordinator_recovered ~config ~self ~logged))
-      in
-      match logged with
-      | `Decision d -> rebuild (`Decision d)
-      | `Collecting | `Nothing ->
-          if Paxos_commit.degenerate config then rebuild `Nothing else None)
+      match (paxos_config f ~participants ~coordinator:self, logged) with
+      | None, _ -> recovered_coordinator prn ~participants ~self ~logged
+      | Some config, `Decision decision ->
+          Some
+            (Erased.make paxos_coord
+               (Paxos_commit.coordinator_recovered ~config ~self ~decision))
+      | Some _, (`Collecting | `Nothing) -> None)
   | Three_phase | Quorum_commit _ -> None
 
-let presumption t ~participants ~coordinator =
+let rec presumption t ~participants ~coordinator =
   match t with
   | Two_phase variant -> Some (Two_pc.presumption variant)
-  | Paxos_commit { f } ->
-      (* F = 0: the origin was the sole acceptor, so its lost memory IS
-         the consensus state — the 2PC-PrN abort presumption applies.
-         With F > 0 a recovery leader may have decided from the
-         surviving acceptors, so the origin must stay uncertain. *)
-      if paxos_f f ~participants ~coordinator = 0 then Some Abort else None
+  | Paxos_commit { f } -> (
+      (* With F > 0 a recovery leader may have decided from the surviving
+         acceptors, so the origin must stay uncertain. *)
+      match paxos_config f ~participants ~coordinator with
+      | None -> presumption prn ~participants ~coordinator
+      | Some _ -> None)
   | Three_phase | Quorum_commit _ -> None

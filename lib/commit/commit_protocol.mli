@@ -18,8 +18,9 @@ type t =
       (** [None] thresholds default to majority. *)
   | Paxos_commit of { f : int option }
       (** Paxos Commit with 2F+1 acceptors and F+1 quorums; [None] picks
-          the largest F the participant set supports.  [F = 0] is the
-          2PC-degenerate configuration. *)
+          the largest F the participant set supports.  A transaction
+          whose effective F is 0 runs the 2PC-PrN machines, which is what
+          Paxos Commit with a single acceptor amounts to. *)
 
 val name : t -> string
 (** ["2PC-PrN"], ["2PC-PrA"], ["2PC-PrC"], ["3PC"], ["QC"], ["Paxos"]. *)
@@ -62,7 +63,10 @@ val label : t -> sites:int -> string
 
     Machines for one transaction over [participants] (ascending), whose
     coordinator runs at the origin site [coordinator] (the coordinator
-    machine's [self]). *)
+    machine's [self]).  Paxos Commit resolves the transaction's {!paxos_f}
+    once per machine: at 0 every function below, {!presumption}
+    included, answers as for [Two_phase Presumed_nothing] (with no
+    read-only vote); at 1 or more it builds {!Paxos_commit}'s machines. *)
 
 val coordinator :
   t -> participants:Ids.site_id list -> self:Ids.site_id -> Erased.t
@@ -85,13 +89,12 @@ val recovered_coordinator :
   Erased.t option
 (** A coordinator rebuilt from its own log, or [None] when the protocol
     resumes none: 3PC and quorum commit leave termination to the
-    participants, and Paxos Commit with F > 0 and no logged decision
+    participants, and Paxos Commit with F >= 1 and no logged decision
     must stay amnesiac while a recovery leader may have decided. *)
 
 val presumption :
   t -> participants:Ids.site_id list -> coordinator:Ids.site_id ->
   decision option
 (** What an origin that has lost all memory of a transaction over
-    [participants] may answer for it: the 2PC variant's presumption;
-    abort for Paxos Commit when the transaction's effective F is 0 (the
-    origin was its sole acceptor); nothing otherwise. *)
+    [participants] may answer for it: the 2PC variant's presumption,
+    which includes Paxos Commit at effective F = 0; nothing otherwise. *)

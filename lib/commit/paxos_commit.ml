@@ -6,11 +6,11 @@ module Sset = Set.Make (Int)
    Paxos consensus instance per participant vote, all instances sharing a
    single ballot space led by the transaction coordinator at ballot 0.
    2F+1 acceptors with F+1 quorums make the commit/abort outcome survive
-   any F failures; with F = 0 the coordinator is the sole acceptor and
-   the protocol degenerates, message for message, into 2PC-PrN — the
-   degenerate branches below are deliberately written to be step-aligned
-   with [Two_pc] so the equivalence suite can drive both through shared
-   schedules. *)
+   any F failures.  F >= 1 here: with F = 0 the coordinator would be the
+   sole acceptor, which is two-phase commit with presumed nothing, and
+   [Commit_protocol] runs the [Two_pc] machines instead.  So no quorum is
+   ever a single acceptor, and no leader decides in the step that opens
+   its ballot. *)
 
 type config = {
   all : Ids.site_id list;  (* participants, ascending *)
@@ -33,13 +33,13 @@ let config ~all ~coordinator ?f () =
   let max_f = List.length others / 2 in
   let f = match f with None -> max_f | Some f -> f in
   if f < 0 then invalid_arg "Paxos_commit.config: negative F";
+  if f = 0 then invalid_arg "Paxos_commit.config: F = 0 is 2PC-PrN";
   if f > max_f then
     invalid_arg "Paxos_commit.config: not enough sites for 2F+1 acceptors";
   let acceptors = coordinator :: take (2 * f) others in
   { all; coordinator; f; acceptors }
 
 let quorum cfg = cfg.f + 1
-let degenerate cfg = cfg.f = 0
 let ballot0 cfg : epoch = (0, cfg.coordinator)
 let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 
@@ -214,8 +214,7 @@ let coord_check c ~tally ~mk =
   else (mk tally, [])
 
 (* Begin phase 2 of a recovery ballot: propose every instance, accepting
-   our own proposals through the embedded acceptor.  With F = 0 we are
-   the only acceptor, so this decides in the same step. *)
+   our own proposals through the embedded acceptor. *)
 let coord_propose c ~ballot ~found =
   let proposal = proposal_of_found c.c_cfg found in
   let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
@@ -234,38 +233,25 @@ let coord_propose c ~ballot ~found =
       (c.c_acc, tally_init c.c_cfg)
       proposal
   in
-  let c = { c with c_acc = acc } in
-  let c, actions =
-    coord_check c ~tally ~mk:(fun tally ->
-        { c with
-          c_phase = C_proposing { ballot; proposal; tally; blocked = false } })
-  in
-  match c.c_phase with
-  | C_proposing _ ->
-      ( c,
-        sends
-        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
-        @ actions )
-  | _ -> (c, sends @ actions)
+  ( { c with
+      c_acc = acc;
+      c_phase = C_proposing { ballot; proposal; tally; blocked = false } },
+    sends @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
 
-(* Usurp our own stalled ballot: run phase 1 at the next round.  With
-   F = 0 the self-promise is the whole quorum and the election, proposal
-   and decision all collapse into this one step — exactly 2PC's
-   timeout-abort. *)
+(* Usurp our own stalled ballot: run phase 1 at the next round. *)
 let coord_elect c =
   let ballot = (fst c.c_acc.ax_promised + 1, c.c_self) in
   let acc, rep = acc_p1a c.c_acc ~ballot in
-  let c = { c with c_acc = acc } in
   let found =
     match rep with `P1b triples -> merge_found [] triples | `Nack _ -> []
   in
   let heard = Sset.singleton c.c_self in
-  if Sset.cardinal heard >= quorum c.c_cfg then coord_propose c ~ballot ~found
-  else
-    let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
-    ( { c with c_phase = C_electing { ballot; heard; found; blocked = false } },
-      List.map (fun a -> Send (a, Px_p1a ballot)) others
-      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
+  let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
+  ( { c with
+      c_acc = acc;
+      c_phase = C_electing { ballot; heard; found; blocked = false } },
+    List.map (fun a -> Send (a, Px_p1a ballot)) others
+    @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 (* Yield to a higher-ballot leader: keep polling for the outcome so the
    origin's client still learns it even if the rival's broadcast to us is
@@ -351,19 +337,11 @@ let coord_step c input =
   | C_collecting _, Timeout T_votes -> coord_elect c
   | C_collecting { tally }, Peer_down p
     when (not (Sset.mem p (tally_commit_chosen c.c_cfg tally)))
-         && not (Sset.mem p c.c_refused) -> (
-      (* A participant with an undecided instance died: abort now rather
-         than wait out the vote timer (2PC's pending-peer rule).  Its
-         instance is free, so the election chooses Abort for it. *)
-      let c, actions = coord_elect c in
-      match c.c_phase with
-      | C_logging_decision { d = Abort; notify; ackers } ->
-          ( { c with
-              c_phase =
-                C_logging_decision
-                  { d = Abort; notify = Sset.remove p notify; ackers } },
-            actions )
-      | _ -> (c, actions))
+         && not (Sset.mem p c.c_refused) ->
+      (* A participant with an undecided instance died: terminate now
+         rather than wait out the vote timer (2PC's pending-peer rule).
+         Its instance is free, so the election chooses Abort for it. *)
+      coord_elect c
   (* Recovery-ballot phases. *)
   | ( C_electing { ballot; heard; found; blocked },
       Recv (src, Px_p1b (b, triples)) )
@@ -465,38 +443,24 @@ let coord_step c input =
          2PC ignores a late Vote_yes (the voter learns the outcome from
          the normal distribution). *)
       (c, [])
-  | (C_decided { d; _ } | C_done d), Recv (src, (Px_p1a _ | Px_p2a _))
-    when not (degenerate c.c_cfg) ->
-      (* Help a stale recovery leader terminate.  (With F = 0 there are
-         no rival leaders; stay 2PC-aligned and ignore late votes.) *)
+  | (C_decided { d; _ } | C_done d), Recv (src, (Px_p1a _ | Px_p2a _)) ->
+      (* Help a stale recovery leader terminate. *)
       (c, [ Send (src, Decision_msg d) ])
-  | _, Recv (src, Decision_req) ->
-      if degenerate c.c_cfg then (c, [ Send (src, Decision_unknown) ])
-      else
-        (* Undecided but alive: our own timeouts will terminate us, and
-           "unknown" is the participants' cue to usurp — reserve it for
-           genuinely amnesiac sites. *)
-        (c, [])
+  (* An undecided coordinator ignores [Decision_req]: its own timeouts
+     will terminate it, and "unknown" is the participants' cue to usurp —
+     reserved for genuinely amnesiac sites. *)
   | _, (Recv _ | Timeout _ | Log_done _ | Peer_down _ | Peers_reachable _
        | Start) ->
       (c, [])
 
-(* Rebuild from the write-ahead log.  A logged decision is redistributed
-   until acknowledged.  Nothing logged means no decision was ever
-   distributed; with F = 0 the lost acceptor state was ours alone, so the
-   2PC-PrN presumption (abort) is sound.  With F > 0 the caller must NOT
-   rebuild a coordinator from an empty log: a recovery leader may have
-   decided meanwhile, so the site must answer [Decision_unknown] and let
-   the participants' election terminate the transaction. *)
-let coordinator_recovered ~config ~self ~logged =
+(* Rebuild from a logged decision, which is redistributed until
+   acknowledged.  Without one there is nothing to rebuild: a recovery
+   leader may have decided meanwhile, so the site must answer
+   [Decision_unknown] and let the participants' election terminate the
+   transaction. *)
+let coordinator_recovered ~config ~self ~decision:d =
   let c = coordinator ~config ~self in
-  match logged with
-  | `Decision (d : decision) ->
-      { c with c_phase = C_decided { d; await_acks = c_parts c } }
-  | `Nothing ->
-      if not (degenerate config) then
-        invalid_arg "Paxos_commit.coordinator_recovered: empty log with F > 0";
-      { c with c_phase = C_done Abort }
+  { c with c_phase = C_decided { d; await_acks = c_parts c } }
 
 (* Kick a recovered coordinator: re-distribute the pending decision. *)
 let coord_step c input =
@@ -585,16 +549,6 @@ let log_outcome p d ~ack =
         [ Clear_timer T_decision; Clear_timer T_resend; Clear_timer T_state;
           Clear_timer T_precommit_ack; Log (L_decision d, `Forced) ] )
 
-(* Cooperative termination for F = 0: ask the coordinator and every peer
-   (2PC's discipline, verbatim). *)
-let ask_around p =
-  Send (p.x_cfg.coordinator, Decision_req)
-  :: List.filter_map
-       (fun peer ->
-         if peer = p.x_self || peer = p.x_cfg.coordinator then None
-         else Some (Send (peer, Decision_req)))
-       p.x_cfg.all
-
 let leader_blocked p =
   ( { p with x_role = R_follower; x_blocked = true },
     [ Set_timer (T_resend, default_timeouts.resend_every) ]
@@ -632,18 +586,8 @@ let part_propose p ~found =
         in
         (Some a, tally)
   in
-  let p = { p with x_acc = acc } in
-  let p, actions =
-    leader_check p ~tally ~mk:(fun tally ->
-        { p with x_role = R_leader (L_proposing { proposal; tally }) })
-  in
-  match p.x_role with
-  | R_leader (L_proposing _) ->
-      ( p,
-        sends
-        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
-        @ actions )
-  | _ -> (p, sends @ actions)
+  ( { p with x_acc = acc; x_role = R_leader (L_proposing { proposal; tally }) },
+    sends @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
 
 let become_leader p =
   let ballot = (fst p.x_ballot + 1, p.x_self) in
@@ -658,12 +602,10 @@ let become_leader p =
         in
         ({ p with x_acc = Some a }, Sset.singleton p.x_self, found)
   in
-  if Sset.cardinal heard >= quorum p.x_cfg then part_propose p ~found
-  else
-    let others = List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors in
-    ( { p with x_role = R_leader (L_electing { heard; found }) },
-      List.map (fun a -> Send (a, Px_p1a ballot)) others
-      @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
+  let others = List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors in
+  ( { p with x_role = R_leader (L_electing { heard; found }) },
+    List.map (fun a -> Send (a, Px_p1a ballot)) others
+    @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
 
 let start_termination p =
   match Sset.min_elt_opt (candidates p) with
@@ -715,8 +657,7 @@ let part_acc_p2a p src (b, rm, v) =
 (* Broadcast our own vote as ballot-0 phase 2a.  If we are ourselves an
    acceptor, accept it locally and acknowledge straight to ballot 0's
    leader (the coordinator); otherwise the coordinator-site acceptor is
-   included in the fan-out (with F = 0 it is the only acceptor, so this
-   is exactly 2PC's single vote message). *)
+   included in the fan-out. *)
 let cast_vote p (v : decision) =
   let b0 = ballot0 p.x_cfg in
   let targets =
@@ -739,8 +680,7 @@ let part_step p input =
   | base, role, Peer_down s -> (
       let p = { p with x_up = Sset.remove s p.x_up } in
       match (base, role) with
-      | B_uncertain, R_normal
-        when (not (degenerate p.x_cfg)) && s = p.x_cfg.coordinator ->
+      | B_uncertain, R_normal when s = p.x_cfg.coordinator ->
           start_termination p
       | _ -> (p, []))
   | _, _, Peers_reachable up -> (part_reachable_update p ~up, [])
@@ -784,18 +724,8 @@ let part_step p input =
       (* The coordinator missed our ack and is resending: re-ack. *)
       (p, [ Send (p.x_cfg.coordinator, Decision_ack) ])
   (* Uncertainty timeouts. *)
-  | B_uncertain, (R_normal | R_follower), Timeout T_decision ->
-      if degenerate p.x_cfg then
-        ( { p with x_blocked = true },
-          ask_around p
-          @ [ Set_timer (T_resend, default_timeouts.resend_every); Blocked ] )
-      else start_termination p
-  | B_uncertain, (R_normal | R_follower), Timeout T_resend ->
-      if degenerate p.x_cfg then
-        ( p,
-          ask_around p
-          @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
-      else start_termination p
+  | B_uncertain, (R_normal | R_follower), Timeout (T_decision | T_resend) ->
+      start_termination p
   (* Leader: phase 1 and phase 2 bookkeeping. *)
   | _, R_leader (L_electing { heard; found }), Recv (src, Px_p1b (b, triples))
     when epoch_compare b p.x_ballot = 0
@@ -828,19 +758,14 @@ let part_step p input =
       (p, [ Send (src, Decision_msg d) ])
   | B_idle, _, Recv (src, Decision_req) ->
       (p, [ Send (src, Decision_unknown) ])
-  | (B_logging_prepared | B_uncertain), _, Recv (src, Decision_req) ->
-      if degenerate p.x_cfg then (p, [ Send (src, Decision_unknown) ])
-      else
-        (* Holding live protocol state: stay silent; we can run (or are
-           running) the election ourselves, and "unknown" would only
-           cause usurpation churn. *)
-        (p, [])
   (* An amnesiac presumptive leader cannot terminate the transaction for
      us — usurp it (quorum commit's hardened rule). *)
   | B_uncertain, (R_normal | R_follower), Recv (src, Decision_unknown)
-    when (not (degenerate p.x_cfg))
-         && Sset.min_elt_opt (candidates p) = Some src ->
+    when Sset.min_elt_opt (candidates p) = Some src ->
       become_leader p
+  (* A participant holding live protocol state ignores [Decision_req]: it
+     can run (or is running) the election itself, and "unknown" would
+     only cause usurpation churn. *)
   | _, _, (Recv _ | Timeout _ | Log_done _ | Start) -> (p, [])
 
 let participant_recovered ~config ~self ~state =
@@ -860,12 +785,7 @@ let participant_recovered ~config ~self ~state =
 (* A recovered participant starts termination on [Start]. *)
 let part_step p input =
   match (input, p.x_base, p.x_role) with
-  | Start, B_uncertain, R_normal ->
-      if degenerate p.x_cfg then
-        ( p,
-          ask_around p
-          @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
-      else start_termination p
+  | Start, B_uncertain, R_normal -> start_termination p
   | _ -> part_step p input
 
 (* ------------------------------------------------------------------ *)

@@ -12,9 +12,10 @@
     instance's highest accepted value (Abort for free instances), and
     decides once each instance has a phase-2 quorum.
 
-    With [f = 0] the coordinator is the sole acceptor and the machines
-    degenerate, message for message, into {!Two_pc} with presumed
-    nothing — the property the cross-protocol equivalence suite pins. *)
+    These machines need [f >= 1].  With [f = 0] the coordinator would be
+    the sole acceptor, which is {!Two_pc} with presumed nothing (Gray &
+    Lamport), so {!Commit_protocol} builds the 2PC-PrN machines for such
+    a transaction. *)
 
 open Rt_types
 open Protocol
@@ -32,14 +33,11 @@ val config :
   all:Ids.site_id list -> coordinator:Ids.site_id -> ?f:int -> unit -> config
 (** Validates and builds a configuration.  [f] defaults to the maximum
     the site count supports ([(n-1)/2] for [n] participants including
-    the coordinator's site).  Raises [Invalid_argument] if [f < 0] or
+    the coordinator's site).  Raises [Invalid_argument] if [f < 1] or
     there are fewer than [2f+1] candidate acceptor sites. *)
 
 val quorum : config -> int
 (** [f + 1]. *)
-
-val degenerate : config -> bool
-(** [f = 0]: the 2PC-equivalent configuration. *)
 
 (** {1 Acceptor core}
 
@@ -79,16 +77,12 @@ val coordinator : config:config -> self:Ids.site_id -> coord
 (** Raises [Invalid_argument] if [self] is not [config.coordinator]. *)
 
 val coordinator_recovered :
-  config:config ->
-  self:Ids.site_id ->
-  logged:[ `Decision of decision | `Nothing ] ->
-  coord
-(** Rebuild after a crash.  [`Decision d] resumes redistribution of [d]
-    to every participant.  [`Nothing] is only meaningful with [f = 0]
-    (the 2PC abort presumption: no decision was distributed, the sole
-    acceptor's state died with us); with [f > 0] it raises
-    [Invalid_argument] — a recovery leader may have decided meanwhile, so
-    the site must stay amnesiac and let the election terminate. *)
+  config:config -> self:Ids.site_id -> decision:decision -> coord
+(** Rebuild after a crash from the logged [decision], which is
+    redistributed to every participant until acknowledged.  A coordinator
+    that logged no decision is not rebuilt: a recovery leader may have
+    decided meanwhile, so the site must stay amnesiac and let the
+    election terminate. *)
 
 val coord_step : coord -> input -> coord * action list
 val coord_decision : coord -> decision option

@@ -11,8 +11,14 @@ let cfg ?f n =
   Paxos_commit.config ~all:(List.init n (fun i -> i)) ~coordinator:0 ?f ()
 
 let dec = Alcotest.testable pp_decision decision_equal
+let paxos f = Commit_protocol.Paxos_commit { f }
 
 (* --- configuration ------------------------------------------------- *)
+
+let check_prefix name prefix m =
+  let d = Erased.describe m in
+  Alcotest.(check string) name prefix
+    (String.sub d 0 (min (String.length d) (String.length prefix)))
 
 let test_config_defaults () =
   let c = cfg 5 in
@@ -20,10 +26,39 @@ let test_config_defaults () =
   Alcotest.(check (list int)) "acceptors" [ 0; 1; 2; 3; 4 ]
     c.Paxos_commit.acceptors;
   Alcotest.(check int) "quorum" 3 (Paxos_commit.quorum c);
-  let c0 = cfg ~f:0 5 in
-  Alcotest.(check (list int)) "sole acceptor" [ 0 ] c0.Paxos_commit.acceptors;
-  Alcotest.(check bool) "degenerate" true (Paxos_commit.degenerate c0);
-  Alcotest.(check bool) "not degenerate" false (Paxos_commit.degenerate c)
+  (* F = 0 is 2PC-PrN: the machines refuse it, and the registry builds
+     two-phase commit's for a transaction that resolves to it. *)
+  Alcotest.check_raises "F = 0"
+    (Invalid_argument "Paxos_commit.config: F = 0 is 2PC-PrN") (fun () ->
+      ignore (cfg ~f:0 5));
+  let machines proto participants =
+    [ Commit_protocol.coordinator proto ~participants ~self:0;
+      Commit_protocol.participant proto ~participants ~coordinator:0 ~self:1
+        ~vote:true ~read_only:true;
+      Commit_protocol.recovered_participant proto ~participants
+        ~coordinator:0 ~self:1 ~state:P_uncertain ]
+  in
+  List.iter
+    (fun proto ->
+      match machines proto [ 0; 1 ] with
+      | [ co; part; recovered ] ->
+          check_prefix "2PC coordinator" "2pc-coord:2PC-PrN" co;
+          (* Paxos Commit has no read-only vote. *)
+          check_prefix "2PC participant"
+            "2pc-part:2PC-PrN:1<-0:peers=0:v=true:ro=false" part;
+          check_prefix "2PC recovered participant" "2pc-part:2PC-PrN"
+            recovered
+      | _ -> assert false)
+    [ paxos None; paxos (Some 0); paxos (Some 1) ];
+  (match
+     Commit_protocol.recovered_coordinator (paxos None) ~participants:[ 0; 1 ]
+       ~self:0 ~logged:`Nothing
+   with
+  | Some m -> check_prefix "2PC recovered coordinator" "2pc-coord:2PC-PrN" m
+  | None -> Alcotest.fail "no recovered coordinator at F = 0");
+  List.iter
+    (fun m -> check_prefix "three sites run Paxos Commit" "px-" m)
+    (machines (paxos None) [ 0; 1; 2 ])
 
 let test_config_rejects () =
   Alcotest.check_raises "negative F"
@@ -37,20 +72,27 @@ let test_config_rejects () =
       ignore (Paxos_commit.config ~all:[] ~coordinator:0 ()))
 
 let test_recovery_presumption () =
-  (* F = 0: an empty coordinator log is the 2PC-PrN abort presumption. *)
-  let c =
-    Paxos_commit.coordinator_recovered ~config:(cfg ~f:0 3) ~self:0
+  let participants = [ 0; 1; 2 ] in
+  let recovered f =
+    Commit_protocol.recovered_coordinator (paxos f) ~participants ~self:0
       ~logged:`Nothing
   in
-  Alcotest.(check (option dec)) "presumed abort" (Some Abort)
-    (Paxos_commit.coord_decision c);
+  let presumed f =
+    Commit_protocol.presumption (paxos f) ~participants ~coordinator:0
+  in
+  (* F = 0: an empty coordinator log is the 2PC-PrN abort presumption. *)
+  (match recovered (Some 0) with
+  | Some m ->
+      Alcotest.(check (option dec)) "presumed abort" (Some Abort)
+        (Erased.decision m)
+  | None -> Alcotest.fail "no recovered coordinator at F = 0");
+  Alcotest.(check (option dec)) "origin presumes abort" (Some Abort)
+    (presumed (Some 0));
   (* F > 0: a surviving quorum may have chosen; presuming is unsound. *)
-  Alcotest.check_raises "empty log with F > 0"
-    (Invalid_argument "Paxos_commit.coordinator_recovered: empty log with F > 0")
-    (fun () ->
-      ignore
-        (Paxos_commit.coordinator_recovered ~config:(cfg ~f:1 3) ~self:0
-           ~logged:`Nothing))
+  Alcotest.(check bool) "empty log with F > 0" true
+    (Option.is_none (recovered (Some 1)));
+  Alcotest.(check (option dec)) "origin stays uncertain" None
+    (presumed (Some 1))
 
 (* --- acceptor core -------------------------------------------------- *)
 
@@ -155,8 +197,8 @@ let prop_acceptor_ballot_safety =
 let prop_quorum_intersection =
   let gen =
     QCheck.Gen.(
-      int_range 1 9 >>= fun n ->
-      int_range 0 ((n - 1) / 2) >>= fun f ->
+      int_range 3 9 >>= fun n ->
+      int_range 1 ((n - 1) / 2) >>= fun f ->
       (* Two arbitrary acceptor subsets of quorum size. *)
       let subset seed =
         map (fun bits -> (seed, bits)) (array_size (return (2 * f + 1)) bool)
