@@ -336,7 +336,8 @@ let coord_step c input =
               { c with c_phase = C_collecting { tally } }))
   | C_collecting _, Timeout T_votes -> coord_elect c
   | C_collecting { tally }, Peer_down p
-    when (not (Sset.mem p (tally_commit_chosen c.c_cfg tally)))
+    when Sset.mem p (c_parts c)
+         && (not (Sset.mem p (tally_commit_chosen c.c_cfg tally)))
          && not (Sset.mem p c.c_refused) ->
       (* A participant with an undecided instance died: terminate now
          rather than wait out the vote timer (2PC's pending-peer rule).

@@ -11,6 +11,7 @@ let cfg ?f n =
   Paxos_commit.config ~all:(List.init n (fun i -> i)) ~coordinator:0 ?f ()
 
 let dec = Alcotest.testable pp_decision decision_equal
+let action = Alcotest.testable pp_action ( = )
 let paxos f = Commit_protocol.Paxos_commit { f }
 
 (* --- configuration ------------------------------------------------- *)
@@ -375,6 +376,22 @@ let test_crash_recovery_converges () =
       done)
     [ (0, 0); (1, 0); (0, 1); (1, 1); (2, 1) ]
 
+let test_unrelated_peer_down_ignored () =
+  (* A collecting coordinator starts a recovery ballot, which proposes
+     Abort for every free instance, only when a participant with an
+     undecided instance fails (2PC's pending-peer rule).  A failed site
+     outside the transaction changes nothing. *)
+  let c = Paxos_commit.coordinator ~config:(cfg ~f:1 3) ~self:0 in
+  let c, _ = Paxos_commit.coord_step c Start in
+  let c', actions = Paxos_commit.coord_step c (Peer_down 3) in
+  Alcotest.(check (list action)) "non-participant down: no actions" []
+    actions;
+  Alcotest.(check string) "non-participant down: state unchanged"
+    (Paxos_commit.describe_coord c) (Paxos_commit.describe_coord c');
+  let _, actions = Paxos_commit.coord_step c (Peer_down 2) in
+  Alcotest.(check bool) "pending participant down: ballot 1 opens" true
+    (List.mem (Send (1, Px_p1a (1, 0))) actions)
+
 let test_recovered_acceptor_abstains () =
   (* A recovered acceptor lost its volatile promises: it must never again
      answer phase-1 or phase-2 traffic (abstention is the safety valve
@@ -422,6 +439,8 @@ let () =
             test_acceptor_crash_tolerated;
           Alcotest.test_case "crash/recovery converges" `Quick
             test_crash_recovery_converges;
+          Alcotest.test_case "unrelated peer down ignored" `Quick
+            test_unrelated_peer_down_ignored;
           Alcotest.test_case "recovered acceptor abstains" `Quick
             test_recovered_acceptor_abstains;
         ] );
