@@ -33,11 +33,7 @@ type case = {
           [torn_writes] on).  [None]: classical atomic crash. *)
 }
 
-val pp_case : Format.formatter -> case -> unit
-
 type violation = { v_case : case; v_invariant : string; v_detail : string }
-
-val pp_violation : Format.formatter -> violation -> unit
 
 type summary = {
   sm_protocol : string;
