@@ -10,13 +10,10 @@ module Scenario = Rt_nemesis.Scenario
 module Campaign = Rt_nemesis.Campaign
 module Time = Rt_sim.Time
 
-let rc_of_string ~sites = function
-  | "rowa" -> Ok Rt_replica.Replica_control.rowa
-  | "rowa-a" | "available-copies" ->
-      Ok Rt_replica.Replica_control.available_copies
-  | "quorum" | "majority" -> Ok (Rt_replica.Replica_control.majority ~sites)
-  | "primary" -> Ok (Rt_replica.Replica_control.primary 0)
-  | s -> Error (Printf.sprintf "unknown replica control %S" s)
+let rc_of_string ~sites s =
+  match Rt_replica.Replica_control.of_name ~sites s with
+  | Some rc -> Ok rc
+  | None -> Error (Printf.sprintf "unknown replica control %S" s)
 
 let scenario_of_string = function
   | "calm" -> Ok Scenario.calm

@@ -16,12 +16,10 @@ let commit_protocol_of_string s =
   | Some p -> Ok p
   | None -> Error (Printf.sprintf "unknown commit protocol %S" s)
 
-let rc_of_string ~sites = function
-  | "rowa" -> Ok Rt_replica.Replica_control.rowa
-  | "rowa-a" | "available-copies" -> Ok Rt_replica.Replica_control.available_copies
-  | "quorum" | "majority" -> Ok (Rt_replica.Replica_control.majority ~sites)
-  | "primary" -> Ok (Rt_replica.Replica_control.primary 0)
-  | s -> Error (Printf.sprintf "unknown replica control %S" s)
+let rc_of_string ~sites s =
+  match Rt_replica.Replica_control.of_name ~sites s with
+  | Some rc -> Ok rc
+  | None -> Error (Printf.sprintf "unknown replica control %S" s)
 
 let cc_of_string = function
   | "2pl" | "locking" -> Ok Config.Locking

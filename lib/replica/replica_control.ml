@@ -25,6 +25,13 @@ let quorum ~read_quorum ~write_quorum ~sites =
 
 let primary p = Primary_copy p
 
+let of_name ~sites = function
+  | "rowa" -> Some rowa
+  | "rowa-a" | "available-copies" -> Some available_copies
+  | "quorum" | "majority" -> Some (majority ~sites)
+  | "primary" -> Some (primary 0)
+  | _ -> None
+
 let all_up ~up ~replicas = List.filter up replicas
 
 (* Prefer reading locally; fall back to the lowest up replica. *)

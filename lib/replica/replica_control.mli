@@ -42,6 +42,12 @@ type t =
 
 val name : t -> string
 
+val of_name : sites:int -> string -> t option
+(** The command-line names: ["rowa"]; ["rowa-a"] or
+    ["available-copies"]; ["quorum"] or ["majority"], majority quorums
+    over [sites] sites; ["primary"], primary copy at site 0.  [None] for
+    any other string. *)
+
 val rowa : t
 
 val available_copies : t
