@@ -41,7 +41,7 @@
      be compared across paths by the dedup cache.
 
    Timers are budgeted per (site, name) per path: exploration fires each
-   at most [op_timer_budget] times, leaving the rest to the deterministic
+   at most [timer_budget] times, leaving the rest to the deterministic
    drain that precedes the leaf audit.  The drain runs the residue in
    timestamp order — exact for the explored phase, a closure heuristic
    beyond it. *)
@@ -68,11 +68,9 @@ type sys = {
 type opts = {
   op_sleep : bool;
   op_dedup : bool;
-  op_timer_budget : int;
   op_timer_total : int;
   op_timer_class : site:int -> name:string -> [ `Choice | `Pending | `Eager ];
   op_crash_budget : int;
-  op_max_depth : int;
   op_max_executions : int;
 }
 
@@ -80,13 +78,18 @@ let default_opts =
   {
     op_sleep = true;
     op_dedup = true;
-    op_timer_budget = 1;
     op_timer_total = max_int;
     op_timer_class = (fun ~site:_ ~name:_ -> `Choice);
     op_crash_budget = 0;
-    op_max_depth = 300;
     op_max_executions = 200_000;
   }
+
+(* Explorable fires per (site, timer name) per path. *)
+let timer_budget = 1
+
+(* Decision-depth safety net: a longer path is cut and counted as
+   truncated. *)
+let max_depth = 300
 
 (* --- decision-tree nodes ---------------------------------------------- *)
 
@@ -252,7 +255,7 @@ let eligible st =
             try Hashtbl.find st.rs_timer_counts base with Not_found -> 0
           in
           if
-            fired >= st.rs_opts.op_timer_budget
+            fired >= timer_budget
             || total_fired >= st.rs_opts.op_timer_total
             || st.rs_opts.op_timer_class ~site ~name <> `Choice
           then None
@@ -436,7 +439,7 @@ let run_once ~cache ~stats ~opts ~mode sys =
   sys.ys_start ();
   ignore (drain_eager st);
   let rec loop () =
-    if st.rs_pos >= opts.op_max_depth then Truncated
+    if st.rs_pos >= max_depth then Truncated
     else
       let alts = eligible st in
       if alts = [] then Quiescent

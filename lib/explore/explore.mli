@@ -53,7 +53,6 @@ type sys = {
 type opts = {
   op_sleep : bool;  (** Sleep-set partial-order reduction. *)
   op_dedup : bool;  (** Canonical-state dedup cache. *)
-  op_timer_budget : int;  (** Max fires per (site, timer name) per path. *)
   op_timer_total : int;
       (** Max explorable timer fires per path across all timers —
           bounded timeout injection in the CHESS preemption-bounding
@@ -69,14 +68,15 @@ type opts = {
           completions whose only observable effect is message timing,
           which is explored directly). *)
   op_crash_budget : int;  (** Max crash injections per path. *)
-  op_max_depth : int;  (** Decision-depth safety net. *)
   op_max_executions : int;  (** Execution budget; exceeding it marks the
                                 result incomplete. *)
 }
 
 val default_opts : opts
-(** Sleep and dedup on, timer budget 1, all timers [`Choice], no
-    crashes, depth 300, 200k executions. *)
+(** Sleep and dedup on, all timers [`Choice], no crashes, 200k
+    executions.  Fixed for every exploration: each (site, timer name)
+    fires at most once per path as an explorable decision, and a path
+    is cut at 300 decisions. *)
 
 type stats = {
   mutable st_executions : int;
