@@ -188,16 +188,14 @@ let coord_blocked c =
   | C_electing { blocked; _ } | C_proposing { blocked; _ } -> blocked
   | _ -> false
 
-(* Move to the decision: forced log, then distribute.  [skip] holds
-   participants that must not be notified — refusers already aborted
-   locally, and a participant whose failure triggered the abort is down
-   (exactly 2PC's recipients = yes U pending discipline). *)
-let coord_decide c ~tally d ~skip =
+(* Move to the decision: forced log, then distribute.  Refusers already
+   aborted locally and are not notified of an abort. *)
+let coord_decide c ~tally d =
   let chosen = tally_commit_chosen c.c_cfg tally in
   let notify =
     match (d : decision) with
     | Commit -> c_parts c
-    | Abort -> Sset.diff (c_parts c) skip
+    | Abort -> Sset.diff (c_parts c) c.c_refused
   in
   let ackers =
     match (d : decision) with Commit -> c_parts c | Abort -> chosen
@@ -207,10 +205,8 @@ let coord_decide c ~tally d ~skip =
       Log (L_decision d, `Forced) ] )
 
 let coord_check c ~tally ~mk =
-  if tally_abort_chosen c.c_cfg tally then
-    coord_decide c ~tally Abort ~skip:c.c_refused
-  else if tally_all_commit c.c_cfg tally then
-    coord_decide c ~tally Commit ~skip:Sset.empty
+  if tally_abort_chosen c.c_cfg tally then coord_decide c ~tally Abort
+  else if tally_all_commit c.c_cfg tally then coord_decide c ~tally Commit
   else (mk tally, [])
 
 (* Begin phase 2 of a recovery ballot: propose every instance, accepting
@@ -312,7 +308,7 @@ let coord_step c input =
              like a 2PC No-voter — decide without waiting for a quorum
              (no Commit can ever enter its instance). *)
           let c = { c with c_refused = Sset.add rm c.c_refused } in
-          coord_decide c ~tally Abort ~skip:c.c_refused
+          coord_decide c ~tally Abort
       | Commit -> (
           match acc_p2a c.c_acc ~ballot:b ~rm ~v with
           | acc, `P2b v' ->
@@ -329,7 +325,7 @@ let coord_step c input =
       match (v : decision) with
       | Abort ->
           let c = { c with c_refused = Sset.add rm c.c_refused } in
-          coord_decide c ~tally Abort ~skip:c.c_refused
+          coord_decide c ~tally Abort
       | Commit ->
           let tally = tally_add tally ~rm ~acc:src ~v in
           coord_check c ~tally ~mk:(fun tally ->
