@@ -1,6 +1,5 @@
 open Rt_types
 open Protocol
-module Sset = Set.Make (Int)
 
 (* Paxos Commit (Gray & Lamport, "Consensus on Transaction Commit"): one
    Paxos consensus instance per participant vote, all instances sharing a
@@ -41,7 +40,6 @@ let config ~all ~coordinator ?f () =
 
 let quorum cfg = cfg.f + 1
 let ballot0 cfg : epoch = (0, cfg.coordinator)
-let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor (embedded in the coordinator and in acceptor participants) *)
@@ -87,8 +85,12 @@ let acc_p2a a ~ballot ~rm ~v =
    tallying leader's current ballot. *)
 type tally = (Ids.site_id * (Sset.t * Sset.t)) list
 
-let tally_init cfg : tally =
-  List.map (fun rm -> (rm, (Sset.empty, Sset.empty))) cfg.all
+(* One entry shared by every fresh instance (sets are immutable):
+   [Protocol.Sset.empty] is not a compile-time constant here, so a
+   literal pair in [tally_init] would be allocated per instance. *)
+let no_acks = (Sset.empty, Sset.empty)
+
+let tally_init cfg : tally = List.map (fun rm -> (rm, no_acks)) cfg.all
 
 let tally_add (t : tally) ~rm ~acc ~v : tally =
   List.map
@@ -788,10 +790,6 @@ let part_step p input =
 (* ------------------------------------------------------------------ *)
 (* Canonical description (explorer state fingerprinting)               *)
 (* ------------------------------------------------------------------ *)
-
-let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
-let dec_str = function Commit -> "C" | Abort -> "A"
-let epoch_str (r, s) = Printf.sprintf "%d.%d" r s
 
 let cfg_str c =
   Printf.sprintf "all=%s;co=%d;f=%d;acc=%s"

@@ -213,3 +213,16 @@ let default_timeouts =
     decision_wait = Rt_sim.Time.ms 50;
     resend_every = Rt_sim.Time.ms 100;
   }
+
+module Sset = Set.Make (Int)
+
+let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
+let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
+let dec_str = function Commit -> "C" | Abort -> "A"
+let epoch_str (r, s) = Printf.sprintf "%d.%d" r s
+let pstate_str st = Format.asprintf "%a" pp_participant_state st
+
+let reports_str rs =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) rs
+  |> List.map (fun (s, st) -> Printf.sprintf "%d=%s" s (pstate_str st))
+  |> String.concat ","

@@ -162,3 +162,19 @@ type timeouts = {
 val default_timeouts : timeouts
 (** The one set every commit machine runs with (50 ms, 50 ms, 100 ms);
     Site also paces its orphan sweep and catch-up retries by it. *)
+
+(** {1 Helpers shared by the machines}
+
+    The [_str] renderings build the machines' canonical descriptions
+    (explorer state fingerprints); changing one changes every digest. *)
+
+module Sset : Set.S with type elt = Ids.site_id
+
+val send_to : Sset.t -> msg -> action list
+(** One [Send] per member, in ascending site order. *)
+
+val set_str : Sset.t -> string
+val dec_str : decision -> string
+val epoch_str : epoch -> string
+val pstate_str : participant_state -> string
+val reports_str : (Ids.site_id * participant_state) list -> string

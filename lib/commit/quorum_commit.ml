@@ -1,6 +1,5 @@
 open Rt_types
 open Protocol
-module Sset = Set.Make (Int)
 
 type config = {
   all : Ids.site_id list;
@@ -19,8 +18,6 @@ let config ~all ?commit_quorum ?abort_quorum () =
   if vc + va <= n then
     invalid_arg "Quorum_commit.config: Vc + Va must exceed the site count";
   { all; commit_quorum = vc; abort_quorum = va }
-
-let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -525,17 +522,6 @@ let part_step p input =
 (* ------------------------------------------------------------------ *)
 (* Canonical description (explorer state fingerprinting)               *)
 (* ------------------------------------------------------------------ *)
-
-let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
-let dec_str = function Commit -> "C" | Abort -> "A"
-let epoch_str (r, s) = Printf.sprintf "%d.%d" r s
-
-let pstate_str st = Format.asprintf "%a" pp_participant_state st
-
-let reports_str rs =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) rs
-  |> List.map (fun (s, st) -> Printf.sprintf "%d=%s" s (pstate_str st))
-  |> String.concat ","
 
 let cfg_str c =
   Printf.sprintf "all=%s;vc=%d;va=%d"

@@ -1,8 +1,5 @@
 open Rt_types
 open Protocol
-module Sset = Set.Make (Int)
-
-let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -484,16 +481,6 @@ let part_step p input =
 (* ------------------------------------------------------------------ *)
 (* Canonical description (explorer state fingerprinting)               *)
 (* ------------------------------------------------------------------ *)
-
-let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
-let dec_str = function Commit -> "C" | Abort -> "A"
-
-let pstate_str st = Format.asprintf "%a" pp_participant_state st
-
-let reports_str rs =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) rs
-  |> List.map (fun (s, st) -> Printf.sprintf "%d=%s" s (pstate_str st))
-  |> String.concat ","
 
 let describe_coord c =
   let phase =

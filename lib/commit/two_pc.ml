@@ -1,6 +1,5 @@
 open Rt_types
 open Protocol
-module Sset = Set.Make (Int)
 
 type variant = Presumed_nothing | Presumed_abort | Presumed_commit
 
@@ -70,8 +69,6 @@ let coord_decision c =
   | C_init | C_logging_collecting | C_collecting _ -> None
 
 let coord_done c = match c.c_phase with C_done _ -> true | _ -> false
-
-let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 
 let start_voting c =
   let phase = C_collecting { pending = c.c_participants; yes = Sset.empty } in
@@ -354,9 +351,6 @@ let part_step p input =
 (* ------------------------------------------------------------------ *)
 (* Canonical description (explorer state fingerprinting)               *)
 (* ------------------------------------------------------------------ *)
-
-let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
-let dec_str = function Commit -> "C" | Abort -> "A"
 
 let describe_coord c =
   let phase =
