@@ -33,8 +33,12 @@ let all_2pl_policies = [ Two_pl; Two_pl_wound_wait; Two_pl_wait_die ]
 
 module type SCHEME = Scheduler.S
 
+(* Simulated cost of one client step: each data operation, the pause
+   before the next transaction, and the unit of the retry backoff. *)
+let op_cost = Time.us 2
+
 let driver (type s) (module S : SCHEME with type t = s) (st : s) ~engine ~rng
-    ~clients ~mix ~horizon ~op_cost ~ordered =
+    ~clients ~mix ~horizon ~ordered =
   let seq = ref 0 in
   let fresh origin =
     incr seq;
@@ -91,8 +95,8 @@ let driver (type s) (module S : SCHEME with type t = s) (st : s) ~engine ~rng
   done;
   Engine.run ~until:horizon engine
 
-let run ?(seed = 0) ?(check_history = false) ?(op_cost = Time.us 2)
-    ?(ordered = true) ~scheme ~clients ~mix ~duration () =
+let run ?(seed = 0) ?(check_history = false) ?(ordered = true) ~scheme
+    ~clients ~mix ~duration () =
   let engine = Engine.create ~seed () in
   let rng = Rng.split (Engine.rng engine) in
   let kv = Rt_storage.Kv.create () in
@@ -103,7 +107,7 @@ let run ?(seed = 0) ?(check_history = false) ?(op_cost = Time.us 2)
   let run_2pl policy =
     let st = Two_phase_locking.create_with_policy ?history ~policy kv in
     driver (module Two_phase_locking) st ~engine ~rng ~clients ~mix ~horizon
-      ~op_cost ~ordered;
+      ~ordered;
     Two_phase_locking.stats st
   in
   let stats =
@@ -114,12 +118,11 @@ let run ?(seed = 0) ?(check_history = false) ?(op_cost = Time.us 2)
     | Timestamp ->
         let st = Timestamp_order.create ?history engine kv in
         driver (module Timestamp_order) st ~engine ~rng ~clients ~mix ~horizon
-          ~op_cost ~ordered;
+          ~ordered;
         Timestamp_order.stats st
     | Optimistic ->
         let st = Occ.create ?history engine kv in
-        driver (module Occ) st ~engine ~rng ~clients ~mix ~horizon ~op_cost
-          ~ordered;
+        driver (module Occ) st ~engine ~rng ~clients ~mix ~horizon ~ordered;
         Occ.stats st
   in
   let attempts = stats.committed + stats.aborted in

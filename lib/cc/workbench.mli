@@ -38,7 +38,6 @@ val all_2pl_policies : scheme list
 val run :
   ?seed:int ->
   ?check_history:bool ->
-  ?op_cost:Time.t ->
   ?ordered:bool ->
   scheme:scheme ->
   clients:int ->

@@ -8,11 +8,9 @@ type t = {
   counters : Rt_metrics.Counter.t;
 }
 
-let create ?engine config =
+let create config =
   Config.validate config;
-  let engine =
-    match engine with Some e -> e | None -> Engine.create ~seed:config.seed ()
-  in
+  let engine = Engine.create ~seed:config.seed () in
   let net =
     Rt_net.Net.create ?batch:config.batch_window engine ~nodes:config.sites
       ~default:config.link

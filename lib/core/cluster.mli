@@ -7,9 +7,9 @@ open Rt_types
 
 type t
 
-val create : ?engine:Engine.t -> Config.t -> t
-(** Builds the network and sites and starts heartbeats.  Supplying an
-    [engine] lets several clusters share one virtual clock. *)
+val create : Config.t -> t
+(** Builds the engine (seeded from the config), the network and the
+    sites, and starts heartbeats. *)
 
 val engine : t -> Engine.t
 

@@ -64,13 +64,6 @@ let stop p = p.running <- false
 
 (* --- crash-point fault injection ------------------------------------- *)
 
-let observe_crash_points cluster =
-  let engine = Cluster.engine cluster in
-  let seen = ref [] in
-  Engine.set_crash_hook engine
-    (Some (fun ~site ~point -> seen := (site, point) :: !seen));
-  fun () -> List.rev !seen
-
 let observe_crash_points_sized cluster =
   let engine = Cluster.engine cluster in
   let seen = ref [] in

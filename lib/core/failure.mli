@@ -40,17 +40,14 @@ val stop : process -> unit
     site at an exact occurrence of one (injection pass).  At most one hook
     is active per engine — installing a new one replaces the old. *)
 
-val observe_crash_points : Cluster.t -> unit -> (Ids.site_id * string) list
-(** [observe_crash_points cluster] starts recording every announced point;
-    the returned thunk yields the stream so far, in announcement order. *)
-
 val observe_crash_points_sized :
   Cluster.t -> unit -> (Ids.site_id * string * int) list
-(** Like {!observe_crash_points}, additionally recording the announcing
-    site's WAL device-cycle size at each point — for
-    ["wal:force-durable"], the number of records [n] in the cycle that
-    just flushed, from which a torn-write sweep enumerates every
-    crash-after-[k] variant. *)
+(** [observe_crash_points_sized cluster] starts recording every announced
+    point together with the announcing site's WAL device-cycle size at
+    that point — for ["wal:force-durable"], the number of records [n] in
+    the cycle that just flushed, from which a torn-write sweep enumerates
+    every crash-after-[k] variant.  The returned thunk yields the stream
+    so far, in announcement order. *)
 
 val crash_at_point :
   Cluster.t ->

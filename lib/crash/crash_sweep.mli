@@ -74,18 +74,6 @@ val sweep :
     windows with [storage_faults.torn_writes] armed and every torn
     variant of every observed force-durable cycle injected. *)
 
-val run_case :
-  ?placement:Rt_placement.Placement.t ->
-  ?tune:(Rt_core.Config.t -> Rt_core.Config.t) ->
-  case:case ->
-  protocol:Rt_core.Config.commit_protocol ->
-  seed:int ->
-  unit ->
-  violation list
-(** Run a single injection case (regression-test entry point).
-    [placement] must match the one the case was discovered under
-    (absent = full replication). *)
-
 val discover :
   ?placement:Rt_placement.Placement.t ->
   ?tune:(Rt_core.Config.t -> Rt_core.Config.t) ->

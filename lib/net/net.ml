@@ -44,7 +44,6 @@ end
 type 'msg t = {
   engine : Engine.t;
   rng : Rng.t;
-  fifo : bool;
   batch : Time.t option;  (* flush window; None = one envelope per message *)
   default : link;
   (* Dense n×n fast paths: link overrides and the per-link FIFO floor are
@@ -72,7 +71,7 @@ type 'msg t = {
   stats : Stats.t;
 }
 
-let create ?(fifo = true) ?batch engine ~nodes ~default =
+let create ?batch engine ~nodes ~default =
   if nodes <= 0 then invalid_arg "Net.create: nodes must be positive";
   (match batch with
   | Some w when Time.(w <= zero) ->
@@ -81,7 +80,6 @@ let create ?(fifo = true) ?batch engine ~nodes ~default =
   {
     engine;
     rng = Rng.split (Engine.rng engine);
-    fifo;
     batch;
     default;
     overrides = Array.init nodes (fun _ -> Array.make nodes None);
@@ -160,15 +158,9 @@ let schedule_envelope t ~src ~dst msgs =
   in
   t.egress.(src) <- depart;
   let delay = Latency.sample link.latency t.rng in
-  let arrive = Time.add depart delay in
-  let arrive =
-    if not t.fifo then arrive
-    else begin
-      let floor = Time.max arrive t.last_delivery.(src).(dst) in
-      t.last_delivery.(src).(dst) <- floor;
-      floor
-    end
-  in
+  (* Per-link FIFO: never arrive before an earlier envelope on the link. *)
+  let arrive = Time.max (Time.add depart delay) t.last_delivery.(src).(dst) in
+  t.last_delivery.(src).(dst) <- arrive;
   t.stats.envelopes <- t.stats.envelopes + 1;
   (* The delivery event needs its own engine seq (to deregister from the
      in-flight registry), which the engine only assigns at scheduling

@@ -6,10 +6,9 @@
     send and at delivery time, so in-flight messages are lost when a
     partition forms).  Reachability is directional (see
     {!Partition.sever}), so one-way partitions lose exactly one
-    direction's traffic.  Links may optionally be FIFO, in which case
-    delivery order matches send order per (src, dst) pair — duplicated
-    messages are delivered after their original without reordering later
-    sends ahead of them.
+    direction's traffic.  Links are FIFO: delivery order matches send
+    order per (src, dst) pair — duplicated messages are delivered after
+    their original without reordering later sends ahead of them.
 
     {b Batching.}  With a [batch] window, messages to the same destination
     within the window travel as one wire envelope: one latency sample and
@@ -44,18 +43,16 @@ val reliable_link : ?overhead:Time.t -> Latency.t -> link
 type 'msg t
 
 val create :
-  ?fifo:bool ->
   ?batch:Time.t ->
   Engine.t ->
   nodes:int ->
   default:link ->
   'msg t
 (** [create engine ~nodes ~default] builds a network of [nodes] nodes whose
-    links all use [default].  [fifo] (default [true]) enforces per-link FIFO
-    delivery.  [batch] (default off) enables per-link batching with the
-    given flush window (must be positive); the flush event is labelled
-    [Timer {site = src; name = "net-flush"}].  The RNG is split from the
-    engine's root RNG. *)
+    links all use [default].  [batch] (default off) enables per-link
+    batching with the given flush window (must be positive); the flush
+    event is labelled [Timer {site = src; name = "net-flush"}].  The RNG
+    is split from the engine's root RNG. *)
 
 val nodes : 'msg t -> int
 

@@ -203,12 +203,12 @@ let degenerate_paxos_origin_crash f () =
     Cluster.run ~until:(Time.sec 3) cluster;
     (cluster, observed)
   in
-  let _, points = run Failure.observe_crash_points in
-  let points = List.filter (fun (site, _) -> site = 0) (points ()) in
+  let _, points = run Failure.observe_crash_points_sized in
+  let points = List.filter (fun (site, _, _) -> site = 0) (points ()) in
   Alcotest.(check bool) "crash points reached" true (List.length points >= 10);
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (_, point) ->
+    (fun (_, point, _) ->
       let occurrence =
         1 + Option.value (Hashtbl.find_opt seen point) ~default:0
       in

@@ -4,8 +4,8 @@
 open Rt_sim
 open Rt_net
 
-let fixed_net ?(fifo = true) ?(nodes = 3) ?(latency = Time.ms 1) engine =
-  Net.create ~fifo engine ~nodes ~default:(Net.reliable_link (Latency.Fixed latency))
+let fixed_net ?(nodes = 3) ?(latency = Time.ms 1) engine =
+  Net.create engine ~nodes ~default:(Net.reliable_link (Latency.Fixed latency))
 
 let test_basic_delivery () =
   let e = Engine.create () in
@@ -53,7 +53,7 @@ let test_latency_sampling () =
 let test_fifo_ordering () =
   let e = Engine.create ~seed:1 () in
   let net =
-    Net.create ~fifo:true e ~nodes:2
+    Net.create e ~nodes:2
       ~default:(Net.reliable_link (Latency.Uniform (Time.ms 1, Time.ms 50)))
   in
   let got = ref [] in
@@ -128,7 +128,7 @@ let test_fifo_under_duplication () =
     { Net.latency = Latency.Uniform (Time.ms 1, Time.ms 20);
       drop = 0.; duplicate = 1.0; overhead = Time.zero }
   in
-  let net = Net.create ~fifo:true e ~nodes:2 ~default:link in
+  let net = Net.create e ~nodes:2 ~default:link in
   let got = ref [] in
   Net.register net 1 (fun ~src:_ msg -> got := msg :: !got);
   for i = 0 to 9 do
