@@ -68,7 +68,7 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
         Failure.schedule cluster
           [
             (duration / 3, Failure.Partition [ left; right ]);
-            (2 * duration / 3, Failure.Heal);
+            (2 * duration / 3, Failure.Heal_partition);
           ]
       end;
       Cluster.run ~until:duration cluster;

@@ -47,9 +47,9 @@ val run : ?until:Time.t -> t -> unit
 val now : t -> Time.t
 
 val crash_site : ?torn:int -> t -> Ids.site_id -> unit
-(** [torn] is forwarded to {!Site.crash}: with the storage fault
-    profile's [torn_writes] on and a WAL device cycle in flight, exactly
-    [torn] records of that cycle survive the crash as durable. *)
+(** [torn] is forwarded to {!Site.crash}: with [Config.storage_faults]
+    on and a WAL device cycle in flight, exactly [torn] records of that
+    cycle survive the crash as durable. *)
 
 val recover_site : t -> Ids.site_id -> unit
 

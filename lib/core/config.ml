@@ -27,7 +27,7 @@ type t = {
   orphan_window_factor : int;
   probe_deadlocks : bool;
   read_only_optimization : bool;
-  storage_faults : Rt_storage.Storage_faults.t;
+  storage_faults : bool;
   px_early_stash_cap : int;
   seed : int;
 }
@@ -50,7 +50,7 @@ let default ?(sites = 3) () =
     orphan_window_factor = 10;
     probe_deadlocks = false;
     read_only_optimization = false;
-    storage_faults = Rt_storage.Storage_faults.off;
+    storage_faults = false;
     px_early_stash_cap = 32;
     seed = 0;
   }
@@ -82,7 +82,6 @@ let validate t =
     invalid_arg "Config: heartbeat_interval must be positive";
   if t.checkpoint_every < 0 then
     invalid_arg "Config: checkpoint_every must be non-negative";
-  Rt_storage.Storage_faults.validate t.storage_faults;
   if t.px_early_stash_cap <= 0 then
     invalid_arg "Config: px_early_stash_cap must be positive";
   (match t.placement with

@@ -60,12 +60,13 @@ type t = {
       (** 2PC only: participants that performed no writes vote read-only,
           release immediately, and skip phase 2 (default off so the
           baseline experiments measure the unoptimized protocol). *)
-  storage_faults : Rt_storage.Storage_faults.t;
-      (** What the stable-storage device may do to its bytes: torn
-          group-commit cycles on crash, latent corruption below the
-          durable horizon, corrupt checkpoints.  Default
-          {!Rt_storage.Storage_faults.off} — the perfect device; every
-          harness is byte-identical under it. *)
+  storage_faults : bool;
+      (** The stable-storage device may fail: a crash given [~torn] (see
+          {!Site.crash}) tears the in-flight WAL group-commit cycle, and
+          checkpoints keep the log suffix of the previous snapshot so a
+          corrupt latest snapshot can fall back to it.  Default [false]
+          — the perfect device the paper assumes; every harness that
+          does not inject disk faults runs with it. *)
   px_early_stash_cap : int;
       (** Maximum early (pre-machine) Paxos messages stashed per
           transaction at a participant; on overflow the oldest stashed
@@ -96,5 +97,4 @@ val validate : t -> unit
     {!Rt_commit.Commit_protocol.validate}), a negative force latency or
     group-commit window, a non-positive batch window or heartbeat
     interval, a negative checkpoint interval, an orphan window factor
-    below 1, a storage fault probability outside [0,1], or a
-    non-positive [px_early_stash_cap]. *)
+    below 1, or a non-positive [px_early_stash_cap]. *)

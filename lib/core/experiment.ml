@@ -830,7 +830,7 @@ let f8 =
           Failure.schedule cluster
             [
               (Time.ms 300, Failure.Partition [ [ 0; 1 ]; [ 2; 3; 4 ] ]);
-              (Time.ms 800, Failure.Heal);
+              (Time.ms 800, Failure.Heal_partition);
             ];
           mark "pre-partition" (Time.ms 300);
           mark "partitioned" (Time.ms 800);

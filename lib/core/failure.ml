@@ -1,24 +1,77 @@
 open Rt_sim
 open Rt_types
 
-type event =
+module Net = Rt_net.Net
+
+type edge = Ids.site_id * Ids.site_id
+
+type fault =
+  | Lossy of { pairs : edge list option; drop : float; duplicate : float }
+  | Gray of { pairs : edge list option; factor : int }
+  | Partition of Ids.site_id list list
+  | Sever of edge list
+  | Restore of edge list
+  | Heal_partition
+  | Reset_links
   | Crash of Ids.site_id
   | Recover of Ids.site_id
-  | Partition of Ids.site_id list list
-  | Heal
+  | Torn_crash of { site : Ids.site_id; keep : int }
+  | Corrupt_checkpoint of Ids.site_id
+  | Recrash of Ids.site_id
 
-let apply cluster = function
+let ordered_pairs sites =
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun dst -> if src = dst then None else Some (src, dst))
+        (List.init sites Fun.id))
+    (List.init sites Fun.id)
+
+(* Site.crash and Site.recover already ignore a site in the wrong state,
+   so the site faults need no up/down guard here. *)
+let apply cluster fault =
+  let net = Cluster.net cluster in
+  (* Rewrite the named links ([None] = every ordered pair) in place. *)
+  let each_link pairs f =
+    let pairs =
+      match pairs with
+      | Some pairs -> pairs
+      | None -> ordered_pairs (Cluster.config cluster).Config.sites
+    in
+    List.iter
+      (fun (src, dst) -> Net.set_link net ~src ~dst (f (Net.link net ~src ~dst)))
+      pairs
+  in
+  match fault with
+  | Lossy { pairs; drop; duplicate } ->
+      each_link pairs (fun cur -> { cur with drop; duplicate })
+  | Gray { pairs; factor } ->
+      each_link pairs (fun cur ->
+          { cur with latency = Rt_net.Latency.scale cur.latency ~factor })
+  | Partition groups -> Cluster.partition cluster groups
+  | Sever edges ->
+      List.iter
+        (fun (src, dst) -> Rt_net.Partition.sever (Net.partition net) ~src ~dst)
+        edges
+  | Restore edges ->
+      List.iter
+        (fun (src, dst) ->
+          Rt_net.Partition.restore (Net.partition net) ~src ~dst)
+        edges
+  | Heal_partition -> Cluster.heal cluster
+  | Reset_links -> Net.clear_links net
   | Crash s -> Cluster.crash_site cluster s
   | Recover s -> Cluster.recover_site cluster s
-  | Partition groups -> Cluster.partition cluster groups
-  | Heal -> Cluster.heal cluster
+  | Torn_crash { site; keep } -> Cluster.crash_site ~torn:keep cluster site
+  | Corrupt_checkpoint s -> Site.corrupt_checkpoint (Cluster.site cluster s)
+  | Recrash s -> Site.crash_recovering (Cluster.site cluster s)
 
-let schedule cluster events =
+let schedule cluster faults =
   let engine = Cluster.engine cluster in
   List.iter
-    (fun (at, event) ->
-      ignore (Engine.schedule_at engine at (fun () -> apply cluster event)))
-    events
+    (fun (at, fault) ->
+      ignore (Engine.schedule_at engine at (fun () -> apply cluster fault)))
+    faults
 
 let isolate_shard cluster ~shard =
   let placement = Cluster.placement cluster in

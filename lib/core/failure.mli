@@ -1,17 +1,52 @@
-(** Failure injection: scripted schedules and random crash/recover
-    processes, driven by the cluster's virtual clock. *)
+(** Failure injection: the one fault vocabulary (fail-stop sites,
+    network partitions and link faults, a stable-storage disk), scripted
+    schedules of it, and random crash/recover processes, all driven by
+    the cluster's virtual clock. *)
 
 open Rt_sim
 open Rt_types
 
-type event =
-  | Crash of Ids.site_id
-  | Recover of Ids.site_id
-  | Partition of Ids.site_id list list
-  | Heal
+type edge = Ids.site_id * Ids.site_id
+(** A directed site pair (src, dst). *)
 
-val schedule : Cluster.t -> (Time.t * event) list -> unit
-(** Install a fixed schedule of failure events (absolute virtual times). *)
+type fault =
+  | Lossy of { pairs : edge list option; drop : float; duplicate : float }
+      (** Overlay drop/duplication on the pairs ([None] = every ordered
+          pair), preserving each link's current latency. *)
+  | Gray of { pairs : edge list option; factor : int }
+      (** Multiply current latency by [factor] — a slow-but-live link. *)
+  | Partition of Ids.site_id list list
+      (** Symmetric component split (groups as in
+          {!Rt_net.Partition.split}). *)
+  | Sever of edge list  (** One-way cuts: (src, dst) stops delivering. *)
+  | Restore of edge list  (** Undo matching {!Sever} edges. *)
+  | Heal_partition
+      (** Heal components and severed edges; link overlays remain. *)
+  | Reset_links  (** Remove every link overlay. *)
+  | Crash of Ids.site_id  (** No-op on a site that is already down. *)
+  | Recover of Ids.site_id  (** No-op on a site that is already up. *)
+  | Torn_crash of { site : Ids.site_id; keep : int }
+      (** Crash a site that is up; with [Config.storage_faults] on and a
+          WAL device cycle in flight, only [keep] of the cycle's records
+          survive as durable (clamped to the cycle size) and the rest
+          are left as a garbled tail for recovery's scan to truncate.
+          Otherwise a classical crash. *)
+  | Corrupt_checkpoint of Ids.site_id
+      (** Flip the latest checkpoint snapshot's checksum so the next
+          recovery falls back to the previous snapshot or a full log
+          replay ({!Site.corrupt_checkpoint}).  No-op until the site has
+          a previous snapshot. *)
+  | Recrash of Ids.site_id
+      (** Crash again regardless of up/down state — landing while the
+          site is still down models a crash during recovery
+          ({!Site.crash_recovering}). *)
+
+val apply : Cluster.t -> fault -> unit
+(** Inject one fault now. *)
+
+val schedule : Cluster.t -> (Time.t * fault) list -> unit
+(** Install a fixed schedule of faults (absolute virtual times); faults
+    due at the same instant are applied in list order. *)
 
 val isolate_shard : Cluster.t -> shard:int -> unit
 (** Partition the network so one shard's replica set is cut off from

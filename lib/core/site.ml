@@ -8,7 +8,6 @@ module Lock = Rt_lock.Lock_table
 module Stamps = Rt_lock.Stamps
 module Kv = Rt_storage.Kv
 module Wal = Rt_storage.Wal
-module Storage_faults = Rt_storage.Storage_faults
 module LR = Rt_storage.Log_record
 module Checkpoint = Rt_storage.Checkpoint
 module Recovery = Rt_storage.Recovery
@@ -138,10 +137,6 @@ type t = {
   kv : Kv.t;
   wal : LR.t Wal.t;
   cp : Checkpoint.t;
-  fault_rng : Rng.t option;
-      (* Drives probabilistic storage faults (checkpoint corruption on
-         crash); [None] when the fault profile is off, so the default
-         configuration never draws from the engine's RNG tree. *)
   mutable torn_truncated : int;  (* torn-tail records dropped by scans *)
   mutable corruption_detected : int;  (* durable records lost to corruption *)
   mutable cp_fallbacks : int;  (* recoveries that could not use the latest
@@ -254,13 +249,6 @@ let create ~engine ~id ~config ~send ~counters =
   Config.validate config;
   let placement = Config.placement config in
   let site_ids = List.init config.Config.sites (fun i -> i) in
-  (* Split a fault stream only when the profile is on: [Rng.split]
-     advances the engine's root generator, so the default (faults-off)
-     configuration must not touch it. *)
-  let fault_rng =
-    if Storage_faults.is_off config.Config.storage_faults then None
-    else Some (Rng.split (Engine.rng engine))
-  in
   {
     engine;
     id;
@@ -275,10 +263,8 @@ let create ~engine ~id ~config ~send ~counters =
     kv = Kv.create ();
     wal =
       Wal.create ~owner:id ~group_window:config.Config.group_commit_window
-        ~faults:config.Config.storage_faults ?fault_rng engine
-        ~force_latency:config.force_latency ();
+        engine ~force_latency:config.force_latency ();
     cp = Checkpoint.create ();
-    fault_rng;
     torn_truncated = 0;
     corruption_detected = 0;
     cp_fallbacks = 0;
@@ -507,11 +493,11 @@ let maybe_checkpoint t =
     in
     let upto = min durable (floor - 1) in
     let upto =
-      (* With checkpoint corruption armed, recovery may have to install
-         the previous snapshot instead of the latest; keep the log
+      (* On a device that may fail, recovery may have to install the
+         previous snapshot instead of a corrupt latest one; keep the log
          suffix that covers it, or the fallback would have nothing to
-         replay.  Off-profile truncation is untouched. *)
-      if Storage_faults.is_off t.config.Config.storage_faults then upto
+         replay.  A perfect device truncates up to the latest. *)
+      if not t.config.Config.storage_faults then upto
       else
         match Checkpoint.previous_lsn t.cp with
         | Some prev -> min upto prev
@@ -1431,22 +1417,9 @@ let crash ?torn t =
     t.incarnation <- t.incarnation + 1;
     Counter.incr t.counters "crashes";
     Option.iter Heartbeat.stop t.hb;
-    Wal.crash ?torn t.wal;
-    (* Checkpoint sectors can go stale/corrupt in the same power loss.
-       Gated on a previous snapshot existing: the bootstrap checkpoint
-       holds preloaded data that is in no log record, so losing it would
-       model unrecoverable damage outside this fault class. *)
-    (match t.fault_rng with
-    | Some rng
-      when t.config.Config.storage_faults.Storage_faults.checkpoint_corrupt
-           > 0.
-           && Checkpoint.has_previous t.cp ->
-        if
-          Rng.bernoulli rng
-            ~p:
-              t.config.Config.storage_faults.Storage_faults.checkpoint_corrupt
-        then Checkpoint.corrupt t.cp
-    | _ -> ());
+    (* Only a device that may fail tears its in-flight cycle. *)
+    Wal.crash ?torn:(if t.config.Config.storage_faults then torn else None)
+      t.wal;
     Kv.clear t.kv;
     t.locks <- Lock.create ();
     t.stamps <- Stamps.create ();
@@ -1482,7 +1455,9 @@ let crash_recovering ?torn t =
 (* Deterministic fault-injection entry points (nemesis / tests). *)
 
 let corrupt_checkpoint t =
-  (* Same bootstrap-checkpoint gate as the probabilistic path. *)
+  (* Gated on a previous snapshot existing: the bootstrap checkpoint
+     holds preloaded data that is in no log record, so losing it would
+     model unrecoverable damage outside this fault class. *)
   if Checkpoint.has_previous t.cp then Checkpoint.corrupt t.cp
 
 let corrupt_wal_record t ~lsn = Wal.corrupt_record t.wal ~lsn

@@ -100,12 +100,10 @@ val crash : ?torn:int -> t -> unit
 (** Power off: volatile state (store, locks, machines, timers) is lost;
     only the durable log prefix and checkpoints survive.
 
-    [torn] (honoured only when [Config.storage_faults.torn_writes] is on
-    and a WAL device cycle is in flight) tears the cycle: exactly [torn]
-    of its records survive as durable, the rest remain on disk as
-    garbage for the recovery scan to find.  With [checkpoint_corrupt]
-    armed the crash may also corrupt the latest (non-bootstrap)
-    checkpoint. *)
+    [torn] (honoured only when [Config.storage_faults] is on and a WAL
+    device cycle is in flight) tears the cycle: exactly [torn] of its
+    records survive as durable, the rest remain on disk as garbage for
+    the recovery scan to find. *)
 
 val crash_recovering : ?torn:int -> t -> unit
 (** Crash a site that is still inside its recovery replay window: the

@@ -79,7 +79,7 @@ type sweep_config = {
   cf_torn : bool;
       (* Enumerate torn-write variants of every "wal:force-durable"
          point: for a cycle of n records, crash after k of them for each
-         k < n.  Requires cf_tune to arm storage_faults.torn_writes. *)
+         k < n.  Requires cf_tune to arm storage_faults. *)
 }
 
 let configs =
@@ -111,20 +111,13 @@ let configs =
     };
     {
       (* Torn-write sweep: the same group-commit window as full+gc so
-         device cycles cover several records, with the storage fault
-         profile's torn_writes armed.  Each observed "wal:force-durable"
-         cycle of n records yields n extra injections — crash after k of
-         n, for every k < n — on top of the classical atomic-crash
-         case (k = n is that case). *)
+         device cycles cover several records, with storage faults armed.
+         Each observed "wal:force-durable" cycle of n records yields n
+         extra injections — crash after k of n, for every k < n — on top
+         of the classical atomic-crash case (k = n is that case). *)
       cf_name = "full+torn";
       cf_choose = (fun _ -> Full);
-      cf_tune =
-        (fun c ->
-          {
-            (Config.batched c) with
-            storage_faults =
-              { Rt_storage.Storage_faults.off with torn_writes = true };
-          });
+      cf_tune = (fun c -> { (Config.batched c) with storage_faults = true });
       cf_torn = true;
     };
   ]

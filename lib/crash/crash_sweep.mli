@@ -29,8 +29,8 @@ type case = {
   cs_torn : int option;
       (** [Some k]: tear the in-flight WAL device cycle at the crash so
           only [k] of its records survive as durable ([k < n] for a
-          cycle of [n] records; the storage fault profile must have
-          [torn_writes] on).  [None]: classical atomic crash. *)
+          cycle of [n] records; [Config.storage_faults] must be on).
+          [None]: classical atomic crash. *)
 }
 
 type violation = { v_case : case; v_invariant : string; v_detail : string }
@@ -71,7 +71,7 @@ val sweep :
     full replication with WAL group commit and link batching
     ("full+gc") — group commit moves the force boundaries, so the sweep
     re-discovers its crash points there; and "full+torn": the same
-    windows with [storage_faults.torn_writes] armed and every torn
+    windows with [storage_faults] armed and every torn
     variant of every observed force-durable cycle injected. *)
 
 val discover :

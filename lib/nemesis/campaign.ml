@@ -1,13 +1,10 @@
-(* Campaign runner: interpret a fault scenario against a live cluster
+(* Campaign runner: schedule a fault scenario against a live cluster
    driven by a client fleet, then heal, drain, and run the shared
    invariant audit.  Everything is simulation-deterministic: same seed,
    same bytes. *)
 
 open Rt_sim
 open Rt_core
-module Net = Rt_net.Net
-module Partition = Rt_net.Partition
-module Latency = Rt_net.Latency
 module Mix = Rt_workload.Mix
 
 (* Safety envelopes, declared per protocol before anything runs.  Basic
@@ -88,55 +85,6 @@ type result = {
          code.  Always empty when [r_envelope = None]. *)
 }
 
-let ordered_pairs sites =
-  List.concat_map
-    (fun src ->
-      List.filter_map
-        (fun dst -> if src = dst then None else Some (src, dst))
-        (List.init sites Fun.id))
-    (List.init sites Fun.id)
-
-let apply_fault cluster fault =
-  let net = Cluster.net cluster in
-  let sites = (Cluster.config cluster).Config.sites in
-  let resolve = function Some pairs -> pairs | None -> ordered_pairs sites in
-  match fault with
-  | Scenario.Lossy { pairs; drop; duplicate } ->
-      List.iter
-        (fun (src, dst) ->
-          let cur = Net.link net ~src ~dst in
-          Net.set_link net ~src ~dst { cur with drop; duplicate })
-        (resolve pairs)
-  | Scenario.Gray { pairs; factor } ->
-      List.iter
-        (fun (src, dst) ->
-          let cur = Net.link net ~src ~dst in
-          Net.set_link net ~src ~dst
-            { cur with latency = Latency.scale cur.latency ~factor })
-        (resolve pairs)
-  | Scenario.Partition groups -> Cluster.partition cluster groups
-  | Scenario.Sever edges ->
-      List.iter
-        (fun (src, dst) -> Partition.sever (Net.partition net) ~src ~dst)
-        edges
-  | Scenario.Restore edges ->
-      List.iter
-        (fun (src, dst) -> Partition.restore (Net.partition net) ~src ~dst)
-        edges
-  | Scenario.Heal_partition -> Cluster.heal cluster
-  | Scenario.Reset_links -> Net.clear_links net
-  | Scenario.Crash i ->
-      if Site.is_up (Cluster.site cluster i) then Cluster.crash_site cluster i
-  | Scenario.Recover i ->
-      if not (Site.is_up (Cluster.site cluster i)) then
-        Cluster.recover_site cluster i
-  | Scenario.Torn_crash { site; keep } ->
-      if Site.is_up (Cluster.site cluster site) then
-        Cluster.crash_site ~torn:keep cluster site
-  | Scenario.Corrupt_checkpoint i ->
-      Site.corrupt_checkpoint (Cluster.site cluster i)
-  | Scenario.Recrash i -> Site.crash_recovering (Cluster.site cluster i)
-
 let drain_step = Time.ms 50
 let drain_cap = Time.sec 5
 
@@ -165,21 +113,14 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   let steps = Scenario.steps scenario ~sites ~duration in
   (* Envelope verdict first, from the fault plan alone. *)
   let envelope = outside_safety_envelope ~protocol:commit_protocol ~steps in
-  List.iter
-    (fun (at, fault) ->
-      ignore
-        (Engine.schedule_at (Cluster.engine cluster) at (fun () ->
-             apply_fault cluster fault)))
-    steps;
+  Failure.schedule cluster steps;
   Cluster.run ~until:duration cluster;
   List.iter Client.stop fleet;
   (* End of the fault window: heal everything, revive everyone, then
      measure how long the protocols take to go quiet. *)
-  Cluster.heal cluster;
-  Net.clear_links (Cluster.net cluster);
-  Array.iteri
-    (fun i s -> if not (Site.is_up s) then Cluster.recover_site cluster i)
-    (Cluster.sites cluster);
+  List.iter (Failure.apply cluster)
+    (Failure.Heal_partition :: Failure.Reset_links
+    :: List.init sites (fun i -> Failure.Recover i));
   let t_heal = Cluster.now cluster in
   let rec drain k =
     let elapsed = k * drain_step in

@@ -1,9 +1,9 @@
 (** Fault-campaign runner.
 
-    Interprets {!Scenario} steps against a live cluster under a client
-    fleet, then heals every fault, recovers every site, measures the
-    heal-to-quiet drain time, and runs the shared {!Rt_core.Audit}
-    battery.  Fully simulation-deterministic: the same seed produces the
+    Schedules {!Scenario} steps against a live cluster under a client
+    fleet ({!Rt_core.Failure.schedule}), then heals every fault,
+    recovers every site, measures the heal-to-quiet drain time, and runs
+    the shared {!Rt_core.Audit} battery.  Fully simulation-deterministic: the same seed produces the
     same results, byte for byte. *)
 
 open Rt_sim

@@ -1,11 +1,11 @@
 (* Disk-fault nemesis campaign: torn writes, checkpoint corruption, and
    recovery-time re-crashes, composed into scenarios and run through the
    shared campaign machinery (client fleet, heal, drain, Rt_core.Audit).
-   Every run arms the storage fault profile's torn_writes; the
-   probabilistic knobs stay 0 so injection is explicit and the campaign
-   stays byte-deterministic per seed. *)
+   Every run arms Config.storage_faults; every fault is an explicit
+   scenario step, so the campaign stays byte-deterministic per seed. *)
 
 open Rt_sim
+open Rt_core
 
 let ms = Time.ms
 
@@ -26,8 +26,8 @@ let torn_churn =
              let site = k mod sites in
              let at = k * every in
              [
-               (at, Scenario.Torn_crash { site; keep = k mod 3 });
-               (Time.add at down_for, Scenario.Recover site);
+               (at, Failure.Torn_crash { site; keep = k mod 3 });
+               (Time.add at down_for, Failure.Recover site);
              ])))
 
 let checkpoint_corrupt =
@@ -44,9 +44,9 @@ let checkpoint_corrupt =
              let site = k mod sites in
              let at = k * every in
              [
-               (at, Scenario.Crash site);
-               (Time.add at (ms 5), Scenario.Corrupt_checkpoint site);
-               (Time.add at down_for, Scenario.Recover site);
+               (at, Failure.Crash site);
+               (Time.add at (ms 5), Failure.Corrupt_checkpoint site);
+               (Time.add at down_for, Failure.Recover site);
              ])))
 
 let recovery_recrash =
@@ -65,11 +65,11 @@ let recovery_recrash =
              let at = k * every in
              let up = Time.add at (ms 30) in
              [
-               (at, Scenario.Crash site);
-               (Time.add at (ms 10), Scenario.Recrash site);
-               (up, Scenario.Recover site);
-               (up, Scenario.Recrash site);
-               (up, Scenario.Recover site);
+               (at, Failure.Crash site);
+               (Time.add at (ms 10), Failure.Recrash site);
+               (up, Failure.Recover site);
+               (up, Failure.Recrash site);
+               (up, Failure.Recover site);
              ])))
 
 let torn_plus_checkpoint =
@@ -86,9 +86,9 @@ let torn_plus_checkpoint =
              let site = k mod sites in
              let at = k * every in
              [
-               (at, Scenario.Torn_crash { site; keep = 1 });
-               (Time.add at (ms 5), Scenario.Corrupt_checkpoint site);
-               (Time.add at down_for, Scenario.Recover site);
+               (at, Failure.Torn_crash { site; keep = 1 });
+               (Time.add at (ms 5), Failure.Corrupt_checkpoint site);
+               (Time.add at down_for, Failure.Recover site);
              ])))
 
 let default_scenarios =
@@ -100,18 +100,15 @@ let default_scenarios =
     torn_plus_checkpoint;
   ]
 
-(* Arm torn writes; the probabilistic corruption knobs stay 0, so every
-   fault in the campaign is an explicit scenario step and the report is
-   byte-identical per seed.  A slow device with a group-commit window
-   keeps multi-record cycles in flight for a meaningful fraction of the
-   run, so the scenarios' crashes actually catch cycles mid-write —
-   with the default 50 µs force latency almost every crash would land
-   on an idle device and tear nothing. *)
+(* Arm storage faults on a slow device: a group-commit window keeps
+   multi-record cycles in flight for a meaningful fraction of the run, so
+   the scenarios' crashes actually catch cycles mid-write — with the
+   default 50 µs force latency almost every crash would land on an idle
+   device and tear nothing. *)
 let arm c =
   {
     c with
-    Rt_core.Config.storage_faults =
-      { Rt_storage.Storage_faults.off with torn_writes = true };
+    Config.storage_faults = true;
     force_latency = Time.us 400;
     group_commit_window = Time.us 200;
   }
@@ -143,7 +140,7 @@ let render results =
           (fun v ->
             Format.asprintf "[%s %s %s] %a" r.Campaign.r_scenario
               r.Campaign.r_protocol r.Campaign.r_placement
-              Rt_core.Audit.pp_violation v)
+              Audit.pp_violation v)
           r.Campaign.r_violations)
       results
   in

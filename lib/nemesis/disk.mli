@@ -4,10 +4,9 @@
     cycles, corrupted checkpoint snapshots, and re-crashes during
     recovery — into {!Scenario}s and runs them through the shared
     {!Campaign} machinery: client fleet, heal, drain, and the full
-    {!Rt_core.Audit} battery.  Every run arms
-    [Config.storage_faults.torn_writes]; the probabilistic corruption
-    knobs stay 0 so all injection is explicit scenario steps and the
-    rendered report is byte-identical for a given seed. *)
+    {!Rt_core.Audit} battery.  Every run arms [Config.storage_faults];
+    all injection is explicit scenario steps, so the rendered report is
+    byte-identical for a given seed. *)
 
 open Rt_sim
 
@@ -42,8 +41,7 @@ val default_scenarios : Scenario.t list
     {!recovery_recrash}, and {!torn_plus_checkpoint}. *)
 
 val arm : Rt_core.Config.t -> Rt_core.Config.t
-(** The campaign's tune: arm [storage_faults.torn_writes] (leaving the
-    probabilistic corruption knobs at 0) on a slow device — 400 µs
+(** The campaign's tune: arm [storage_faults] on a slow device — 400 µs
     force latency with a 200 µs group-commit window — so multi-record
     cycles are in flight often enough for the scenarios' crashes to
     genuinely tear them. *)

@@ -1,43 +1,12 @@
-(* Network-fault scenarios.
+(* Fault scenarios.
 
    A scenario is a recipe: given the cluster size and the fault window it
-   emits a deterministic, time-sorted list of fault steps.  Scenarios are
-   pure data: the campaign runner interprets the steps against a live
-   cluster. *)
+   emits a deterministic, time-sorted list of Failure.fault steps.
+   Scenarios are pure data: the campaign runner schedules the steps
+   against a live cluster. *)
 
 open Rt_sim
-
-type edge = int * int
-
-type fault =
-  | Lossy of { pairs : edge list option; drop : float; duplicate : float }
-      (* Overlay drop/duplication probabilities on the named directed
-         pairs ([None] = every ordered pair), keeping current latency. *)
-  | Gray of { pairs : edge list option; factor : int }
-      (* Inflate current latency by [factor] on the named pairs. *)
-  | Partition of int list list
-  | Sever of edge list  (* directed: (src, dst) stops delivering *)
-  | Restore of edge list
-  | Heal_partition  (* components and severed edges; link overlays stay *)
-  | Reset_links  (* drop every link overlay, back to the config default *)
-  | Crash of int
-  | Recover of int
-  | Torn_crash of { site : int; keep : int }
-      (* Crash with the storage fault profile's torn-write mode: when a
-         WAL device cycle is in flight at the crash, only [keep] of its
-         records survive as durable (clamped to the cycle size) and the
-         rest are left as a garbled tail for recovery's scan to
-         truncate.  With no cycle in flight it is a classical crash.
-         Requires [Config.storage_faults.torn_writes]. *)
-  | Corrupt_checkpoint of int
-      (* Flip the latest checkpoint snapshot's checksum so the next
-         recovery must fall back — previous snapshot or full log replay.
-         No-op until the site has a previous snapshot to fall back to
-         (the fallback chain is never knowingly broken). *)
-  | Recrash of int
-      (* Crash again regardless of up/down state: landing while the site
-         is still down models a crash during recovery (the log must
-         replay idempotently on the next attempt). *)
+open Rt_core.Failure
 
 type step = Time.t * fault
 

@@ -1,46 +1,16 @@
-(** Network-fault scenarios.
+(** Fault scenarios.
 
     A scenario is pure data: given the cluster size and the fault window
-    it produces a deterministic, time-sorted step list.  The campaign
-    runner ({!Campaign}) interprets the steps against a live cluster.
-    All steps are clipped to [0, duration), so faults never outlive the
-    window — the runner heals, recovers, and drains afterwards. *)
+    it produces a deterministic, time-sorted list of
+    {!Rt_core.Failure.fault} steps, which the campaign runner
+    ({!Campaign}) schedules against a live cluster with
+    {!Rt_core.Failure.schedule}.  All steps are clipped to
+    [0, duration), so faults never outlive the window — the runner
+    heals, recovers, and drains afterwards. *)
 
 open Rt_sim
 
-type edge = int * int
-(** A directed site pair (src, dst). *)
-
-type fault =
-  | Lossy of { pairs : edge list option; drop : float; duplicate : float }
-      (** Overlay drop/duplication on the pairs ([None] = every ordered
-          pair), preserving each link's current latency. *)
-  | Gray of { pairs : edge list option; factor : int }
-      (** Multiply current latency by [factor] — a slow-but-live link. *)
-  | Partition of int list list  (** Symmetric component split. *)
-  | Sever of edge list  (** One-way cuts: (src, dst) stops delivering. *)
-  | Restore of edge list  (** Undo matching {!Sever} edges. *)
-  | Heal_partition
-      (** Heal components and severed edges; link overlays remain. *)
-  | Reset_links  (** Remove every link overlay. *)
-  | Crash of int
-  | Recover of int
-  | Torn_crash of { site : int; keep : int }
-      (** Crash with the storage fault profile's torn-write mode: when a
-          WAL device cycle is in flight, only [keep] of its records
-          survive as durable (clamped to the cycle size) and the rest
-          are left as a garbled tail for recovery's scan to truncate;
-          otherwise a classical crash.  The campaign's config must arm
-          [Config.storage_faults.torn_writes]. *)
-  | Corrupt_checkpoint of int
-      (** Flip the latest checkpoint snapshot's checksum so the next
-          recovery falls back to the previous snapshot or a full log
-          replay.  No-op until the site has a previous snapshot. *)
-  | Recrash of int
-      (** Crash again regardless of up/down state — landing while the
-          site is still down models a crash during recovery. *)
-
-type step = Time.t * fault
+type step = Time.t * Rt_core.Failure.fault
 
 type t
 
@@ -81,6 +51,6 @@ val coordinator_faults : t
     for 50 ms — votes reach the coordinator, its decisions vanish. *)
 
 val cuts_reachability : step list -> bool
-(** Whether the steps sever reachability ({!Partition} or {!Sever}), as
+(** Whether the steps sever reachability ([Partition] or [Sever]), as
     opposed to merely degrading links.  Crash-stop-only protocols (3PC)
     are allowed documented divergence under such scenarios. *)

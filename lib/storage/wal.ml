@@ -24,8 +24,6 @@ type 'r t = {
   force_latency : Time.t;
   group_window : Time.t;  (* zero = start the device on the first force *)
   owner : int;  (* owning site, for crash points; -1 = anonymous *)
-  faults : Storage_faults.t;
-  fault_rng : Rng.t option;  (* present only when the profile is on *)
   mutable records : 'r slot array;  (* index i holds LSN base + i + 1 *)
   mutable size : int;
   mutable base : lsn;  (* number of truncated records *)
@@ -65,18 +63,14 @@ let checksum r =
 
 let chain_next prev crc = ((prev * 1000003) + crc + 1) land max_int
 
-let create ?(owner = -1) ?(group_window = Time.zero)
-    ?(faults = Storage_faults.off) ?fault_rng engine ~force_latency () =
+let create ?(owner = -1) ?(group_window = Time.zero) engine ~force_latency () =
   if Time.(group_window < zero) then
     invalid_arg "Wal.create: group_window must be non-negative";
-  Storage_faults.validate faults;
   {
     engine;
     force_latency;
     group_window;
     owner;
-    faults;
-    fault_rng = (if Storage_faults.is_off faults then None else fault_rng);
     records = [||];
     size = 0;
     base = 0;
@@ -229,10 +223,7 @@ let crash ?torn t =
   t.epoch <- t.epoch + 1;
   let torn_applied =
     match torn with
-    | Some k
-      when t.faults.Storage_faults.torn_writes
-           && (t.device_busy || t.completing)
-           && t.cycle_size > 0 ->
+    | Some k when (t.device_busy || t.completing) && t.cycle_size > 0 ->
         (* The device was (or had just finished) writing LSNs
            (cycle_base, cycle_base + cycle_size]; exactly [k] of them
            reached the platter.  The rest of the cycle survives as
@@ -256,16 +247,6 @@ let crash ?torn t =
     let keep = t.durable - t.base in
     t.size <- max 0 keep
   end;
-  (* Latent media decay below the durable horizon: each surviving
-     durable record is independently corrupted.  Only ever exercised
-     with the fault profile on (fault_rng is [None] otherwise). *)
-  (match t.fault_rng with
-  | Some rng when t.faults.Storage_faults.corrupt_on_crash > 0. ->
-      for i = 0 to t.durable - t.base - 1 do
-        if Rng.bernoulli rng ~p:t.faults.Storage_faults.corrupt_on_crash then
-          garble t ~lsn:(t.base + i + 1)
-      done
-  | _ -> ());
   t.device_busy <- false;
   t.completing <- false;
   t.flush_armed <- false;

@@ -12,11 +12,11 @@
     callbacks.
 
     Every record is stored with a checksum and a sequence-chain field
-    (checksum chained to its predecessor's chain value).  With the
-    default {!Storage_faults.off} profile these are write-only armour;
-    with a fault profile a crash can leave a torn cycle suffix or
-    corrupt records on disk, and {!scan} is the recovery-time pass that
-    validates the log in LSN order and truncates at the first break.
+    (checksum chained to its predecessor's chain value).  On a perfect
+    device these are write-only armour; a torn crash ([crash ~torn]) or
+    an injected corruption ({!corrupt_record}) leaves bad records on
+    disk, and {!scan} is the recovery-time pass that validates the log
+    in LSN order and truncates at the first break.
 
     The record type is a parameter so the same engine backs both database
     logs and protocol-state logs in tests. *)
@@ -28,8 +28,6 @@ type 'r t
 val create :
   ?owner:int ->
   ?group_window:Time.t ->
-  ?faults:Storage_faults.t ->
-  ?fault_rng:Rng.t ->
   Engine.t ->
   force_latency:Time.t ->
   unit ->
@@ -46,11 +44,7 @@ val create :
     force arriving inside the window shares one device cycle.  Zero
     starts the device on the first force — the classical behaviour.
 
-    [faults] (default {!Storage_faults.off}) arms the storage fault
-    model; [fault_rng] drives the probabilistic knobs and is consulted
-    only when the profile is on (it is discarded when the profile is
-    off, so a faults-off log never draws from it).  Each record's
-    checksum is a digest of its marshalled bytes. *)
+    Each record's checksum is a digest of its marshalled bytes. *)
 
 type lsn = int
 (** Log sequence numbers are 1-based; 0 means "nothing". *)
@@ -71,16 +65,12 @@ val force : 'r t -> ?upto:lsn -> (unit -> unit) -> unit
 val crash : ?torn:int -> 'r t -> unit
 (** Lose the non-durable suffix and all pending force callbacks.
 
-    [torn] (honoured only when the profile's [torn_writes] is on and a
-    device cycle is in flight or just completing) tears the cycle:
-    exactly [torn] of its records reach the platter and become durable,
-    the rest of the cycle survives on disk as garbage with broken
-    checksums — {!scan} must find and drop them — and records appended
-    after the cycle are lost cleanly.  Without [torn] (or with the
-    profile off) the crash is the classical atomic one.
-
-    With [corrupt_on_crash] > 0, each record below the durable horizon
-    is then independently corrupted with that probability. *)
+    [torn] (honoured only when a device cycle is in flight or just
+    completing) tears the cycle: exactly [torn] of its records reach the
+    platter and become durable, the rest of the cycle survives on disk
+    as garbage with broken checksums — {!scan} must find and drop them —
+    and records appended after the cycle are lost cleanly.  Without
+    [torn] the crash is the classical atomic one. *)
 
 type scan_result = {
   sc_torn : int;  (** Garbage records dropped from above the durable horizon. *)
@@ -95,8 +85,8 @@ val scan : 'r t -> scan_result
     supposedly-stable data: the log is truncated there, the durable
     point rolled back so the corrupt records are never replayed, and
     the damage reported in [sc_corrupt] for the caller to escalate
-    loudly.  Idempotent: a second scan finds nothing.  With the fault
-    profile off this is a no-op pass over valid records. *)
+    loudly.  Idempotent: a second scan finds nothing.  On a log that no
+    fault touched this is a no-op pass over valid records. *)
 
 val corrupt_record : 'r t -> lsn:lsn -> unit
 (** Deterministic fault injection: break the stored checksum of one

@@ -288,7 +288,7 @@ let prop_random_partitions_never_fork =
       Failure.schedule cluster
         [
           (Time.ms 50, Failure.Partition [ left; right ]);
-          (Time.ms 250, Failure.Heal);
+          (Time.ms 250, Failure.Heal_partition);
         ];
       Cluster.run ~until:(Time.ms 400) cluster;
       List.iter Client.stop fleet;
@@ -433,8 +433,7 @@ let test_torn_tail_truncated_not_replayed () =
       seed = 11;
       group_commit_window = Time.us 20;
       batch_window = Some (Time.us 10);
-      storage_faults =
-        { Rt_storage.Storage_faults.off with torn_writes = true } }
+      storage_faults = true }
   in
   let cluster = Cluster.create config in
   let injected =

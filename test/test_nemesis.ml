@@ -5,6 +5,7 @@
    the bin/nemesis.exe campaign (see docs/NEMESIS.md). *)
 
 open Rt_sim
+module Failure = Rt_core.Failure
 module Scenario = Rt_nemesis.Scenario
 module Campaign = Rt_nemesis.Campaign
 
@@ -14,11 +15,11 @@ let test_steps_clipped_and_sorted () =
   let s =
     Scenario.make "test" (fun ~sites:_ ~duration ->
         [
-          (Time.ms 90, Scenario.Heal_partition);
-          (Time.ms 10, Scenario.Crash 0);
-          (Time.ms (-5), Scenario.Crash 1);
-          (duration, Scenario.Crash 2);
-          (Time.ms 10, Scenario.Recover 0);
+          (Time.ms 90, Failure.Heal_partition);
+          (Time.ms 10, Failure.Crash 0);
+          (Time.ms (-5), Failure.Crash 1);
+          (duration, Failure.Crash 2);
+          (Time.ms 10, Failure.Recover 0);
         ])
   in
   let steps = Scenario.steps s ~sites:3 ~duration:(Time.ms 100) in
@@ -28,7 +29,7 @@ let test_steps_clipped_and_sorted () =
     (List.sort Time.compare times = times);
   (* Stable: equal-time faults keep emission order. *)
   (match steps with
-  | (_, Scenario.Crash 0) :: (_, Scenario.Recover 0) :: _ -> ()
+  | (_, Failure.Crash 0) :: (_, Failure.Recover 0) :: _ -> ()
   | _ -> Alcotest.fail "stable sort broke equal-time order")
 
 let test_square_wave_faults_end_inside_window () =
@@ -38,19 +39,19 @@ let test_square_wave_faults_end_inside_window () =
      cycle (on@80 off@100) must not leave a dangling partition. *)
   let last_fault = snd (List.nth steps (List.length steps - 1)) in
   Alcotest.(check bool) "window ends healed" true
-    (match last_fault with Scenario.Heal_partition -> true | _ -> false)
+    (match last_fault with Failure.Heal_partition -> true | _ -> false)
 
 let test_cuts_reachability () =
   let at f = [ (Time.zero, f) ] in
   Alcotest.(check bool) "sever cuts" true
-    (Scenario.cuts_reachability (at (Scenario.Sever [ (0, 1) ])));
+    (Scenario.cuts_reachability (at (Failure.Sever [ (0, 1) ])));
   Alcotest.(check bool) "partition cuts" true
-    (Scenario.cuts_reachability (at (Scenario.Partition [ [ 0 ]; [ 1 ] ])));
+    (Scenario.cuts_reachability (at (Failure.Partition [ [ 0 ]; [ 1 ] ])));
   Alcotest.(check bool) "lossy does not" false
     (Scenario.cuts_reachability
-       (at (Scenario.Lossy { pairs = None; drop = 0.5; duplicate = 0.5 })));
+       (at (Failure.Lossy { pairs = None; drop = 0.5; duplicate = 0.5 })));
   Alcotest.(check bool) "crash does not" false
-    (Scenario.cuts_reachability (at (Scenario.Crash 0)))
+    (Scenario.cuts_reachability (at (Failure.Crash 0)))
 
 let test_scenario_steps_deterministic () =
   let s = Scenario.churn in

@@ -378,12 +378,10 @@ let test_storage_crash_cycle () =
 
 (* --- Storage faults --------------------------------------------------- *)
 
-let torn_faults = { Storage_faults.off with torn_writes = true }
-
 let test_torn_crash_truncates_cleanly () =
   let e = Engine.create () in
   let wal =
-    Wal.create ~group_window:(Time.us 50) ~faults:torn_faults e
+    Wal.create ~group_window:(Time.us 50) e
       ~force_latency:(Time.us 100) ()
   in
   ignore (Wal.append wal "a");
@@ -507,7 +505,7 @@ let prop_torn_scan_yields_durable_prefix =
     (fun (n, crash_us, keep) ->
       let e = Engine.create () in
       let wal =
-        Wal.create ~group_window:(Time.us 30) ~faults:torn_faults e
+        Wal.create ~group_window:(Time.us 30) e
           ~force_latency:(Time.us 60) ()
       in
       let recs = List.init n (fun i -> Printf.sprintf "r%d" (i + 1)) in
