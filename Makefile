@@ -79,7 +79,8 @@ explore:
 # host timings), the bench snapshot, the six soak runs and Paxos Commit
 # soak seeds 1-10 under both 2PL and `--cc to`, plus each run's exit
 # status in exit-status.txt (a failing run is recorded there and does
-# not fail the target).  Several of the Paxos seeds fail today (ROADMAP,
+# not fail the target; soak exits 1 on a failed audit and 124 on a
+# command-line error).  Several of the Paxos seeds fail today (ROADMAP,
 # "Paxos Commit liveness under soak"), so a change to Paxos Commit is
 # compared on every one of them.  Run it on two checkouts and compare
 # with `diff -r`.  About 4½ minutes on a 2-core machine.
