@@ -479,6 +479,42 @@ let test_log_corruption_below_horizon_is_loud () =
   Alcotest.(check bool) "storage violation reported loudly" true
     (List.exists (fun v -> v.Audit.inv = "storage") vs)
 
+(* With storage faults on, a checkpoint truncates the log only up to the
+   previous snapshot, so a corrupt latest snapshot falls back to it and
+   replays the suffix without losing a committed write.  One site, so no
+   peer can hide a loss through catch-up.  Four commits at
+   checkpoint_every = 2 give two checkpoints after the bootstrap one. *)
+let test_checkpoint_fallback_keeps_previous_suffix () =
+  let config =
+    { (Config.default ~sites:1 ()) with
+      checkpoint_every = 2;
+      storage_faults = true }
+  in
+  let cluster = Cluster.create config in
+  let writes =
+    List.init 4 (fun i ->
+        (Printf.sprintf "k%d" (i + 1), string_of_int (i + 1)))
+  in
+  List.iter
+    (fun (k, v) ->
+      check_committed (run_one cluster ~site:0 ~ops:[ Mix.Write (k, v) ]))
+    writes;
+  let s0 = Cluster.site cluster 0 in
+  let before = Kv.snapshot (Site.kv s0) in
+  Site.corrupt_checkpoint s0;
+  Cluster.crash_site cluster 0;
+  run_for cluster (Time.ms 50);
+  Cluster.recover_site cluster 0;
+  run_for cluster (Time.ms 500);
+  Alcotest.(check int) "fell back to the previous snapshot" 1
+    (Site.checkpoint_fallbacks s0);
+  Alcotest.(check bool) "store as before the crash" true
+    (Kv.snapshot (Site.kv s0) = before);
+  Alcotest.(check (list string)) "audit clean" []
+    (List.map
+       (Format.asprintf "%a" Audit.pp_violation)
+       (Audit.standard ~writes ~settle:(Time.sec 1) cluster))
+
 let () =
   Alcotest.run "core-failures"
     [
@@ -521,6 +557,8 @@ let () =
             test_torn_tail_truncated_not_replayed;
           Alcotest.test_case "sub-horizon corruption is loud" `Quick
             test_log_corruption_below_horizon_is_loud;
+          Alcotest.test_case "checkpoint fallback keeps previous suffix"
+            `Quick test_checkpoint_fallback_keeps_previous_suffix;
         ] );
       ( "partitions",
         [ QCheck_alcotest.to_alcotest prop_random_partitions_never_fork ] );
