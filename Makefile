@@ -34,13 +34,14 @@ perfbench-smoke:
 	bash perfbench/run.sh --smoke --trace 1
 
 # Exhaustive crash-recovery fault injection (see docs/RECOVERY.md).
-# Exits non-zero when any invariant violation is found.
+# Exits 1 when any invariant violation is found.  Like every harness
+# below, it exits 124 on a command-line error.
 crash:
 	dune exec bin/crashpoints.exe
 
 # Network-fault campaign: scenario x protocol x placement matrix with the
-# shared invariant audit (see docs/NEMESIS.md).  Exit code = number of
-# audit violations; output is byte-identical for a given seed.
+# shared invariant audit (see docs/NEMESIS.md).  Exits 1 on any audit
+# violation; output is byte-identical for a given seed.
 nemesis:
 	dune build bin/nemesis.exe
 	dune exec bin/nemesis.exe -- > NEMESIS.md; s=$$?; cat NEMESIS.md; exit $$s
@@ -48,7 +49,7 @@ nemesis:
 # Disk-fault campaign: torn WAL writes, checkpoint corruption, and
 # recovery-time re-crashes across protocol x placement, audited by the
 # shared invariant battery (see docs/RECOVERY.md, "Storage faults").
-# Exit code = number of audit violations; byte-identical per seed.
+# Exits 1 on any audit violation; byte-identical per seed.
 disk-nemesis:
 	dune build bin/disk_nemesis.exe
 	dune exec bin/disk_nemesis.exe -- > DISK_NEMESIS.md; s=$$?; cat DISK_NEMESIS.md; exit $$s
@@ -67,7 +68,7 @@ soak:
 # Bounded exhaustive schedule exploration with DPOR: the N=3 scenario
 # matrix across all six commit protocols (see docs/EXPLORER.md).  Every
 # non-Paxos scenario closes within its budget (Paxos F=1 explores a
-# capped prefix); exit code = number of audit violations; output is
+# capped prefix); exits 1 on any audit violation; output is
 # byte-identical run to run.
 explore:
 	dune build bin/explore.exe

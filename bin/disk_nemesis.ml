@@ -1,8 +1,9 @@
 (* Command-line driver for the disk-fault nemesis campaign: torn WAL
    writes, checkpoint corruption, and recovery-time re-crashes composed
    across the protocol × placement matrix, audited by the shared
-   invariant battery.  Exit code = number of audit violations (0 =
-   clean) so CI can gate on it; output is byte-identical per seed.
+   invariant battery.  It exits 0 when the audit is clean and 1 on any
+   violation (124 is a command-line error) so CI can gate on it; output
+   is byte-identical per seed.
 
      dune exec bin/disk_nemesis.exe -- --help                       *)
 
@@ -17,7 +18,7 @@ let run seed sites clients duration_ms =
   in
   print_string (Disk.render results);
   let violations = Campaign.total_violations results in
-  if violations = 0 then `Ok () else exit (min 125 violations)
+  if violations = 0 then `Ok () else exit 1
 
 let seed_arg =
   let doc = "DES seed; output is byte-identical for a given seed." in
@@ -35,6 +36,7 @@ let duration_arg =
     & info [ "duration-ms" ] ~doc:"Fault window per run (simulated ms).")
 
 let cmd =
+  let exits = Cmd.Exit.info 1 ~doc:"on a failed audit." :: Cmd.Exit.defaults in
   let doc = "Disk-fault campaigns: torn writes, corrupt checkpoints, re-crashes" in
   let man =
     [
@@ -50,7 +52,7 @@ let cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "disk_nemesis" ~version:"1.0" ~doc ~man)
+    (Cmd.info "disk_nemesis" ~version:"1.0" ~doc ~man ~exits)
     Term.(
       ret (const run $ seed_arg $ sites_arg $ clients_arg $ duration_arg))
 

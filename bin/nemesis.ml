@@ -1,7 +1,8 @@
 (* Command-line driver for nemesis fault campaigns: run the scenario ×
    protocol × placement matrix under a client fleet, audit the shared
-   invariants, and exit with the number of violations (0 = clean) so CI
-   can gate on it.  Output is byte-identical for a given seed.
+   invariants, and exit 0 when they hold and 1 on any violation (124 is a
+   command-line error) so CI can gate on it.  Output is byte-identical for
+   a given seed.
 
      dune exec bin/nemesis.exe -- --help                       *)
 
@@ -134,7 +135,7 @@ let run seed sites clients duration_ms rc_name scenario_names experiment =
             print_string (Campaign.render results);
             Campaign.total_violations results
       in
-      if violations = 0 then `Ok () else exit (min 125 violations)
+      if violations = 0 then `Ok () else exit 1
 
 let seed_arg =
   let doc = "DES seed; output is byte-identical for a given seed." in
@@ -178,6 +179,7 @@ let experiment_arg =
            partitions.")
 
 let cmd =
+  let exits = Cmd.Exit.info 1 ~doc:"on a failed audit." :: Cmd.Exit.defaults in
   let doc = "Composable network-fault campaigns with invariant auditing" in
   let man =
     [
@@ -192,7 +194,7 @@ let cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "nemesis" ~version:"1.0" ~doc ~man)
+    (Cmd.info "nemesis" ~version:"1.0" ~doc ~man ~exits)
     Term.(
       ret
         (const run $ seed_arg $ sites_arg $ clients_arg $ duration_arg

@@ -54,13 +54,10 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
       Cluster.populate cluster mix;
       let fleet = Client.start_fleet ~cluster ~clients ~mix () in
       let duration = Time.ms duration_ms in
-      let proc =
-        if mttf_ms > 0 then
-          Some
-            (Failure.random_crashes cluster ~mttf:(Time.ms mttf_ms)
-               ~mttr:(Time.ms mttr_ms))
-        else None
-      in
+      if mttf_ms > 0 then
+        Failure.schedule cluster
+          (Failure.random_crashes cluster ~mttf:(Time.ms mttf_ms)
+             ~mttr:(Time.ms mttr_ms) ~until:duration);
       if partition then begin
         let mid = sites / 2 in
         let left = List.init mid (fun i -> i) in
@@ -72,7 +69,6 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
           ]
       end;
       Cluster.run ~until:duration cluster;
-      Option.iter Failure.stop proc;
       List.iter Client.stop fleet;
       (* Recover any still-down site and drain. *)
       Array.iteri
@@ -169,6 +165,7 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
       end
 
 let cmd =
+  let exits = Cmd.Exit.info 1 ~doc:"on a failed audit." :: Cmd.Exit.defaults in
   let sites =
     Arg.(value & opt int 3 & info [ "sites" ] ~doc:"Number of replica sites.")
   in
@@ -229,7 +226,7 @@ let cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let doc = "Torture a replicated-transaction cluster and audit invariants" in
   Cmd.v
-    (Cmd.info "soak" ~version:"1.0" ~doc)
+    (Cmd.info "soak" ~version:"1.0" ~doc ~exits)
     Term.(
       ret
         (const run $ sites $ protocol $ rc $ cc $ clients $ duration $ mttf

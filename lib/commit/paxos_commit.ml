@@ -77,6 +77,20 @@ let acc_p2a a ~ballot ~rm ~v =
         in
         ({ a with ax_accepted = accepted }, `P2b v)
 
+(* Every acceptor answers a phase-1a or phase-2a message here: [Ok] is the
+   reply to a ballot it joined (phase-2b goes to the ballot's leader),
+   [Error] the nack of a stale one.  What joining a ballot means for the
+   site's own leadership is up to its role. *)
+let serve_p1a a ~src b =
+  match acc_p1a a ~ballot:b with
+  | a, `P1b triples -> (a, Ok (Send (src, Px_p1b (b, triples))))
+  | a, `Nack promised -> (a, Error (Send (src, Px_nack promised)))
+
+let serve_p2a a ~src (b, rm, v) =
+  match acc_p2a a ~ballot:b ~rm ~v with
+  | a, `P2b v' -> (a, Ok (Send (snd b, Px_p2b (b, rm, v'))))
+  | a, `Nack promised -> (a, Error (Send (src, Px_nack promised)))
+
 (* ------------------------------------------------------------------ *)
 (* Vote tallies and phase-1 merges                                     *)
 (* ------------------------------------------------------------------ *)
@@ -109,11 +123,14 @@ let tally_commit_chosen cfg (t : tally) =
     t
   |> Sset.of_list
 
-let tally_abort_chosen cfg (t : tally) =
-  List.exists (fun (_, (_, ab)) -> Sset.cardinal ab >= quorum cfg) t
-
-let tally_all_commit cfg (t : tally) =
-  List.for_all (fun (_, (cs, _)) -> Sset.cardinal cs >= quorum cfg) t
+(* The outcome a tally has chosen: Abort as soon as one instance has an
+   Abort quorum, Commit once every instance has a Commit quorum. *)
+let tally_outcome cfg (t : tally) =
+  if List.exists (fun (_, (_, ab)) -> Sset.cardinal ab >= quorum cfg) t then
+    Some Abort
+  else if List.for_all (fun (_, (cs, _)) -> Sset.cardinal cs >= quorum cfg) t
+  then Some Commit
+  else None
 
 (* Highest-ballot accepted value per instance across phase-1 reports. *)
 let merge_found found triples =
@@ -136,24 +153,97 @@ let proposal_of_found cfg found =
     cfg.all
 
 (* ------------------------------------------------------------------ *)
+(* Ballot leadership (a coordinator's recovery ballot or an elected    *)
+(* participant), over the leader's own acceptor if it has one          *)
+(* ------------------------------------------------------------------ *)
+
+type lead =
+  | Electing of {
+      heard : Sset.t;
+      found : (Ids.site_id * (epoch * decision)) list;
+    }
+  | Proposing of { proposal : (Ids.site_id * decision) list; tally : tally }
+
+let other_acceptors cfg self = List.filter (fun a -> a <> self) cfg.acceptors
+
+(* Phase 1: promise [ballot] at our own acceptor, then ask the others. *)
+let lead_open cfg ~self own ~ballot =
+  let own, lead =
+    match own with
+    | None -> (None, Electing { heard = Sset.empty; found = [] })
+    | Some a ->
+        let a, rep = acc_p1a a ~ballot in
+        let found =
+          match rep with `P1b triples -> merge_found [] triples | `Nack _ -> []
+        in
+        (Some a, Electing { heard = Sset.singleton self; found })
+  in
+  ( own,
+    lead,
+    List.map (fun a -> Send (a, Px_p1a ballot)) (other_acceptors cfg self)
+    @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
+
+(* Phase 2: propose the found values, accept them at our own acceptor,
+   then ask the others. *)
+let lead_propose cfg ~self own ~ballot found =
+  let proposal = proposal_of_found cfg found in
+  let others = other_acceptors cfg self in
+  let sends =
+    List.concat_map
+      (fun (rm, v) ->
+        List.map (fun a -> Send (a, Px_p2a (ballot, rm, v))) others)
+      proposal
+  in
+  let own, tally =
+    match own with
+    | None -> (None, tally_init cfg)
+    | Some a ->
+        let a, tally =
+          List.fold_left
+            (fun (a, tally) (rm, v) ->
+              match acc_p2a a ~ballot ~rm ~v with
+              | a, `P2b v' -> (a, tally_add tally ~rm ~acc:self ~v:v')
+              | a, `Nack _ -> (a, tally))
+            (a, tally_init cfg) proposal
+        in
+        (Some a, tally)
+  in
+  ( own,
+    Proposing { proposal; tally },
+    sends @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
+
+(* A phase-1b or phase-2b message to the leader of [ballot]: [`Counted]
+   it toward a quorum, [`Proposed] phase 2 on a phase-1 quorum,
+   [`Chosen] the outcome of the phase-2 tally, or [`Ignored] it (another
+   ballot or phase, a non-acceptor, or a repeat). *)
+let lead_reply cfg ~self own ~ballot lead src msg =
+  match (lead, msg) with
+  | Electing { heard; found }, Px_p1b (b, triples)
+    when epoch_compare b ballot = 0
+         && List.mem src cfg.acceptors
+         && not (Sset.mem src heard) ->
+      let heard = Sset.add src heard in
+      let found = merge_found found triples in
+      if Sset.cardinal heard >= quorum cfg then
+        `Proposed (lead_propose cfg ~self own ~ballot found)
+      else `Counted (Electing { heard; found })
+  | Proposing { proposal; tally }, Px_p2b (b, rm, v)
+    when epoch_compare b ballot = 0 && List.mem src cfg.acceptors -> (
+      let tally = tally_add tally ~rm ~acc:src ~v in
+      match tally_outcome cfg tally with
+      | Some d -> `Chosen (d, tally)
+      | None -> `Counted (Proposing { proposal; tally }))
+  | _ -> `Ignored
+
+(* ------------------------------------------------------------------ *)
 (* Coordinator (ballot-0 leader, with embedded acceptor)               *)
 (* ------------------------------------------------------------------ *)
 
 type coord_phase =
   | C_init
   | C_collecting of { tally : tally }
-  | C_electing of {
-      ballot : epoch;
-      heard : Sset.t;
-      found : (Ids.site_id * (epoch * decision)) list;
-      blocked : bool;
-    }
-  | C_proposing of {
-      ballot : epoch;
-      proposal : (Ids.site_id * decision) list;
-      tally : tally;
-      blocked : bool;
-    }
+  | C_leading of { ballot : epoch; lead : lead; blocked : bool }
+      (* our recovery ballot *)
   | C_deposed  (* a higher ballot exists: poll for its outcome *)
   | C_logging_decision of { d : decision; notify : Sset.t; ackers : Sset.t }
   | C_decided of { d : decision; await_acks : Sset.t }
@@ -187,7 +277,7 @@ let coord_decision c =
 
 let coord_blocked c =
   match c.c_phase with
-  | C_electing { blocked; _ } | C_proposing { blocked; _ } -> blocked
+  | C_leading { blocked; _ } -> blocked
   | _ -> false
 
 (* Move to the decision: forced log, then distribute.  Refusers already
@@ -206,50 +296,33 @@ let coord_decide c ~tally d =
     [ Clear_timer T_votes; Clear_timer T_state; Clear_timer T_precommit_ack;
       Log (L_decision d, `Forced) ] )
 
-let coord_check c ~tally ~mk =
-  if tally_abort_chosen c.c_cfg tally then coord_decide c ~tally Abort
-  else if tally_all_commit c.c_cfg tally then coord_decide c ~tally Commit
-  else (mk tally, [])
+(* Ballot 0 counted one more vote. *)
+let coord_collected c tally =
+  match tally_outcome c.c_cfg tally with
+  | Some d -> coord_decide c ~tally d
+  | None -> ({ c with c_phase = C_collecting { tally } }, [])
 
-(* Begin phase 2 of a recovery ballot: propose every instance, accepting
-   our own proposals through the embedded acceptor. *)
-let coord_propose c ~ballot ~found =
-  let proposal = proposal_of_found c.c_cfg found in
-  let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
-  let sends =
-    List.concat_map
-      (fun (rm, v) ->
-        List.map (fun a -> Send (a, Px_p2a (ballot, rm, v))) others)
-      proposal
-  in
-  let acc, tally =
-    List.fold_left
-      (fun (acc, tally) (rm, v) ->
-        match acc_p2a acc ~ballot ~rm ~v with
-        | acc, `P2b v' -> (acc, tally_add tally ~rm ~acc:c.c_self ~v:v')
-        | acc, `Nack _ -> (acc, tally))
-      (c.c_acc, tally_init c.c_cfg)
-      proposal
-  in
+(* Enter a phase of our recovery ballot, keeping what our acceptor
+   promised or accepted there. *)
+let coord_lead c ~ballot (acc, lead, actions) =
   ( { c with
-      c_acc = acc;
-      c_phase = C_proposing { ballot; proposal; tally; blocked = false } },
-    sends @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
+      c_acc = Option.value acc ~default:c.c_acc;
+      c_phase = C_leading { ballot; lead; blocked = false } },
+    actions )
 
 (* Usurp our own stalled ballot: run phase 1 at the next round. *)
-let coord_elect c =
+let coord_open c =
   let ballot = (fst c.c_acc.ax_promised + 1, c.c_self) in
-  let acc, rep = acc_p1a c.c_acc ~ballot in
-  let found =
-    match rep with `P1b triples -> merge_found [] triples | `Nack _ -> []
-  in
-  let heard = Sset.singleton c.c_self in
-  let others = List.filter (fun a -> a <> c.c_self) c.c_cfg.acceptors in
-  ( { c with
-      c_acc = acc;
-      c_phase = C_electing { ballot; heard; found; blocked = false } },
-    List.map (fun a -> Send (a, Px_p1a ballot)) others
-    @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
+  coord_lead c ~ballot
+    (lead_open c.c_cfg ~self:c.c_self (Some c.c_acc) ~ballot)
+
+(* A phase of our recovery ballot timed out: resend to the acceptors that
+   have not answered, and report Blocked once. *)
+let coord_stalled c ~ballot ~lead ~blocked timer sends =
+  ( { c with c_phase = C_leading { ballot; lead; blocked = true } },
+    sends
+    @ [ Set_timer (timer, default_timeouts.decision_wait) ]
+    @ (if blocked then [] else [ Blocked ]) )
 
 (* Yield to a higher-ballot leader: keep polling for the outcome so the
    origin's client still learns it even if the rival's broadcast to us is
@@ -262,36 +335,18 @@ let coord_yield c =
 
 let coord_our_ballot c =
   match c.c_phase with
-  | C_electing { ballot; _ } | C_proposing { ballot; _ } -> ballot
+  | C_leading { ballot; _ } -> ballot
   | _ -> ballot0 c.c_cfg
 
-(* Serve the embedded acceptor for a rival leader's phase-1 message and
-   step aside ([coord_yield]) if its ballot beats ours. *)
-let coord_acc_p1a c src b =
-  let acc, rep = acc_p1a c.c_acc ~ballot:b in
-  let our = coord_our_ballot c in
+(* Our acceptor served a rival leader: step aside ([coord_yield]) if the
+   ballot it joined beats ours. *)
+let coord_served c b (acc, reply) =
   let c = { c with c_acc = acc } in
-  match rep with
-  | `P1b triples ->
-      let reply = [ Send (src, Px_p1b (b, triples)) ] in
-      if epoch_compare b our > 0 then
-        let c, actions = coord_yield c in
-        (c, reply @ actions)
-      else (c, reply)
-  | `Nack promised -> (c, [ Send (src, Px_nack promised) ])
-
-let coord_acc_p2a c src (b, rm, v) =
-  let acc, rep = acc_p2a c.c_acc ~ballot:b ~rm ~v in
-  let our = coord_our_ballot c in
-  let c = { c with c_acc = acc } in
-  match rep with
-  | `P2b v' ->
-      let reply = [ Send (snd b, Px_p2b (b, rm, v')) ] in
-      if epoch_compare b our > 0 then
-        let c, actions = coord_yield c in
-        (c, reply @ actions)
-      else (c, reply)
-  | `Nack promised -> (c, [ Send (src, Px_nack promised) ])
+  match reply with
+  | Ok send when epoch_compare b (coord_our_ballot c) > 0 ->
+      let c, actions = coord_yield c in
+      (c, send :: actions)
+  | Ok send | Error send -> (c, [ send ])
 
 let coord_step c input =
   match (c.c_phase, input) with
@@ -302,37 +357,27 @@ let coord_step c input =
   (* Ballot 0: participants drive their own instances.  Their phase-2a
      reaches us directly (we are an acceptor); other acceptors forward
      phase-2b acknowledgements. *)
-  | C_collecting { tally }, Recv (_src, Px_p2a (b, rm, v))
+  | ( C_collecting { tally },
+      Recv (_, (Px_p2a (b, rm, Abort) | Px_p2b (b, rm, Abort))) )
+    when epoch_compare b (ballot0 c.c_cfg) = 0 ->
+      (* The participant refused: it already aborted locally, exactly like
+         a 2PC No-voter — decide without waiting for a quorum (no Commit
+         can ever enter its instance). *)
+      coord_decide { c with c_refused = Sset.add rm c.c_refused } ~tally Abort
+  | C_collecting { tally }, Recv (_, Px_p2a (b, rm, Commit))
     when epoch_compare b (ballot0 c.c_cfg) = 0 -> (
-      match (v : decision) with
-      | Abort ->
-          (* The participant refused: it already aborted locally, exactly
-             like a 2PC No-voter — decide without waiting for a quorum
-             (no Commit can ever enter its instance). *)
-          let c = { c with c_refused = Sset.add rm c.c_refused } in
-          coord_decide c ~tally Abort
-      | Commit -> (
-          match acc_p2a c.c_acc ~ballot:b ~rm ~v with
-          | acc, `P2b v' ->
-              let c = { c with c_acc = acc } in
-              let tally = tally_add tally ~rm ~acc:c.c_self ~v:v' in
-              coord_check c ~tally ~mk:(fun tally ->
-                  { c with c_phase = C_collecting { tally } })
-          | _, `Nack _ ->
-              (* A recovery ballot already fenced ballot 0; our own
-                 timeout will terminate the transaction. *)
-              (c, [])))
-  | C_collecting { tally }, Recv (src, Px_p2b (b, rm, v))
-    when epoch_compare b (ballot0 c.c_cfg) = 0 -> (
-      match (v : decision) with
-      | Abort ->
-          let c = { c with c_refused = Sset.add rm c.c_refused } in
-          coord_decide c ~tally Abort
-      | Commit ->
-          let tally = tally_add tally ~rm ~acc:src ~v in
-          coord_check c ~tally ~mk:(fun tally ->
-              { c with c_phase = C_collecting { tally } }))
-  | C_collecting _, Timeout T_votes -> coord_elect c
+      match acc_p2a c.c_acc ~ballot:b ~rm ~v:Commit with
+      | acc, `P2b v ->
+          coord_collected { c with c_acc = acc }
+            (tally_add tally ~rm ~acc:c.c_self ~v)
+      | _, `Nack _ ->
+          (* A recovery ballot already fenced ballot 0; our own timeout
+             will terminate the transaction. *)
+          (c, []))
+  | C_collecting { tally }, Recv (src, Px_p2b (b, rm, Commit))
+    when epoch_compare b (ballot0 c.c_cfg) = 0 ->
+      coord_collected c (tally_add tally ~rm ~acc:src ~v:Commit)
+  | C_collecting _, Timeout T_votes -> coord_open c
   | C_collecting { tally }, Peer_down p
     when Sset.mem p (c_parts c)
          && (not (Sset.mem p (tally_commit_chosen c.c_cfg tally)))
@@ -340,63 +385,46 @@ let coord_step c input =
       (* A participant with an undecided instance died: terminate now
          rather than wait out the vote timer (2PC's pending-peer rule).
          Its instance is free, so the election chooses Abort for it. *)
-      coord_elect c
-  (* Recovery-ballot phases. *)
-  | ( C_electing { ballot; heard; found; blocked },
-      Recv (src, Px_p1b (b, triples)) )
-    when epoch_compare b ballot = 0
-         && List.mem src c.c_cfg.acceptors
-         && not (Sset.mem src heard) ->
-      let heard = Sset.add src heard in
-      let found = merge_found found triples in
-      if Sset.cardinal heard >= quorum c.c_cfg then
-        coord_propose c ~ballot ~found
-      else
-        ({ c with c_phase = C_electing { ballot; heard; found; blocked } }, [])
-  | C_electing ({ ballot; heard; blocked; _ } as e), Timeout T_state ->
-      let unheard =
-        List.filter
-          (fun a -> a <> c.c_self && not (Sset.mem a heard))
-          c.c_cfg.acceptors
-      in
-      ( { c with c_phase = C_electing { e with blocked = true } },
-        List.map (fun a -> Send (a, Px_p1a ballot)) unheard
-        @ [ Set_timer (T_state, default_timeouts.decision_wait) ]
-        @ (if blocked then [] else [ Blocked ]) )
-  | ( C_proposing { ballot; proposal; tally; blocked },
-      Recv (src, Px_p2b (b, rm, v)) )
-    when epoch_compare b ballot = 0 && List.mem src c.c_cfg.acceptors ->
-      let tally = tally_add tally ~rm ~acc:src ~v in
-      coord_check c ~tally ~mk:(fun tally ->
-          { c with c_phase = C_proposing { ballot; proposal; tally; blocked } })
-  | C_proposing { ballot; proposal; tally; blocked }, Timeout T_precommit_ack
-    ->
-      let resend =
-        List.concat_map
-          (fun (rm, v) ->
-            let cs, ab = List.assoc rm tally in
-            List.filter_map
-              (fun a ->
-                if a = c.c_self || Sset.mem a cs || Sset.mem a ab then None
-                else Some (Send (a, Px_p2a (ballot, rm, v))))
-              c.c_cfg.acceptors)
-          proposal
-      in
-      ( { c with
-          c_phase = C_proposing { ballot; proposal; tally; blocked = true } },
-        resend
-        @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
-        @ (if blocked then [] else [ Blocked ]) )
+      coord_open c
+  (* Our recovery ballot. *)
+  | C_leading { ballot; lead; blocked }, Recv (src, (Px_p1b _ | Px_p2b _ as m))
+    -> (
+      match
+        lead_reply c.c_cfg ~self:c.c_self (Some c.c_acc) ~ballot lead src m
+      with
+      | `Counted lead ->
+          ({ c with c_phase = C_leading { ballot; lead; blocked } }, [])
+      | `Proposed next -> coord_lead c ~ballot next
+      | `Chosen (d, tally) -> coord_decide c ~tally d
+      | `Ignored -> (c, []))
+  | C_leading { ballot; lead = Electing { heard; _ } as lead; blocked },
+    Timeout T_state ->
+      coord_stalled c ~ballot ~lead ~blocked T_state
+        (List.filter_map
+           (fun a ->
+             if a = c.c_self || Sset.mem a heard then None
+             else Some (Send (a, Px_p1a ballot)))
+           c.c_cfg.acceptors)
+  | C_leading { ballot; lead = Proposing { proposal; tally } as lead; blocked },
+    Timeout T_precommit_ack ->
+      coord_stalled c ~ballot ~lead ~blocked T_precommit_ack
+        (List.concat_map
+           (fun (rm, v) ->
+             let cs, ab = List.assoc rm tally in
+             List.filter_map
+               (fun a ->
+                 if a = c.c_self || Sset.mem a cs || Sset.mem a ab then None
+                 else Some (Send (a, Px_p2a (ballot, rm, v))))
+               c.c_cfg.acceptors)
+           proposal)
   (* Rival leaders: serve the embedded acceptor and step aside when their
      ballot beats ours.  (Ballot-0 phase-2a is matched above.) *)
-  | (C_collecting _ | C_electing _ | C_proposing _ | C_deposed),
-    Recv (src, Px_p1a b) ->
-      coord_acc_p1a c src b
-  | (C_collecting _ | C_electing _ | C_proposing _ | C_deposed),
-    Recv (src, Px_p2a (b, rm, v)) ->
-      coord_acc_p2a c src (b, rm, v)
-  | (C_electing _ | C_proposing _), Recv (_, Px_nack b)
-    when epoch_compare b (coord_our_ballot c) > 0 ->
+  | (C_collecting _ | C_leading _ | C_deposed), Recv (src, Px_p1a b) ->
+      coord_served c b (serve_p1a c.c_acc ~src b)
+  | (C_collecting _ | C_leading _ | C_deposed), Recv (src, Px_p2a (b, rm, v)) ->
+      coord_served c b (serve_p2a c.c_acc ~src (b, rm, v))
+  | C_leading { ballot; _ }, Recv (_, Px_nack b) when epoch_compare b ballot > 0
+    ->
       coord_yield c
   (* Decision plumbing (2PC-shaped). *)
   | C_logging_decision { d; notify; ackers }, Log_done (L_decision d')
@@ -429,8 +457,7 @@ let coord_step c input =
   (* A recovery leader out-decided us while we were still on ballot 0 or
      mid-election: adopt the outcome (our pre-decision traffic is ballot-
      fenced, so without adoption we would resend forever). *)
-  | ( (C_init | C_collecting _ | C_electing _ | C_proposing _),
-      Recv (_, Decision_msg d) ) ->
+  | (C_init | C_collecting _ | C_leading _), Recv (_, Decision_msg d) ->
       ( { c with c_phase = C_done d },
         [ Clear_timer T_votes; Clear_timer T_state; Clear_timer T_precommit_ack;
           Clear_timer T_resend; Deliver d; Log (L_decision d, `Lazy) ] )
@@ -481,14 +508,7 @@ type base =
   | B_logging_outcome of { d : decision; ack : bool }
   | B_finished of decision
 
-type leader_phase =
-  | L_electing of {
-      heard : Sset.t;
-      found : (Ids.site_id * (epoch * decision)) list;
-    }
-  | L_proposing of { proposal : (Ids.site_id * decision) list; tally : tally }
-
-type role = R_normal | R_follower | R_leader of leader_phase
+type role = R_normal | R_follower | R_leader of lead  (* at [x_ballot] *)
 
 type part = {
   x_cfg : config;
@@ -553,62 +573,14 @@ let leader_blocked p =
     [ Set_timer (T_resend, default_timeouts.resend_every) ]
     @ (if p.x_blocked then [] else [ Blocked ]) )
 
-let leader_decided p d = log_outcome p d ~ack:false
-
-let leader_check p ~tally ~mk =
-  if tally_abort_chosen p.x_cfg tally then leader_decided p Abort
-  else if tally_all_commit p.x_cfg tally then leader_decided p Commit
-  else (mk tally, [])
-
-let part_propose p ~found =
-  let ballot = p.x_ballot in
-  let proposal = proposal_of_found p.x_cfg found in
-  let others = List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors in
-  let sends =
-    List.concat_map
-      (fun (rm, v) ->
-        List.map (fun a -> Send (a, Px_p2a (ballot, rm, v))) others)
-      proposal
-  in
-  let acc, tally =
-    match p.x_acc with
-    | None -> (None, tally_init p.x_cfg)
-    | Some a ->
-        let a, tally =
-          List.fold_left
-            (fun (a, tally) (rm, v) ->
-              match acc_p2a a ~ballot ~rm ~v with
-              | a, `P2b v' -> (a, tally_add tally ~rm ~acc:p.x_self ~v:v')
-              | a, `Nack _ -> (a, tally))
-            (a, tally_init p.x_cfg)
-            proposal
-        in
-        (Some a, tally)
-  in
-  ( { p with x_acc = acc; x_role = R_leader (L_proposing { proposal; tally }) },
-    sends @ [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] )
-
-let become_leader p =
+let part_open p =
   let ballot = (fst p.x_ballot + 1, p.x_self) in
-  let p = { p with x_ballot = ballot } in
-  let p, heard, found =
-    match p.x_acc with
-    | None -> (p, Sset.empty, [])
-    | Some a ->
-        let a, rep = acc_p1a a ~ballot in
-        let found =
-          match rep with `P1b t -> merge_found [] t | `Nack _ -> []
-        in
-        ({ p with x_acc = Some a }, Sset.singleton p.x_self, found)
-  in
-  let others = List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors in
-  ( { p with x_role = R_leader (L_electing { heard; found }) },
-    List.map (fun a -> Send (a, Px_p1a ballot)) others
-    @ [ Set_timer (T_state, default_timeouts.decision_wait) ] )
+  let x_acc, lead, actions = lead_open p.x_cfg ~self:p.x_self p.x_acc ~ballot in
+  ({ p with x_ballot = ballot; x_acc; x_role = R_leader lead }, actions)
 
 let start_termination p =
   match Sset.min_elt_opt (candidates p) with
-  | Some l when l = p.x_self -> become_leader p
+  | Some l when l = p.x_self -> part_open p
   | Some _ | None ->
       ( { p with x_role = R_follower },
         send_to
@@ -616,42 +588,22 @@ let start_termination p =
           Decision_req
         @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
-(* Serve the embedded acceptor; a rival ballot at or above ours dethrones
+(* Our acceptor served a ballot: one it joined at or above ours dethrones
    any local leadership (mirroring quorum commit's epoch rule). *)
-let part_acc_demote p src b =
-  let p =
-    if epoch_compare b p.x_ballot > 0 then { p with x_ballot = b } else p
-  in
-  match p.x_role with
-  | R_leader _ when src <> p.x_self && epoch_compare b p.x_ballot >= 0 ->
-      ( { p with x_role = R_follower },
-        [ Clear_timer T_state; Clear_timer T_precommit_ack;
-          Set_timer (T_resend, default_timeouts.resend_every) ] )
-  | _ -> (p, [])
-
-let part_acc_p1a p src b =
-  match p.x_acc with
-  | None -> (p, [])
-  | Some a -> (
-      let a, rep = acc_p1a a ~ballot:b in
-      let p = { p with x_acc = Some a } in
-      match rep with
-      | `P1b triples ->
-          let p, demote = part_acc_demote p src b in
-          (p, Send (src, Px_p1b (b, triples)) :: demote)
-      | `Nack promised -> (p, [ Send (src, Px_nack promised) ]))
-
-let part_acc_p2a p src (b, rm, v) =
-  match p.x_acc with
-  | None -> (p, [])
-  | Some a -> (
-      let a, rep = acc_p2a a ~ballot:b ~rm ~v in
-      let p = { p with x_acc = Some a } in
-      match rep with
-      | `P2b v' ->
-          let p, demote = part_acc_demote p src b in
-          (p, Send (snd b, Px_p2b (b, rm, v')) :: demote)
-      | `Nack promised -> (p, [ Send (src, Px_nack promised) ]))
+let part_served p src b (acc, reply) =
+  let p = { p with x_acc = Some acc } in
+  match reply with
+  | Error nack -> (p, [ nack ])
+  | Ok send -> (
+      let p =
+        if epoch_compare b p.x_ballot > 0 then { p with x_ballot = b } else p
+      in
+      match p.x_role with
+      | R_leader _ when src <> p.x_self && epoch_compare b p.x_ballot >= 0 ->
+          ( { p with x_role = R_follower },
+            [ send; Clear_timer T_state; Clear_timer T_precommit_ack;
+              Set_timer (T_resend, default_timeouts.resend_every) ] )
+      | _ -> (p, [ send ]))
 
 (* Broadcast our own vote as ballot-0 phase 2a.  If we are ourselves an
    acceptor, accept it locally and acknowledge straight to ballot 0's
@@ -661,7 +613,7 @@ let cast_vote p (v : decision) =
   let b0 = ballot0 p.x_cfg in
   let targets =
     match p.x_acc with
-    | Some _ -> List.filter (fun a -> a <> p.x_self) p.x_cfg.acceptors
+    | Some _ -> other_acceptors p.x_cfg p.x_self
     | None -> p.x_cfg.acceptors
   in
   let sends = List.map (fun a -> Send (a, Px_p2a (b0, p.x_self, v))) targets in
@@ -726,21 +678,15 @@ let part_step p input =
   | B_uncertain, (R_normal | R_follower), Timeout (T_decision | T_resend) ->
       start_termination p
   (* Leader: phase 1 and phase 2 bookkeeping. *)
-  | _, R_leader (L_electing { heard; found }), Recv (src, Px_p1b (b, triples))
-    when epoch_compare b p.x_ballot = 0
-         && List.mem src p.x_cfg.acceptors
-         && not (Sset.mem src heard) ->
-      let heard = Sset.add src heard in
-      let found = merge_found found triples in
-      if Sset.cardinal heard >= quorum p.x_cfg then part_propose p ~found
-      else ({ p with x_role = R_leader (L_electing { heard; found }) }, [])
-  | ( _,
-      R_leader (L_proposing { proposal; tally }),
-      Recv (src, Px_p2b (b, rm, v)) )
-    when epoch_compare b p.x_ballot = 0 && List.mem src p.x_cfg.acceptors ->
-      let tally = tally_add tally ~rm ~acc:src ~v in
-      leader_check p ~tally ~mk:(fun tally ->
-          { p with x_role = R_leader (L_proposing { proposal; tally }) })
+  | _, R_leader lead, Recv (src, (Px_p1b _ | Px_p2b _ as m)) -> (
+      match
+        lead_reply p.x_cfg ~self:p.x_self p.x_acc ~ballot:p.x_ballot lead src m
+      with
+      | `Counted lead -> ({ p with x_role = R_leader lead }, [])
+      | `Proposed (x_acc, lead, actions) ->
+          ({ p with x_acc; x_role = R_leader lead }, actions)
+      | `Chosen (d, _) -> log_outcome p d ~ack:false
+      | `Ignored -> (p, []))
   | _, R_leader _, Timeout (T_state | T_precommit_ack) -> leader_blocked p
   | _, R_leader _, Recv (_, Px_nack b) when epoch_compare b p.x_ballot > 0 ->
       ( { p with x_ballot = b; x_role = R_follower },
@@ -750,8 +696,14 @@ let part_step p input =
      ballot is always safe, and keeps replies deterministic no matter
      when straggling traffic arrives.  (Acceptor-less participants stay
      silent — leaders only ever address acceptors.) *)
-  | _, _, Recv (src, Px_p1a b) -> part_acc_p1a p src b
-  | _, _, Recv (src, Px_p2a (b, rm, v)) -> part_acc_p2a p src (b, rm, v)
+  | _, _, Recv (src, Px_p1a b) -> (
+      match p.x_acc with
+      | Some a -> part_served p src b (serve_p1a a ~src b)
+      | None -> (p, []))
+  | _, _, Recv (src, Px_p2a (b, rm, v)) -> (
+      match p.x_acc with
+      | Some a -> part_served p src b (serve_p2a a ~src (b, rm, v))
+      | None -> (p, []))
   (* Termination inquiries. *)
   | B_finished d, _, Recv (src, Decision_req) ->
       (p, [ Send (src, Decision_msg d) ])
@@ -761,7 +713,7 @@ let part_step p input =
      us — usurp it (quorum commit's hardened rule). *)
   | B_uncertain, (R_normal | R_follower), Recv (src, Decision_unknown)
     when Sset.min_elt_opt (candidates p) = Some src ->
-      become_leader p
+      part_open p
   (* A participant holding live protocol state ignores [Decision_req]: it
      can run (or is running) the election itself, and "unknown" would
      only cause usurpation churn. *)
@@ -823,18 +775,23 @@ let proposal_str prop =
   String.concat ","
     (List.map (fun (rm, v) -> Printf.sprintf "%d=%s" rm (dec_str v)) prop)
 
+(* A leadership phase's name and fields, shared by both roles' text. *)
+let lead_str = function
+  | Electing { heard; found } ->
+      ("electing", Printf.sprintf "h=%s;f=%s" (set_str heard) (found_str found))
+  | Proposing { proposal; tally } ->
+      ( "proposing",
+        Printf.sprintf "p=%s;t=%s" (proposal_str proposal) (tally_str tally) )
+
 let describe_coord c =
   let phase =
     match c.c_phase with
     | C_init -> "init"
     | C_collecting { tally } ->
         Printf.sprintf "collecting{%s}" (tally_str tally)
-    | C_electing { ballot; heard; found; blocked } ->
-        Printf.sprintf "electing{b=%s;h=%s;f=%s;bl=%b}" (epoch_str ballot)
-          (set_str heard) (found_str found) blocked
-    | C_proposing { ballot; proposal; tally; blocked } ->
-        Printf.sprintf "proposing{b=%s;p=%s;t=%s;bl=%b}" (epoch_str ballot)
-          (proposal_str proposal) (tally_str tally) blocked
+    | C_leading { ballot; lead; blocked } ->
+        let name, body = lead_str lead in
+        Printf.sprintf "%s{b=%s;%s;bl=%b}" name (epoch_str ballot) body blocked
     | C_deposed -> "deposed"
     | C_logging_decision { d; notify; ackers } ->
         Printf.sprintf "logging-decision{%s;n=%s;a=%s}" (dec_str d)
@@ -860,12 +817,9 @@ let describe_part p =
     match p.x_role with
     | R_normal -> "normal"
     | R_follower -> "follower"
-    | R_leader (L_electing { heard; found }) ->
-        Printf.sprintf "leader-electing{h=%s;f=%s}" (set_str heard)
-          (found_str found)
-    | R_leader (L_proposing { proposal; tally }) ->
-        Printf.sprintf "leader-proposing{p=%s;t=%s}" (proposal_str proposal)
-          (tally_str tally)
+    | R_leader lead ->
+        let name, body = lead_str lead in
+        Printf.sprintf "leader-%s{%s}" name body
   in
   Printf.sprintf "px-part:%s:%d:v=%b:up=%s:b=%s:bl=%b:acc=%s:%s:%s"
     (cfg_str p.x_cfg) p.x_self p.x_vote (set_str p.x_up)

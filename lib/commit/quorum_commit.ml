@@ -165,10 +165,9 @@ type base =
   | B_idle
   | B_logging_prepared
   | B_uncertain
-  | B_logging_precommit of { ack_to : Ids.site_id option; at : epoch }
-  | B_precommitted
-  | B_logging_preabort of { ack_to : Ids.site_id option; at : epoch }
-  | B_preaborted
+  | B_logging_pre of
+      { side : decision; ack_to : Ids.site_id option; at : epoch }
+  | B_pre of decision  (* pre-committed or pre-aborted *)
   | B_logging_outcome of decision
   | B_finished of decision
 
@@ -177,8 +176,8 @@ type leader_phase =
       awaiting : Sset.t;
       reports : (Ids.site_id * participant_state) list;
     }
-  | L_drive_commit of { pc : Sset.t; awaiting : Sset.t }
-  | L_drive_abort of { pa : Sset.t; awaiting : Sset.t }
+  | L_drive of { side : decision; pre : Sset.t; awaiting : Sset.t }
+      (* driving the uncertain sites to pre-decide [side] *)
   | L_decided of decision
 
 type role = R_normal | R_follower | R_leader of leader_phase
@@ -216,8 +215,8 @@ let part_decision p =
 let part_state p =
   match p.p_base with
   | B_idle | B_logging_prepared | B_uncertain -> P_uncertain
-  | B_logging_precommit _ | B_precommitted -> P_precommitted
-  | B_logging_preabort _ | B_preaborted -> P_preaborted
+  | B_logging_pre { side = Commit; _ } | B_pre Commit -> P_precommitted
+  | B_logging_pre { side = Abort; _ } | B_pre Abort -> P_preaborted
   | B_logging_outcome Commit | B_finished Commit -> P_committed
   | B_logging_outcome Abort | B_finished Abort -> P_aborted
 
@@ -226,6 +225,24 @@ let part_blocked p = p.p_blocked
 let part_reachable_update p ~up =
   let up = Sset.add p.p_self (Sset.of_list up) in
   { p with p_up = Sset.inter up (Sset.of_list p.p_cfg.all) }
+
+(* Each side's pre-decision vocabulary.  The bases and action lists are
+   constants, so keying by side allocates nothing on the pre-commit path. *)
+let pre_msg side e =
+  match side with Commit -> Pq_precommit e | Abort -> Pq_preabort e
+
+let pre_ack side e =
+  match side with Commit -> Pq_precommit_ack e | Abort -> Pq_preabort_ack e
+
+let pre_tag = function Commit -> L_precommit | Abort -> L_preabort
+let pre_base = function Commit -> B_pre Commit | Abort -> B_pre Abort
+
+let log_pre = function
+  | Commit -> [ Clear_timer T_decision; Log (L_precommit, `Forced) ]
+  | Abort -> [ Clear_timer T_decision; Log (L_preabort, `Forced) ]
+
+let side_quorum cfg = function
+  | Commit -> cfg.commit_quorum | Abort -> cfg.abort_quorum
 
 let log_outcome p d =
   match p.p_base with
@@ -247,6 +264,22 @@ let leader_blocked p =
 let leader_decided p d =
   let p, actions = log_outcome p d in
   ({ p with p_role = R_leader (L_decided d) }, actions)
+
+(* Drive the uncertain sites to pre-decide [side], pre-deciding
+   ourselves first if we are one of them. *)
+let leader_drive p ~side ~pre ~uncertain =
+  let targets = Sset.remove p.p_self uncertain in
+  let sends = send_to targets (pre_msg side p.p_epoch) in
+  let timer = [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ] in
+  let role = R_leader (L_drive { side; pre; awaiting = targets }) in
+  if Sset.mem p.p_self uncertain then
+    ( { p with
+        p_base = B_logging_pre { side; ack_to = None; at = p.p_epoch };
+        p_role = role },
+      sends @ timer @ [ Log (pre_tag side, `Forced) ] )
+  else if Sset.cardinal pre >= side_quorum p.p_cfg side then
+    leader_decided p side
+  else ({ p with p_role = role }, sends @ timer)
 
 (* Apply the quorum termination rules to collected reports. *)
 let leader_apply p reports =
@@ -270,44 +303,14 @@ let leader_apply p reports =
        be empty (as this code once did) livelocks on mixed reports: one
        pre-committed survivor plus a pre-aborted majority matched neither
        rule, so every elected leader blocked, timed out, and re-elected
-       forever. *)
-    let pc_w = Sset.cardinal (Sset.union pc uncertain) in
-    let pa_w = Sset.cardinal (Sset.union pa uncertain) in
-    if (not (Sset.is_empty pc)) && pc_w >= p.p_cfg.commit_quorum then begin
-      (* Drive the uncertain sites to pre-commit. *)
-      let targets = Sset.remove p.p_self uncertain in
-      let sends = send_to targets (Pq_precommit p.p_epoch) in
-      let timer =
-        [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
-      in
-      if Sset.mem p.p_self uncertain then
-        ( { p with
-            p_base = B_logging_precommit { ack_to = None; at = p.p_epoch };
-            p_role = R_leader (L_drive_commit { pc; awaiting = targets }) },
-          sends @ timer @ [ Log (L_precommit, `Forced) ] )
-      else if Sset.cardinal pc >= p.p_cfg.commit_quorum then
-        leader_decided p Commit
-      else
-        ( { p with p_role = R_leader (L_drive_commit { pc; awaiting = targets }) },
-          sends @ timer )
-    end
-    else if pa_w >= p.p_cfg.abort_quorum then begin
-      let targets = Sset.remove p.p_self uncertain in
-      let sends = send_to targets (Pq_preabort p.p_epoch) in
-      let timer =
-        [ Set_timer (T_precommit_ack, default_timeouts.decision_wait) ]
-      in
-      if Sset.mem p.p_self uncertain then
-        ( { p with
-            p_base = B_logging_preabort { ack_to = None; at = p.p_epoch };
-            p_role = R_leader (L_drive_abort { pa; awaiting = targets }) },
-          sends @ timer @ [ Log (L_preabort, `Forced) ] )
-      else if Sset.cardinal pa >= p.p_cfg.abort_quorum then
-        leader_decided p Abort
-      else
-        ( { p with p_role = R_leader (L_drive_abort { pa; awaiting = targets }) },
-          sends @ timer )
-    end
+       forever.  The one asymmetry: commit is driven only when some site
+       has already pre-committed. *)
+    let reach side pre =
+      Sset.cardinal (Sset.union pre uncertain) >= side_quorum p.p_cfg side
+    in
+    if (not (Sset.is_empty pc)) && reach Commit pc then
+      leader_drive p ~side:Commit ~pre:pc ~uncertain
+    else if reach Abort pa then leader_drive p ~side:Abort ~pre:pa ~uncertain
     else leader_blocked p
   end
 
@@ -332,15 +335,27 @@ let start_termination p =
         send_to (Sset.remove p.p_self p.p_up) Decision_req
         @ [ Set_timer (T_resend, default_timeouts.resend_every) ] )
 
-let leader_check_commit p ~pc ~awaiting =
-  if Sset.cardinal pc >= p.p_cfg.commit_quorum then leader_decided p Commit
+(* A driving leader counted [pre]: decide once it is a quorum, block once
+   nobody is left to answer. *)
+let leader_check p ~side ~pre ~awaiting =
+  if Sset.cardinal pre >= side_quorum p.p_cfg side then leader_decided p side
   else if Sset.is_empty awaiting then leader_blocked p
-  else ({ p with p_role = R_leader (L_drive_commit { pc; awaiting }) }, [])
+  else ({ p with p_role = R_leader (L_drive { side; pre; awaiting }) }, [])
 
-let leader_check_abort p ~pa ~awaiting =
-  if Sset.cardinal pa >= p.p_cfg.abort_quorum then leader_decided p Abort
-  else if Sset.is_empty awaiting then leader_blocked p
-  else ({ p with p_role = R_leader (L_drive_abort { pa; awaiting }) }, [])
+(* A pre-decision request for [side] at epoch [e]: an uncertain
+   participant forces it and follows [src]; one already pre-decided that
+   way re-acks at the new epoch.  Stale epochs and the other side are
+   ignored. *)
+let pre_request p ~src side e =
+  match p.p_base with
+  | _ when epoch_compare e p.p_epoch < 0 -> (p, [])
+  | B_uncertain ->
+      ( { p with p_epoch = e; p_role = R_follower;
+                 p_base = B_logging_pre { side; ack_to = Some src; at = e } },
+        log_pre side )
+  | B_pre s when decision_equal s side ->
+      ({ p with p_epoch = e }, [ Send (src, pre_ack side e) ])
+  | _ -> (p, [])
 
 (* --- main transition ------------------------------------------------ *)
 
@@ -349,8 +364,7 @@ let part_step p input =
   | _, _, Peer_down s ->
       let p = { p with p_up = Sset.remove s p.p_up } in
       (match (p.p_base, p.p_role) with
-      | (B_uncertain | B_precommitted | B_preaborted), R_normal
-        when s = p.p_coordinator ->
+      | (B_uncertain | B_pre _), R_normal when s = p.p_coordinator ->
           start_termination p
       | _ -> (p, []))
   (* Phase 1. *)
@@ -365,49 +379,26 @@ let part_step p input =
       ( { p with p_base = B_uncertain },
         [ Send (p.p_coordinator, Vote_yes);
           Set_timer (T_decision, default_timeouts.decision_wait) ] )
-  (* Pre-decisions (epoch-guarded). *)
-  | B_uncertain, _, Recv (src, Pq_precommit e)
-    when epoch_compare e p.p_epoch >= 0 ->
-      ( { p with p_epoch = e; p_role = R_follower;
-                 p_base = B_logging_precommit { ack_to = Some src; at = e } },
-        [ Clear_timer T_decision; Log (L_precommit, `Forced) ] )
-  | B_precommitted, _, Recv (src, Pq_precommit e)
-    when epoch_compare e p.p_epoch >= 0 ->
-      (* Already pre-committed: re-ack at the new epoch. *)
-      ({ p with p_epoch = e }, [ Send (src, Pq_precommit_ack e) ])
-  | B_uncertain, _, Recv (src, Pq_preabort e)
-    when epoch_compare e p.p_epoch >= 0 ->
-      ( { p with p_epoch = e; p_role = R_follower;
-                 p_base = B_logging_preabort { ack_to = Some src; at = e } },
-        [ Clear_timer T_decision; Log (L_preabort, `Forced) ] )
-  | B_preaborted, _, Recv (src, Pq_preabort e)
-    when epoch_compare e p.p_epoch >= 0 ->
-      ({ p with p_epoch = e }, [ Send (src, Pq_preabort_ack e) ])
-  | B_logging_precommit { ack_to; at }, _, Log_done L_precommit -> (
-      let p = { p with p_base = B_precommitted } in
+  (* Pre-decisions, one path keyed by side. *)
+  | _, _, Recv (src, Pq_precommit e) -> pre_request p ~src Commit e
+  | _, _, Recv (src, Pq_preabort e) -> pre_request p ~src Abort e
+  | B_logging_pre { side = Commit as side; ack_to; at }, _, Log_done L_precommit
+  | B_logging_pre { side = Abort as side; ack_to; at }, _, Log_done L_preabort
+    -> (
+      let p = { p with p_base = pre_base side } in
       match (ack_to, p.p_role) with
       | Some src, _ ->
           ( p,
-            [ Send (src, Pq_precommit_ack at);
+            [ Send (src, pre_ack side at);
               Set_timer (T_decision, default_timeouts.decision_wait) ] )
-      | None, R_leader (L_drive_commit { pc; awaiting }) ->
-          leader_check_commit p ~pc:(Sset.add p.p_self pc) ~awaiting
-      | None, _ -> (p, []))
-  | B_logging_preabort { ack_to; at }, _, Log_done L_preabort -> (
-      let p = { p with p_base = B_preaborted } in
-      match (ack_to, p.p_role) with
-      | Some src, _ ->
-          ( p,
-            [ Send (src, Pq_preabort_ack at);
-              Set_timer (T_decision, default_timeouts.decision_wait) ] )
-      | None, R_leader (L_drive_abort { pa; awaiting }) ->
-          leader_check_abort p ~pa:(Sset.add p.p_self pa) ~awaiting
+      | None, R_leader (L_drive { side = driving; pre; awaiting })
+        when decision_equal driving side ->
+          leader_check p ~side ~pre:(Sset.add p.p_self pre) ~awaiting
       | None, _ -> (p, []))
   (* Final decisions are accepted from anyone, any epoch — including
      while a pre-state log write is still in flight (its stale Log_done
      is ignored later). *)
-  | ( ( B_uncertain | B_precommitted | B_preaborted | B_logging_prepared
-      | B_logging_precommit _ | B_logging_preabort _ ),
+  | ( (B_uncertain | B_pre _ | B_logging_prepared | B_logging_pre _),
       _,
       Recv (_, Decision_msg d) ) ->
       log_outcome p d
@@ -427,18 +418,14 @@ let part_step p input =
       ({ finish with p_role = R_normal }, ack @ broadcast @ [ Deliver d ])
   (* Timeouts drive termination, whether we were following the original
      coordinator or an elected leader that went quiet. *)
-  | ( (B_uncertain | B_precommitted | B_preaborted),
+  | ( (B_uncertain | B_pre _),
       (R_normal | R_follower),
       Timeout (T_decision | T_resend) ) ->
       start_termination p
   | _, R_leader (L_collect { awaiting = _; reports }), Timeout T_state ->
       if reports = [] then leader_blocked p else leader_apply p reports
-  | _, R_leader (L_drive_commit { pc; awaiting = _ }), Timeout T_precommit_ack
-    ->
-      leader_check_commit p ~pc ~awaiting:Sset.empty
-  | _, R_leader (L_drive_abort { pa; awaiting = _ }), Timeout T_precommit_ack
-    ->
-      leader_check_abort p ~pa ~awaiting:Sset.empty
+  | _, R_leader (L_drive { side; pre; _ }), Timeout T_precommit_ack ->
+      leader_check p ~side ~pre ~awaiting:Sset.empty
   (* Leader: collection and acks. *)
   | _, R_leader (L_collect { awaiting; reports }),
     Recv (src, Pq_state_report (e, st))
@@ -447,14 +434,12 @@ let part_step p input =
       let reports = (src, st) :: reports in
       if Sset.is_empty awaiting then leader_apply p reports
       else ({ p with p_role = R_leader (L_collect { awaiting; reports }) }, [])
-  | _, R_leader (L_drive_commit { pc; awaiting }),
-    Recv (src, Pq_precommit_ack e)
+  | ( _, R_leader (L_drive { side = Commit as side; pre; awaiting }),
+      Recv (src, Pq_precommit_ack e) )
+  | ( _, R_leader (L_drive { side = Abort as side; pre; awaiting }),
+      Recv (src, Pq_preabort_ack e) )
     when epoch_compare e p.p_epoch = 0 ->
-      leader_check_commit p ~pc:(Sset.add src pc)
-        ~awaiting:(Sset.remove src awaiting)
-  | _, R_leader (L_drive_abort { pa; awaiting }), Recv (src, Pq_preabort_ack e)
-    when epoch_compare e p.p_epoch = 0 ->
-      leader_check_abort p ~pa:(Sset.add src pa)
+      leader_check p ~side ~pre:(Sset.add src pre)
         ~awaiting:(Sset.remove src awaiting)
   (* Everyone answers state requests at current-or-higher epochs; doing so
      dethrones any stale local leadership. *)
@@ -475,8 +460,7 @@ let part_step p input =
   (* Undecided but holding live protocol state: stay silent.  We can run
      (or already are running) the election ourselves, so "unknown" — the
      cue for the asker to usurp the election — would only cause churn. *)
-  | ( ( B_uncertain | B_precommitted | B_preaborted | B_logging_prepared
-      | B_logging_precommit _ | B_logging_preabort _ ),
+  | ( (B_uncertain | B_pre _ | B_logging_prepared | B_logging_pre _),
       _,
       Recv (_, Decision_req) ) ->
       (p, [])
@@ -488,7 +472,7 @@ let part_step p input =
      leaders are harmless (epoch fencing), and collection terminates even
      through the amnesiac site: a memoryless site pledges abort when our
      [Pq_state_req] reaches it. *)
-  | ( (B_uncertain | B_precommitted | B_preaborted),
+  | ( (B_uncertain | B_pre _),
       (R_normal | R_follower),
       Recv (src, Decision_unknown) )
     when Sset.min_elt_opt p.p_up = Some src ->
@@ -504,8 +488,8 @@ let participant_recovered ~config ~self ~coordinator ~state =
   let base =
     match state with
     | P_uncertain -> B_uncertain
-    | P_precommitted -> B_precommitted
-    | P_preaborted -> B_preaborted
+    | P_precommitted -> B_pre Commit
+    | P_preaborted -> B_pre Abort
     | P_committed -> B_finished Commit
     | P_aborted -> B_finished Abort
   in
@@ -515,7 +499,7 @@ let participant_recovered ~config ~self ~coordinator ~state =
 (* Recovered participants begin termination on [Start]. *)
 let part_step p input =
   match (input, p.p_base, p.p_role) with
-  | Start, (B_uncertain | B_precommitted | B_preaborted), R_normal ->
+  | Start, (B_uncertain | B_pre _), R_normal ->
       start_termination p
   | _ -> part_step p input
 
@@ -548,19 +532,17 @@ let describe_coord c =
 
 let describe_part p =
   let ack_str = function None -> "-" | Some s -> string_of_int s in
+  let side_str = function Commit -> "commit" | Abort -> "abort" in
   let base =
     match p.p_base with
     | B_idle -> "idle"
     | B_logging_prepared -> "logging-prepared"
     | B_uncertain -> "uncertain"
-    | B_logging_precommit { ack_to; at } ->
-        Printf.sprintf "logging-precommit{ack=%s;at=%s}" (ack_str ack_to)
-          (epoch_str at)
-    | B_precommitted -> "precommitted"
-    | B_logging_preabort { ack_to; at } ->
-        Printf.sprintf "logging-preabort{ack=%s;at=%s}" (ack_str ack_to)
-          (epoch_str at)
-    | B_preaborted -> "preaborted"
+    | B_logging_pre { side; ack_to; at } ->
+        Printf.sprintf "logging-pre%s{ack=%s;at=%s}" (side_str side)
+          (ack_str ack_to) (epoch_str at)
+    | B_pre Commit -> "precommitted"
+    | B_pre Abort -> "preaborted"
     | B_logging_outcome d -> Printf.sprintf "logging-outcome{%s}" (dec_str d)
     | B_finished d -> Printf.sprintf "finished{%s}" (dec_str d)
   in
@@ -571,12 +553,10 @@ let describe_part p =
     | R_leader (L_collect { awaiting; reports }) ->
         Printf.sprintf "leader-collect{a=%s;r=%s}" (set_str awaiting)
           (reports_str reports)
-    | R_leader (L_drive_commit { pc; awaiting }) ->
-        Printf.sprintf "leader-drive-commit{pc=%s;a=%s}" (set_str pc)
-          (set_str awaiting)
-    | R_leader (L_drive_abort { pa; awaiting }) ->
-        Printf.sprintf "leader-drive-abort{pa=%s;a=%s}" (set_str pa)
-          (set_str awaiting)
+    | R_leader (L_drive { side; pre; awaiting }) ->
+        let set = match side with Commit -> "pc" | Abort -> "pa" in
+        Printf.sprintf "leader-drive-%s{%s=%s;a=%s}" (side_str side) set
+          (set_str pre) (set_str awaiting)
     | R_leader (L_decided d) -> Printf.sprintf "leader-decided{%s}" (dec_str d)
   in
   Printf.sprintf "qc-part:%s:%d<-%d:v=%b:up=%s:e=%s:b=%b:%s:%s"

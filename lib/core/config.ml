@@ -24,7 +24,6 @@ type t = {
   batch_window : Time.t option;
   heartbeat_interval : Time.t;
   checkpoint_every : int;
-  orphan_window_factor : int;
   probe_deadlocks : bool;
   read_only_optimization : bool;
   storage_faults : bool;
@@ -47,7 +46,6 @@ let default ?(sites = 3) () =
     batch_window = None;
     heartbeat_interval = Time.ms 10;
     checkpoint_every = 0;
-    orphan_window_factor = 10;
     probe_deadlocks = false;
     read_only_optimization = false;
     storage_faults = false;
@@ -65,8 +63,6 @@ let batched t =
 
 let validate t =
   if t.sites <= 0 then invalid_arg "Config: sites must be positive";
-  if t.orphan_window_factor < 1 then
-    invalid_arg "Config: orphan_window_factor must be at least 1";
   let non_negative name v =
     if Rt_sim.Time.(v < zero) then
       invalid_arg (Printf.sprintf "Config: %s must be non-negative" name)

@@ -47,11 +47,6 @@ type t = {
   heartbeat_interval : Time.t;
   checkpoint_every : int;
       (** Take a checkpoint every n committed transactions (0 = never). *)
-  orphan_window_factor : int;
-      (** A participant context whose commit machine never arrives is
-          aborted locally after [orphan_window_factor * decision_wait]
-          (the coordinator died before phase 1 reached us).  Must be at
-          least 1; default 10. *)
   probe_deadlocks : bool;
       (** Detect distributed deadlocks with Chandy–Misra–Haas edge-chasing
           probes instead of waiting out the lock timeout (which remains as
@@ -96,5 +91,5 @@ val validate : t -> unit
     thresholds the cluster cannot meet (see
     {!Rt_commit.Commit_protocol.validate}), a negative force latency or
     group-commit window, a non-positive batch window or heartbeat
-    interval, a negative checkpoint interval, an orphan window factor
-    below 1, or a non-positive [px_early_stash_cap]. *)
+    interval, a negative checkpoint interval, or a non-positive
+    [px_early_stash_cap]. *)

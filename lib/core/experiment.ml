@@ -547,9 +547,10 @@ let f4 =
                   Client.start_fleet ~cluster ~clients:6 ~mix
                     ~retry_aborts:false ~think:(Time.us 200) ()
                 in
-                let proc = Failure.random_crashes cluster ~mttf ~mttr in
-                Cluster.run ~until:(Time.sec 4) cluster;
-                Failure.stop proc;
+                let until = Time.sec 4 in
+                Failure.schedule cluster
+                  (Failure.random_crashes cluster ~mttf ~mttr ~until);
+                Cluster.run ~until cluster;
                 List.iter Client.stop fleet;
                 (* Availability conditions on the coordinator being up
                    (the analytic model does too): exclude submissions to a

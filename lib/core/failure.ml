@@ -83,37 +83,32 @@ let isolate_shard cluster ~shard =
   Cluster.partition cluster
     (if rest = [] then [ members ] else [ members; rest ])
 
-(* rt_lint: allow fingerprint-coverage -- fault-injector toggle, not simulated site state *)
-type process = { mutable running : bool }
-
-let random_crashes cluster ~mttf ~mttr =
+(* Each site's next step ([crash] or recover) follows its last one after
+   an exponential draw.  Steps are unfolded in the order a run would reach
+   them — by time, ties in the order they were drawn, as the engine orders
+   simultaneous events — so the draws come in the order they would if each
+   step were drawn when the one before it fired. *)
+let random_crashes cluster ~mttf ~mttr ~until =
   let engine = Cluster.engine cluster in
   let rng = Rng.split (Engine.rng engine) in
-  let p = { running = true } in
-  let sites = (Cluster.config cluster).sites in
-  let rec cycle site =
-    if p.running then begin
-      let up_for = Rng.exponential_time rng ~mean:mttf in
-      ignore
-        (Engine.schedule_after engine up_for (fun () ->
-             if p.running then begin
-               Cluster.crash_site cluster site;
-               let down_for = Rng.exponential_time rng ~mean:mttr in
-               ignore
-                 (Engine.schedule_after engine down_for (fun () ->
-                      if p.running then begin
-                        Cluster.recover_site cluster site;
-                        cycle site
-                      end))
-             end))
-    end
+  let next at site ~crash =
+    let mean = if crash then mttf else mttr in
+    (Time.add at (Rng.exponential_time rng ~mean), site, crash)
   in
-  for site = 0 to sites - 1 do
-    cycle site
-  done;
-  p
-
-let stop p = p.running <- false
+  let rec insert ((at, _, _) as step) = function
+    | ((at', _, _) as s) :: rest when Time.(at' <= at) -> s :: insert step rest
+    | rest -> step :: rest
+  in
+  let rec unfold = function
+    | (at, site, crash) :: pending when Time.(at <= until) ->
+        let pending = insert (next at site ~crash:(not crash)) pending in
+        (at, if crash then Crash site else Recover site) :: unfold pending
+    | _ -> []
+  in
+  let now = Engine.now engine in
+  List.init (Cluster.config cluster).sites (fun s -> next now s ~crash:true)
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Time.compare a b)
+  |> unfold
 
 (* --- crash-point fault injection ------------------------------------- *)
 

@@ -1,7 +1,7 @@
 (** Failure injection: the one fault vocabulary (fail-stop sites,
-    network partitions and link faults, a stable-storage disk), scripted
-    schedules of it, and random crash/recover processes, all driven by
-    the cluster's virtual clock. *)
+    network partitions and link faults, a stable-storage disk) and
+    schedules of it, scripted or drawn at random, all driven by the
+    cluster's virtual clock. *)
 
 open Rt_sim
 open Rt_types
@@ -53,19 +53,18 @@ val isolate_shard : Cluster.t -> shard:int -> unit
     every other site.  Cross-shard transactions coordinated outside the
     island must then abort (no split-brain); heal with {!Cluster.heal}. *)
 
-type process
-
 val random_crashes :
   Cluster.t ->
   mttf:Time.t ->
   mttr:Time.t ->
-  process
-(** Each site independently alternates up/down with
-    exponentially distributed times to failure ([mttf]) and repair
-    ([mttr]).  Deterministic given the engine's seed.  Runs until
-    {!stop}. *)
-
-val stop : process -> unit
+  until:Time.t ->
+  (Time.t * fault) list
+(** A schedule for {!schedule} in which each site independently
+    alternates up and down, with exponentially distributed times to
+    failure ([mttf]) and repair ([mttr]), starting now: its [Crash] and
+    [Recover] steps up to and including [until].  Deterministic given the
+    engine's seed: the draws come from a stream split off the engine's at
+    the call. *)
 
 (** {1 Crash-point fault injection}
 

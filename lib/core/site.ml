@@ -245,6 +245,11 @@ let lock_wait_timeout = Time.ms 20
 (* A coordinator gives up on a read/write round after this long. *)
 let op_timeout = Time.ms 40
 
+(* A participant context whose commit machine never arrives (the
+   coordinator died before phase 1 reached us) is aborted locally after
+   this long: ten decision waits, 500 ms. *)
+let orphan_window = 10 * P.default_timeouts.decision_wait
+
 let create ~engine ~id ~config ~send ~counters =
   Config.validate config;
   let placement = Config.placement config in
@@ -279,10 +284,7 @@ let create ~engine ~id ~config ~send ~counters =
     outcomes = Ids.Txn_map.create 64;
     px_early = Ids.Txn_map.create 8;
     gc_line = Engine.line engine reclaim_delay;
-    sweep_line =
-      Engine.line engine
-        (config.Config.orphan_window_factor
-        * P.default_timeouts.decision_wait);
+    sweep_line = Engine.line engine orphan_window;
     txn_seq = 0;
     commits_since_cp = 0;
     lat = Sample.create ();

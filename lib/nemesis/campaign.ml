@@ -68,9 +68,6 @@ type result = {
   r_cp_fallbacks : int;
       (* Recoveries that found the latest checkpoint corrupt and fell
          back to the previous snapshot or a full log replay. *)
-  r_corruption : int;
-      (* Durable log records lost to corruption — every one is also a
-         loud "storage" audit violation, so a clean campaign has 0. *)
   r_drain : Time.t option;
       (* Heal-to-quiet time: how long after the last fault until every
          site is hygiene-clean.  [None] = never within the drain cap. *)
@@ -181,7 +178,6 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
     r_duplicated = net.duplicated;
     r_torn = sum Site.torn_truncated;
     r_cp_fallbacks = sum Site.checkpoint_fallbacks;
-    r_corruption = sum Site.corruption_detected;
     r_drain;
     r_violations = violations;
     r_envelope = envelope;

@@ -45,9 +45,6 @@ type result = {
   r_cp_fallbacks : int;
       (** Recoveries that found the latest checkpoint snapshot corrupt
           and fell back to the previous snapshot or a full log replay. *)
-  r_corruption : int;
-      (** Durable log records lost to corruption; every one is also a
-          loud "storage" audit violation, so a clean campaign shows 0. *)
   r_drain : Time.t option;
       (** Time from heal until every site is hygiene-clean; [None] when
           the cluster never drained within the cap (also reported as a

@@ -121,16 +121,15 @@ let render results =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "| scenario | protocol | placement | committed | aborted | torn | cp \
-     fallback | corrupt | drain | violations |\n";
-  Buffer.add_string buf "|---|---|---|---|---|---|---|---|---|---|\n";
+     fallback | drain | violations |\n";
+  Buffer.add_string buf "|---|---|---|---|---|---|---|---|---|\n";
   List.iter
     (fun r ->
       Buffer.add_string buf
-        (Format.asprintf "| %s | %s | %s | %d | %d | %d | %d | %d | %a | %d |\n"
+        (Format.asprintf "| %s | %s | %s | %d | %d | %d | %d | %a | %d |\n"
            r.Campaign.r_scenario r.Campaign.r_protocol r.Campaign.r_placement
            r.Campaign.r_committed r.Campaign.r_aborted r.Campaign.r_torn
-           r.Campaign.r_cp_fallbacks r.Campaign.r_corruption Campaign.pp_drain
-           r.Campaign.r_drain
+           r.Campaign.r_cp_fallbacks Campaign.pp_drain r.Campaign.r_drain
            (List.length r.Campaign.r_violations)))
     results;
   let violation_lines =
@@ -148,12 +147,11 @@ let render results =
   Buffer.add_string buf
     (Printf.sprintf
        "\ntotal: %d runs, %d violations, %d torn tails truncated, %d \
-        checkpoint fallbacks, %d corrupt records\n"
+        checkpoint fallbacks\n"
        (List.length results)
        (List.length violation_lines)
        (sum (fun r -> r.Campaign.r_torn))
-       (sum (fun r -> r.Campaign.r_cp_fallbacks))
-       (sum (fun r -> r.Campaign.r_corruption)));
+       (sum (fun r -> r.Campaign.r_cp_fallbacks)));
   List.iter
     (fun line ->
       Buffer.add_string buf line;

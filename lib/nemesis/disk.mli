@@ -58,5 +58,6 @@ val run :
 
 val render : Campaign.result list -> string
 (** Markdown table (committed/aborted plus the disk counters: torn tails
-    truncated, checkpoint fallbacks, corrupt records) followed by one
-    line per violation; byte-stable for a given seed. *)
+    truncated, checkpoint fallbacks) followed by one line per violation;
+    byte-stable for a given seed.  A durable record lost to corruption
+    shows as a [storage] violation. *)

@@ -591,6 +591,33 @@ let test_qc_leader_mixed_reports_commit () =
   Alcotest.(check bool) "decided commit" true
     (Quorum_commit.part_decision p = Some Commit)
 
+(* The pre-abort mirror: with no site pre-committed, commit is never
+   driven, so the uncertain leader drives the uncertain rest to pre-abort
+   and itself first. *)
+let test_qc_leader_drives_preabort () =
+  let config = Quorum_commit.config ~all:[ 0; 1; 2 ] () in
+  let p = qc_uncertain ~config ~self:0 ~coordinator:1 in
+  let p, _ = Quorum_commit.part_step p (Timeout T_decision) in
+  let p, _ =
+    Quorum_commit.part_step p (Recv (1, Pq_state_report ((1, 0), P_preaborted)))
+  in
+  let p, actions =
+    Quorum_commit.part_step p (Recv (2, Pq_state_report ((1, 0), P_uncertain)))
+  in
+  Alcotest.(check (list action)) "drive abort through self and site 2"
+    [ Send (2, Pq_preabort (1, 0));
+      Set_timer (T_precommit_ack, timeouts.decision_wait);
+      Log (L_preabort, `Forced) ]
+    actions;
+  (* Self pre-aborted makes |PA| = 2 = Va: decide. *)
+  let p, actions = Quorum_commit.part_step p (Log_done L_preabort) in
+  Alcotest.(check (list action)) "abort at quorum"
+    [ Clear_timer T_decision; Clear_timer T_resend; Clear_timer T_state;
+      Clear_timer T_precommit_ack; Log (L_decision Abort, `Forced) ]
+    actions;
+  Alcotest.(check bool) "deciding abort" true
+    (Quorum_commit.part_decision p = Some Abort)
+
 let test_qc_leader_mixed_reports_abort () =
   let config = Quorum_commit.config ~all:[ 0; 1; 2 ] () in
   (* Self (site 0) reaches pre-abort under the original coordinator. *)
@@ -901,5 +928,7 @@ let () =
             test_qc_coordinator_commits_at_quorum;
           Alcotest.test_case "finished re-acks resent decision" `Quick
             test_qc_finished_reacks_resent_decision;
+          Alcotest.test_case "leader drives pre-abort" `Quick
+            test_qc_leader_drives_preabort;
         ] );
     ]

@@ -324,11 +324,10 @@ let test_soak_crash_recover_available_copies () =
   let mix = { Mix.default with keys = 60; ops_per_txn = 3; read_fraction = 0.4 } in
   Cluster.populate cluster mix;
   let fleet = Client.start_fleet ~cluster ~clients:6 ~mix () in
-  let proc =
-    Failure.random_crashes cluster ~mttf:(Time.ms 400) ~mttr:(Time.ms 80)
-  in
+  Failure.schedule cluster
+    (Failure.random_crashes cluster ~mttf:(Time.ms 400) ~mttr:(Time.ms 80)
+       ~until:(Time.sec 3));
   Cluster.run ~until:(Time.sec 3) cluster;
-  Failure.stop proc;
   List.iter Client.stop fleet;
   (* Let everything recover and drain. *)
   Array.iteri

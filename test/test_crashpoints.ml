@@ -107,20 +107,20 @@ let test_orphan_sweep_cancelled_on_resolve () =
     (Site.pending_protocol_timers site);
   Alcotest.(check int) "no locks" 0 (Site.held_locks site)
 
-let test_orphan_sweep_window_configurable () =
-  (* The sweep window is orphan_window_factor * decision_wait.  With a
-     small factor a machine-less context is doomed quickly; its locks are
-     released and the context resolves as a genuine local abort. *)
-  let config = { (Config.default ~sites:2 ()) with orphan_window_factor = 2 } in
-  let engine, site, _sent = standalone_site ~config () in
+let test_orphan_window_releases_locks () =
+  (* The sweep window is ten decision waits, 500 ms.  Once it passes, a
+     machine-less context is doomed; its locks are released and the
+     context resolves as a genuine local abort. *)
+  let engine, site, _sent = standalone_site () in
   (* A lock-acquiring write request, but the commit protocol never
      arrives: the context stays machine-less. *)
   ignore
     (Engine.schedule_at engine (Time.ms 1) (fun () ->
          Site.receive site ~src:0
            (Msg.txn_msg txn (Msg.Write_req { key = "k"; value = "v" }))));
-  (* factor 2 * decision_wait 50ms = 100ms; well before the default 500ms. *)
-  Engine.run ~until:(Time.ms 300) engine;
+  Engine.run ~until:(Time.ms 450) engine;
+  Alcotest.(check int) "held inside the window" 1 (Site.held_locks site);
+  Engine.run ~until:(Time.ms 600) engine;
   Alcotest.(check int) "doomed and released" 0 (Site.held_locks site);
   Engine.run ~until:(Time.sec 120) engine;
   Alcotest.(check int) "engine drained" 0 (Engine.live_pending engine)
@@ -243,8 +243,8 @@ let () =
         [
           Alcotest.test_case "orphan sweep cancelled on resolve" `Quick
             test_orphan_sweep_cancelled_on_resolve;
-          Alcotest.test_case "orphan window configurable" `Quick
-            test_orphan_sweep_window_configurable;
+          Alcotest.test_case "orphan window releases locks" `Quick
+            test_orphan_window_releases_locks;
           Alcotest.test_case "unknown decision-req answers unknown" `Quick
             test_unknown_decision_req_answers_unknown;
           Alcotest.test_case "memoryless decision is acked" `Quick

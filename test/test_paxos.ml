@@ -405,6 +405,86 @@ let test_recovered_acceptor_abstains () =
   let _, a2 = Paxos_commit.part_step p (Recv (2, Px_p2a ((4, 2), 1, Commit))) in
   Alcotest.(check int) "no phase-2 reply" 0 (List.length a2)
 
+(* The coordinator's recovery ballot, scripted: it resends each phase on
+   its timeout and reports Blocked once per phase, and a phase-1 quorum
+   clears the flag. *)
+let test_coordinator_ballot_blocks_and_decides () =
+  let wait = default_timeouts.decision_wait in
+  let c = Paxos_commit.coordinator ~config:(cfg ~f:1 3) ~self:0 in
+  let c, _ = Paxos_commit.coord_step c Start in
+  let p1a = [ Send (1, Px_p1a (1, 0)); Send (2, Px_p1a (1, 0)) ] in
+  let c, actions = Paxos_commit.coord_step c (Timeout T_votes) in
+  Alcotest.(check (list action)) "vote timeout opens ballot 1.0"
+    (p1a @ [ Set_timer (T_state, wait) ])
+    actions;
+  let c, actions = Paxos_commit.coord_step c (Timeout T_state) in
+  Alcotest.(check (list action)) "phase-1 timeout resends, blocked"
+    (p1a @ [ Set_timer (T_state, wait); Blocked ])
+    actions;
+  Alcotest.(check bool) "blocked" true (Paxos_commit.coord_blocked c);
+  let _, actions = Paxos_commit.coord_step c (Timeout T_state) in
+  Alcotest.(check (list action)) "Blocked reported once"
+    (p1a @ [ Set_timer (T_state, wait) ])
+    actions;
+  let c, actions = Paxos_commit.coord_step c (Recv (1, Px_p1b ((1, 0), []))) in
+  let p2a =
+    List.concat_map
+      (fun rm -> [ Send (1, Px_p2a ((1, 0), rm, Abort));
+                   Send (2, Px_p2a ((1, 0), rm, Abort)) ])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list action)) "phase-1 quorum proposes Abort everywhere"
+    (p2a @ [ Set_timer (T_precommit_ack, wait) ])
+    actions;
+  Alcotest.(check bool) "unblocked" false (Paxos_commit.coord_blocked c);
+  let c, actions = Paxos_commit.coord_step c (Timeout T_precommit_ack) in
+  Alcotest.(check (list action)) "phase-2 timeout resends, blocked"
+    (p2a @ [ Set_timer (T_precommit_ack, wait); Blocked ])
+    actions;
+  let c, actions =
+    Paxos_commit.coord_step c (Recv (1, Px_p2b ((1, 0), 0, Abort)))
+  in
+  Alcotest.(check (list action)) "Abort quorum on instance 0 decides"
+    [ Clear_timer T_votes; Clear_timer T_state; Clear_timer T_precommit_ack;
+      Log (L_decision Abort, `Forced) ]
+    actions;
+  Alcotest.(check (option dec)) "decided abort" (Some Abort)
+    (Paxos_commit.coord_decision c)
+
+(* An elected participant, scripted: a phase timeout makes it a blocked
+   follower, its resend timer re-elects it at the next ballot, and it
+   proposes what its own acceptor accepted at ballot 0. *)
+let test_participant_leader_times_out_and_retries () =
+  let wait = default_timeouts.decision_wait in
+  let p = Paxos_commit.participant ~config:(cfg ~f:1 3) ~self:1 ~vote:true in
+  let p, _ = Paxos_commit.part_step p (Recv (0, Vote_req)) in
+  let p, _ = Paxos_commit.part_step p (Log_done L_prepared) in
+  let p, actions = Paxos_commit.part_step p (Peer_down 0) in
+  Alcotest.(check (list action)) "coordinator down: leads at ballot 1.1"
+    [ Send (0, Px_p1a (1, 1)); Send (2, Px_p1a (1, 1));
+      Set_timer (T_state, wait) ]
+    actions;
+  let p, actions = Paxos_commit.part_step p (Timeout T_state) in
+  Alcotest.(check (list action)) "phase-1 timeout: blocked follower"
+    [ Set_timer (T_resend, default_timeouts.resend_every); Blocked ]
+    actions;
+  Alcotest.(check bool) "blocked" true (Paxos_commit.part_blocked p);
+  Alcotest.(check bool) "follower" true
+    (String.ends_with ~suffix:":follower" (Paxos_commit.describe_part p));
+  let p, actions = Paxos_commit.part_step p (Timeout T_resend) in
+  Alcotest.(check (list action)) "resend timeout: leads at ballot 2.1"
+    [ Send (0, Px_p1a (2, 1)); Send (2, Px_p1a (2, 1));
+      Set_timer (T_state, wait) ]
+    actions;
+  let _, actions = Paxos_commit.part_step p (Recv (2, Px_p1b ((2, 1), []))) in
+  let p2a rm v =
+    [ Send (0, Px_p2a ((2, 1), rm, v)); Send (2, Px_p2a ((2, 1), rm, v)) ]
+  in
+  Alcotest.(check (list action)) "proposes its own acceptance, Abort elsewhere"
+    (p2a 0 Abort @ p2a 1 Commit @ p2a 2 Abort
+    @ [ Set_timer (T_precommit_ack, wait) ])
+    actions
+
 let () =
   Alcotest.run "paxos"
     [
@@ -443,5 +523,9 @@ let () =
             test_unrelated_peer_down_ignored;
           Alcotest.test_case "recovered acceptor abstains" `Quick
             test_recovered_acceptor_abstains;
+          Alcotest.test_case "coordinator ballot blocks and decides" `Quick
+            test_coordinator_ballot_blocks_and_decides;
+          Alcotest.test_case "leader times out and retries" `Quick
+            test_participant_leader_times_out_and_retries;
         ] );
     ]
