@@ -77,14 +77,17 @@ explore:
 # Every report a behaviour-preserving change must leave byte-identical,
 # written under OUT: the crash sweep, both nemesis campaigns, the full
 # explorer report and one replay, the experiment tables (without their
-# host timings), the bench snapshot, the six soak runs and Paxos Commit
-# soak seeds 1-10 under both 2PL and `--cc to`, plus each run's exit
+# host timings), the bench snapshot, the six soak runs, Paxos Commit
+# soak seeds 1-10 under both 2PL and `--cc to`, and 2PC-PrN soak seeds
+# 1 and 3 under `--cc to --probes --sites 4`, plus each run's exit
 # status in exit-status.txt (a failing run is recorded there and does
 # not fail the target; soak exits 1 on a failed audit and 124 on a
 # command-line error).  Several of the Paxos seeds fail today (ROADMAP,
-# "Paxos Commit liveness under soak"), so a change to Paxos Commit is
-# compared on every one of them.  Run it on two checkouts and compare
-# with `diff -r`.  About 4½ minutes on a 2-core machine.
+# "Durable Paxos acceptors"), so a change to Paxos Commit is compared
+# on every one of them; both 2PC-PrN seeds fork today (ROADMAP,
+# "Correctness residuals"), so their fix shows as a change in exit
+# status.  Run it on two checkouts and compare with `diff -r`.  About
+# 4½ minutes on a 2-core machine.
 reports:
 	@test -n "$(OUT)" || { echo "usage: make reports OUT=<dir>"; exit 2; }
 	dune build bin/crashpoints.exe bin/nemesis.exe bin/disk_nemesis.exe \
@@ -106,6 +109,10 @@ reports:
 	  run soak-paxos-seed$$s $$b/soak.exe --protocol paxos --seed $$s; \
 	  run soak-paxos-to-seed$$s $$b/soak.exe --protocol paxos --cc to \
 	    --seed $$s; \
+	done; \
+	for s in 1 3; do \
+	  run soak-2pc-prn-to-probes-seed$$s $$b/soak.exe --protocol 2pc-prn \
+	    --cc to --probes --sites 4 --seed $$s; \
 	done; \
 	run experiments $$b/experiments.exe; \
 	sed '/^(generated in /d' $(OUT)/experiments.txt > $(OUT)/experiments.tmp; \

@@ -20,7 +20,7 @@ let scenario_of_string = function
   | "calm" -> Ok Scenario.calm
   | "lossy" -> Ok (Scenario.lossy ())
   | "gray" -> Ok Scenario.gray
-  | "flapping" -> Ok (Scenario.flapping ())
+  | "flapping" -> Ok Scenario.flapping
   | "one-way" -> Ok Scenario.one_way
   | "churn" -> Ok Scenario.churn
   | "coordinator" -> Ok Scenario.coordinator_faults
@@ -61,7 +61,7 @@ let experiment_n1 ~seed ~sites ~clients ~duration =
    asymmetric (one-way) partitions. *)
 let experiment_n2 ~seed ~sites ~clients ~duration =
   let scenarios =
-    [ Scenario.calm; Scenario.flapping (); Scenario.one_way ]
+    [ Scenario.calm; Scenario.flapping; Scenario.one_way ]
   in
   Printf.printf
     "| scenario | protocol | committed | abort %% | drain | sent | msgs/txn |\n";

@@ -133,9 +133,10 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
             (Audit.site_hygiene cluster)
       in
       let convergence_failures =
-        match replica_control with
-        | Rt_replica.Replica_control.Quorum _ -> []
-        | _ -> Audit.convergence cluster
+        if Rt_replica.Replica_control.read_needs_version_resolution
+             replica_control
+        then []
+        else Audit.convergence cluster
       in
       let hard =
         if convergence_failures <> [] && not faulty then

@@ -289,10 +289,8 @@ let wait_for_graph t =
     t.table;
   g
 
-let detect_deadlock ?policy t =
-  match Wfg.find_cycle (wait_for_graph t) with
-  | None -> None
-  | Some cycle -> Some (Wfg.victim ?policy cycle)
+let detect_deadlock t =
+  Option.map Wfg.victim (Wfg.find_cycle (wait_for_graph t))
 
 let locked_keys t = Hashtbl.length t.table
 

@@ -62,9 +62,9 @@ val wait_for_graph : t -> Wfg.t
 (** Edges from each waiter to every transaction it must out-wait: current
     incompatible holders plus incompatible requests queued ahead of it. *)
 
-val detect_deadlock :
-  ?policy:[ `Youngest | `Oldest ] -> t -> Ids.Txn_id.t option
-(** Run cycle detection; return the chosen victim if a deadlock exists.
+val detect_deadlock : t -> Ids.Txn_id.t option
+(** Run cycle detection; return the youngest transaction of the cycle
+    found, if a deadlock exists.
     The caller is responsible for aborting the victim (which must include
     [release_all]). *)
 

@@ -8,8 +8,8 @@
     admitted or refused on the spot, and a refused check changes
     nothing.  The caller applies the values; this table only decides.
 
-    Used by the local workbench ({!Rt_cc.Timestamp_order}) and by every
-    replica site running [Config.Timestamp]. *)
+    Used by the local workbench ({!Rt_cc.Workbench}, scheme [Timestamp])
+    and by every replica site running [Config.Timestamp]. *)
 
 open Rt_types
 

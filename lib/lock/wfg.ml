@@ -66,13 +66,10 @@ let find_cycle t =
     None
   with Found cycle -> Some cycle
 
-let victim ?(policy = `Youngest) cycle =
+let victim cycle =
   match cycle with
   | [] -> invalid_arg "Wfg.victim: empty cycle"
   | first :: rest ->
-      let pick a b =
-        match policy with
-        | `Youngest -> if Tid.compare a b >= 0 then a else b
-        | `Oldest -> if Tid.compare a b <= 0 then a else b
-      in
-      List.fold_left pick first rest
+      List.fold_left
+        (fun a b -> if Tid.compare a b >= 0 then a else b)
+        first rest

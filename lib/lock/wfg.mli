@@ -27,7 +27,7 @@ val find_cycle : t -> Ids.Txn_id.t list option
 (** Some cycle (each node waits for the next, last waits for first), or
     [None] if the graph is acyclic. *)
 
-val victim : ?policy:[ `Youngest | `Oldest ] -> Ids.Txn_id.t list -> Ids.Txn_id.t
-(** Choose the transaction to abort from a non-empty cycle.  [`Youngest]
-    (default) aborts the most recently started, which preserves the oldest
-    transactions' progress. *)
+val victim : Ids.Txn_id.t list -> Ids.Txn_id.t
+(** The transaction to abort from a non-empty cycle: the youngest (most
+    recently started), which preserves the oldest transactions'
+    progress. *)

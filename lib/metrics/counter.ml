@@ -10,9 +10,7 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let incr ?(by = 1) t name =
-  let r = cell t name in
-  r := !r + by
+let incr t name = Stdlib.incr (cell t name)
 
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 let set t name v = cell t name := v

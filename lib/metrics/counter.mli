@@ -5,7 +5,7 @@ type t
 
 val create : unit -> t
 
-val incr : ?by:int -> t -> string -> unit
+val incr : t -> string -> unit
 
 val get : t -> string -> int
 (** 0 for a never-incremented counter. *)

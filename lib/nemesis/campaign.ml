@@ -30,7 +30,7 @@ let default_scenarios =
     Scenario.calm;
     Scenario.lossy ();
     Scenario.gray;
-    Scenario.flapping ();
+    Scenario.flapping;
     Scenario.one_way;
     Scenario.churn;
     Scenario.coordinator_faults;
@@ -130,16 +130,15 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   let r_drain = drain 1 in
   let violations =
     let vs = Audit.standard ~settle:(Time.sec 1) cluster in
-    (* Quorum replica control reads past stale copies by design, so
-       byte-level convergence of every up replica is not one of its
-       promises (same policy as soak). *)
-    match rc with
-    | Rt_replica.Replica_control.Quorum _ ->
-        List.filter
-          (fun { Audit.detail; _ } ->
-            detail <> "replica stores diverge within a shard")
-          vs
-    | _ -> vs
+    (* A scheme whose reads resolve versions (quorum) reads past stale
+       copies by design, so byte-level convergence of every up replica
+       is not one of its promises (same policy as soak). *)
+    if Rt_replica.Replica_control.read_needs_version_resolution rc then
+      List.filter
+        (fun { Audit.detail; _ } ->
+          detail <> "replica stores diverge within a shard")
+        vs
+    else vs
   in
   let violations =
     match r_drain with

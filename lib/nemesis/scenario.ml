@@ -75,7 +75,8 @@ let gray =
       in
       [ (Time.zero, Gray { pairs = Some pairs; factor }) ])
 
-let flapping ?(period = Time.ms 100) () =
+let flapping =
+  let period = Time.ms 100 in
   make
     (Printf.sprintf "flapping(%dms)" (period / Time.ms 1))
     (fun ~sites ~duration ->

@@ -33,14 +33,14 @@ val lossy : ?drop:float -> ?duplicate:float -> unit -> t
 val gray : t
 (** Site 0's links (both directions) run 8× slower. *)
 
-val flapping : ?period:Time.t -> unit -> t
-(** The cluster splits into halves at every period boundary and heals
-    half a period later (default period 100 ms). *)
+val flapping : t
+(** The cluster splits into halves every 100 ms and heals 50 ms
+    later. *)
 
 val one_way : t
 (** Asymmetric partition: the left half's outbound edges are severed
-    (requests arrive, replies vanish) on flapping's default 100 ms
-    square wave. *)
+    (requests arrive, replies vanish) on flapping's 100 ms square
+    wave. *)
 
 val churn : t
 (** Round-robin crash/recover, one site down at a time: a crash every

@@ -227,17 +227,6 @@ let test_deadlock_cycle_detected () =
   Lock_table.release_all t ~txn:b;
   Alcotest.(check (option tid)) "resolved" None (Lock_table.detect_deadlock t)
 
-let test_deadlock_victim_policy () =
-  let t = Lock_table.create () in
-  let a = txn 1 and b = txn 2 in
-  ignore (Lock_table.acquire t ~txn:a ~key:"x" ~mode:Exclusive ~on_grant:(fun () -> ()));
-  ignore (Lock_table.acquire t ~txn:b ~key:"y" ~mode:Exclusive ~on_grant:(fun () -> ()));
-  ignore (Lock_table.acquire t ~txn:a ~key:"y" ~mode:Exclusive ~on_grant:(fun () -> ()));
-  ignore (Lock_table.acquire t ~txn:b ~key:"x" ~mode:Exclusive ~on_grant:(fun () -> ()));
-  (match Lock_table.detect_deadlock ~policy:`Oldest t with
-  | Some victim -> Alcotest.(check tid) "oldest policy" a victim
-  | None -> Alcotest.fail "deadlock not detected")
-
 let test_upgrade_deadlock () =
   (* Two readers that both try to upgrade deadlock with each other. *)
   let t = Lock_table.create () in
@@ -261,9 +250,7 @@ let test_wfg_cycle () =
   | Some cycle -> Alcotest.(check int) "cycle length" 3 (List.length cycle)
   | None -> Alcotest.fail "cycle expected");
   Alcotest.(check tid) "youngest victim" c
-    (Wfg.victim [ a; b; c ]);
-  Alcotest.(check tid) "oldest victim" a
-    (Wfg.victim ~policy:`Oldest [ a; b; c ])
+    (Wfg.victim [ a; b; c ])
 
 let test_wfg_self_edges_ignored () =
   let a = txn 1 in
@@ -449,7 +436,6 @@ let () =
       ( "deadlock",
         [
           Alcotest.test_case "cycle detected" `Quick test_deadlock_cycle_detected;
-          Alcotest.test_case "victim policy" `Quick test_deadlock_victim_policy;
           Alcotest.test_case "upgrade deadlock" `Quick test_upgrade_deadlock;
           Alcotest.test_case "wfg cycle" `Quick test_wfg_cycle;
           Alcotest.test_case "wfg self edges" `Quick test_wfg_self_edges_ignored;

@@ -33,10 +33,10 @@ let test_steps_clipped_and_sorted () =
   | _ -> Alcotest.fail "stable sort broke equal-time order")
 
 let test_square_wave_faults_end_inside_window () =
-  let s = Scenario.flapping ~period:(Time.ms 40) () in
-  let steps = Scenario.steps s ~sites:4 ~duration:(Time.ms 100) in
-  (* Two whole periods fit: on@0 off@20 on@40 off@60; the clipped third
-     cycle (on@80 off@100) must not leave a dangling partition. *)
+  let s = Scenario.flapping in
+  let steps = Scenario.steps s ~sites:4 ~duration:(Time.ms 250) in
+  (* Two whole periods fit: on@0 off@50 on@100 off@150; the clipped third
+     cycle (on@200 off@250) must not leave a dangling partition. *)
   let last_fault = snd (List.nth steps (List.length steps - 1)) in
   Alcotest.(check bool) "window ends healed" true
     (match last_fault with Failure.Heal_partition -> true | _ -> false)
