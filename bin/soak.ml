@@ -132,12 +132,7 @@ let run sites protocol rc cc clients duration_ms mttf_ms mttr_ms partition
               inv = "recovery" || inv = "termination")
             (Audit.site_hygiene cluster)
       in
-      let convergence_failures =
-        if Rt_replica.Replica_control.read_needs_version_resolution
-             replica_control
-        then []
-        else Audit.convergence cluster
-      in
+      let convergence_failures = Audit.convergence cluster in
       let hard =
         if convergence_failures <> [] && not faulty then
           hard @ [ { Audit.inv = "durability"; detail = "replicas did not converge" } ]

@@ -83,5 +83,5 @@ let conflict_edges t =
   in
   List.sort_uniq edge_compare !edges
 
-let cycle t = Rt_lock.Wfg.find_cycle (Rt_lock.Wfg.of_edges (conflict_edges t))
+let cycle t = Rt_lock.Wfg.find_cycle (conflict_edges t)
 let serializable t = cycle t = None

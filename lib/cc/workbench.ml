@@ -113,15 +113,6 @@ let kill t txn reason =
       Ids.Txn_map.remove t.txns txn;
       Option.iter (fun refuse -> refuse ()) tx.refuse
 
-(* Abort the youngest transaction of each wait-for cycle until none
-   remains. *)
-let rec resolve_deadlocks t =
-  match Lock.detect_deadlock t.locks with
-  | None -> ()
-  | Some victim ->
-      kill t victim `Deadlock;
-      resolve_deadlocks t
-
 (* Transactions a new request may end up waiting behind: holders whose
    mode conflicts, plus everything already queued (FIFO order makes any
    queued request a potential blocker regardless of mode). *)
@@ -168,7 +159,9 @@ let lock t tx ~txn ~key ~mode ~granted ~refused =
     | Granted -> granted ()
     | Waiting ->
         tx.refuse <- Some refused;
-        if t.scheme = Two_pl then resolve_deadlocks t
+        if t.scheme = Two_pl then
+          Lock.resolve_deadlocks t.locks ~kill:(fun victim ->
+              kill t victim `Deadlock)
 
 (* The scheme's own rule for one operation: [granted] runs once the
    operation may proceed, [refused] once the transaction is killed. *)

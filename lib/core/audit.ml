@@ -160,8 +160,14 @@ let durability cluster ~writes =
         (Rt_placement.Placement.replicas_of_key placement key))
     writes
 
+(* A quorum write reaches a write quorum, not every copy, and reads
+   resolve versions past the stale ones: such copies may differ. *)
 let convergence cluster =
-  if Cluster.converged cluster then []
+  let rc = (Cluster.config cluster).replica_control in
+  if
+    Rt_replica.Replica_control.read_needs_version_resolution rc
+    || Cluster.converged cluster
+  then []
   else [ v "durability" "replica stores diverge within a shard" ]
 
 let quiescence cluster ~settle =

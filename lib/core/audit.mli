@@ -46,8 +46,11 @@ val durability : Cluster.t -> writes:(string * string) list -> violation list
 
 val convergence : Cluster.t -> violation list
 (** Per-shard replica convergence ({!Cluster.converged}) as a durability
-    violation.  Callers may downgrade this to a note for replica-control
-    schemes that document divergence under partitions (ROWA-A). *)
+    violation.  Empty when the cluster's replica control resolves
+    versions on read (majority quorum): its writes reach a write quorum,
+    not every copy, so stale copies are legal.  Callers may downgrade
+    this to a note for replica-control schemes that document divergence
+    under partitions (ROWA-A). *)
 
 val quiescence : Cluster.t -> settle:Time.t -> violation list
 (** Runs the cluster [settle] further and fails if any commit-protocol

@@ -1025,26 +1025,6 @@ and probe_local_blockers t ~initiator ~target =
 (* Data operations                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* After a lock request queues, check for (local) deadlock and kill the
-   victim immediately. *)
-let resolve_local_deadlocks t =
-  let rec go n =
-    if n > 100_000 then
-      failwith "resolve_local_deadlocks: livelock detected"
-    else
-      match Lock.detect_deadlock t.locks with
-      | None -> ()
-      | Some victim ->
-          (match part_ctx t victim with
-          | Some ctx -> doom_part t ctx Msg.R_deadlock
-          | None ->
-              (* A victim with no participant context can only be a stale
-                 entry; drop its locks so the system moves on. *)
-              Lock.release_all t.locks ~txn:victim);
-          go (n + 1)
-  in
-  go 0
-
 (* Admit a remote (or local) operation under the configured concurrency
    control — a lock ([Shared] for reads, [Exclusive] for writes) or a
    timestamp-ordering check — calling exactly one of [on_granted] and
@@ -1099,7 +1079,14 @@ let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
                          doom_part t ctx Msg.R_lock_timeout))
               in
               wait.w_timer <- Some timer;
-              resolve_local_deadlocks t;
+              (* Break local deadlocks now, not at the lock-wait timeout.
+                 A victim with no participant context can only be a
+                 stale entry; dropping its locks lets the system move
+                 on. *)
+              Lock.resolve_deadlocks t.locks ~kill:(fun victim ->
+                  match part_ctx t victim with
+                  | Some ctx -> doom_part t ctx Msg.R_deadlock
+                  | None -> Lock.release_all t.locks ~txn:victim);
               if t.config.probe_deadlocks && not wait.w_done then
                 List.iter
                   (fun blocker ->

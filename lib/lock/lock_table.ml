@@ -227,70 +227,56 @@ let held_keys t ~txn =
 let conflicts a b =
   match (a, b) with Shared, Shared -> false | _ -> true
 
+(* The one waits-for rule, shared by probes ([blocking]) and detection:
+   [f r b] for each request [r] queued on [e] and each transaction [b] it
+   must out-wait — an incompatible holder or an incompatible request
+   queued ahead of it (FIFO).  A blocker can repeat; callers
+   deduplicate. *)
+let iter_waits e f =
+  let rec walk ahead = function
+    | [] -> ()
+    | r :: rest ->
+        let out_wait b m =
+          if (not (Tid.equal b r.txn)) && conflicts r.mode m then f r b
+        in
+        List.iter (fun (h, m) -> out_wait h m) e.holders;
+        List.iter (fun r' -> out_wait r'.txn r'.mode) ahead;
+        walk (r :: ahead) rest
+  in
+  walk [] e.waiting
+
 let blocking t ~txn =
   match Ids.Txn_map.find_opt t.waits txn with
   | None -> []
   | Some keys ->
-      List.concat_map
+      let acc = ref [] in
+      List.iter
         (fun key ->
           match Hashtbl.find_opt t.table key with
-          | None -> []
-          | Some e -> (
-              (* Find txn's request and everything ahead of it. *)
-              let rec split ahead = function
-                | [] -> None
-                | r :: rest ->
-                    if Tid.equal r.txn txn then Some (r, ahead)
-                    else split (r :: ahead) rest
-              in
-              match split [] e.waiting with
-              | None -> []
-              | Some (r, ahead) ->
-                  let holders =
-                    List.filter_map
-                      (fun (h, m) ->
-                        if (not (Tid.equal h txn)) && conflicts r.mode m then
-                          Some h
-                        else None)
-                      e.holders
-                  in
-                  let queued =
-                    List.filter_map
-                      (fun r' ->
-                        if conflicts r.mode r'.mode then Some r'.txn else None)
-                      ahead
-                  in
-                  holders @ queued))
-        (List.sort_uniq String.compare !keys)
-      |> List.sort_uniq Tid.compare
-
-let wait_for_graph t =
-  let g = Wfg.create () in
-  (* Sorted keys: edge insertion order feeds victim selection. *)
-  Rt_sim.Det.iter_sorted ~cmp:String.compare
-    (fun _key e ->
-      let rec walk ahead = function
-        | [] -> ()
-        | r :: rest ->
-            (* Wait on incompatible holders... *)
-            List.iter
-              (fun (h, m) ->
-                if (not (Tid.equal h r.txn)) && conflicts r.mode m then
-                  Wfg.add_edge g r.txn h)
-              e.holders;
-            (* ...and on incompatible requests queued ahead (FIFO). *)
-            List.iter
-              (fun r' ->
-                if conflicts r.mode r'.mode then Wfg.add_edge g r.txn r'.txn)
-              ahead;
-            walk (r :: ahead) rest
-      in
-      walk [] e.waiting)
-    t.table;
-  g
+          | None -> ()
+          | Some e ->
+              iter_waits e (fun r b ->
+                  if Tid.equal r.txn txn then acc := b :: !acc))
+        (List.sort_uniq String.compare !keys);
+      List.sort_uniq Tid.compare !acc
 
 let detect_deadlock t =
-  Option.map Wfg.victim (Wfg.find_cycle (wait_for_graph t))
+  let edges = ref [] in
+  (* rt_lint: allow deterministic-iteration -- Wfg.find_cycle depends only on the set of edges *)
+  Hashtbl.iter
+    (fun _key e ->
+      iter_waits e (fun r b -> edges := (r.txn, b) :: !edges))
+    t.table;
+  Option.map Wfg.victim (Wfg.find_cycle !edges)
+
+let rec resolve_deadlocks t ~kill =
+  match detect_deadlock t with
+  | None -> ()
+  | Some victim ->
+      kill victim;
+      if is_waiting t ~txn:victim then
+        invalid_arg "Lock_table.resolve_deadlocks: kill left its victim waiting";
+      resolve_deadlocks t ~kill
 
 let locked_keys t = Hashtbl.length t.table
 

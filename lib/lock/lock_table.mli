@@ -54,19 +54,21 @@ val held_keys : t -> txn:Ids.Txn_id.t -> string list
 (** Sorted. *)
 
 val blocking : t -> txn:Ids.Txn_id.t -> Ids.Txn_id.t list
-(** Transactions [txn] currently waits behind, across every key it has a
-    queued request on: incompatible holders plus incompatible requests
-    queued ahead.  Sorted, deduplicated.  Empty when not waiting. *)
-
-val wait_for_graph : t -> Wfg.t
-(** Edges from each waiter to every transaction it must out-wait: current
-    incompatible holders plus incompatible requests queued ahead of it. *)
+(** Transactions [txn] currently waits behind, across every request it
+    has queued: incompatible holders plus incompatible requests queued
+    ahead.  Sorted, deduplicated.  Empty when not waiting.  The same
+    waits-for rule gives the edges of {!detect_deadlock}. *)
 
 val detect_deadlock : t -> Ids.Txn_id.t option
-(** Run cycle detection; return the youngest transaction of the cycle
-    found, if a deadlock exists.
-    The caller is responsible for aborting the victim (which must include
-    [release_all]). *)
+(** Search the wait-for graph of every queued request for a cycle
+    ({!Wfg.find_cycle}); return its youngest transaction, if a deadlock
+    exists.  The caller is responsible for aborting the victim (which
+    must include [release_all]). *)
+
+val resolve_deadlocks : t -> kill:(Ids.Txn_id.t -> unit) -> unit
+(** Call [kill] on the victim of {!detect_deadlock} until no cycle
+    remains.  Raises [Invalid_argument] if the victim still waits after
+    [kill]: a kill that does not release its victim would loop. *)
 
 val locked_keys : t -> int
 (** Number of keys with at least one holder or waiter (table size). *)

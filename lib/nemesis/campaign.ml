@@ -128,18 +128,7 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
     end
   in
   let r_drain = drain 1 in
-  let violations =
-    let vs = Audit.standard ~settle:(Time.sec 1) cluster in
-    (* A scheme whose reads resolve versions (quorum) reads past stale
-       copies by design, so byte-level convergence of every up replica
-       is not one of its promises (same policy as soak). *)
-    if Rt_replica.Replica_control.read_needs_version_resolution rc then
-      List.filter
-        (fun { Audit.detail; _ } ->
-          detail <> "replica stores diverge within a shard")
-        vs
-    else vs
-  in
+  let violations = Audit.standard ~settle:(Time.sec 1) cluster in
   let violations =
     match r_drain with
     | Some _ -> violations
@@ -206,6 +195,16 @@ let pp_drain fmt = function
   | None -> Format.fprintf fmt "stuck"
   | Some d -> Format.fprintf fmt "%dms" (d / Time.ms 1)
 
+let violation_lines results =
+  List.concat_map
+    (fun r ->
+      List.map
+        (fun v ->
+          Format.asprintf "[%s %s %s] %a" r.r_scenario r.r_protocol
+            r.r_placement Audit.pp_violation v)
+        r.r_violations)
+    results
+
 let render results =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -221,16 +220,7 @@ let render results =
            r.r_duplicated pp_drain r.r_drain
            (List.length r.r_violations)))
     results;
-  let violation_lines =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun v ->
-            Format.asprintf "[%s %s %s] %a" r.r_scenario r.r_protocol
-              r.r_placement Audit.pp_violation v)
-          r.r_violations)
-      results
-  in
+  let violation_lines = violation_lines results in
   let envelope_cells =
     List.filter (fun r -> r.r_envelope <> None) results
   in

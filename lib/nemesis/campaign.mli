@@ -96,6 +96,11 @@ val run :
 val pp_drain : Format.formatter -> Time.t option -> unit
 (** ["stuck"] for [None], otherwise the drain time in milliseconds. *)
 
+val violation_lines : result list -> string list
+(** One [[scenario protocol placement] invariant: detail] line per
+    violation, in result order: the violation list of both nemesis
+    reports. *)
+
 val render : result list -> string
 (** Markdown table plus one line per violation.  Contains no wall-clock
     timing, so equal-seed runs render byte-identically. *)

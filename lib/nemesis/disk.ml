@@ -132,17 +132,7 @@ let render results =
            r.Campaign.r_cp_fallbacks Campaign.pp_drain r.Campaign.r_drain
            (List.length r.Campaign.r_violations)))
     results;
-  let violation_lines =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun v ->
-            Format.asprintf "[%s %s %s] %a" r.Campaign.r_scenario
-              r.Campaign.r_protocol r.Campaign.r_placement
-              Audit.pp_violation v)
-          r.Campaign.r_violations)
-      results
-  in
+  let violation_lines = Campaign.violation_lines results in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   Buffer.add_string buf
     (Printf.sprintf

@@ -250,6 +250,40 @@ let test_no_split_brain_under_partition () =
   Alcotest.(check bool) "not both committed" false
     (committed !minority && committed !majority)
 
+(* --- audit: convergence per replica control --------------------------- *)
+
+let audit_lines cluster =
+  List.map
+    (Format.asprintf "%a" Audit.pp_violation)
+    (Audit.standard ~settle:(Time.sec 1) cluster)
+
+(* Quorum writes reach a write quorum, not every copy, so a healthy
+   majority-quorum cluster keeps stale copies: the audit passes it. *)
+let test_audit_quorum_stale_copies_pass () =
+  let cluster = mk ~rc:(Rt_replica.Replica_control.majority ~sites:3) () in
+  for i = 1 to 24 do
+    check_committed
+      (run_one cluster ~site:(i mod 3)
+         ~ops:(ops_w [ (Printf.sprintf "k%d" (i mod 5), string_of_int i) ]))
+  done;
+  Alcotest.(check bool) "copies differ" false (Cluster.converged cluster);
+  Alcotest.(check (list string)) "audit clean" [] (audit_lines cluster)
+
+(* Available copies promises every up copy the same contents, so a copy
+   a partition left behind is still reported. *)
+let test_audit_rowa_a_divergence_reported () =
+  let cluster = mk ~rc:Rt_replica.Replica_control.available_copies () in
+  Cluster.partition cluster [ [ 0 ]; [ 1; 2 ] ];
+  run_for cluster (Time.ms 2100);
+  check_committed (run_one cluster ~site:1 ~ops:(ops_w [ ("a", "1") ]));
+  Cluster.heal cluster;
+  run_for cluster (Time.ms 500);
+  Alcotest.(check (option string)) "site 0 left behind" None
+    (value_at cluster 0 "a");
+  Alcotest.(check bool) "divergence reported" true
+    (List.mem "durability: replica stores diverge within a shard"
+       (audit_lines cluster))
+
 (* --- protocol matrix under load ---------------------------------------- *)
 
 let test_matrix_protocol_load commit rc_name rc () =
@@ -528,6 +562,13 @@ let () =
             test_partition_quorum_majority_side_continues;
           Alcotest.test_case "no split brain" `Quick
             test_no_split_brain_under_partition;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "quorum stale copies pass" `Quick
+            test_audit_quorum_stale_copies_pass;
+          Alcotest.test_case "ROWA-A divergence reported" `Quick
+            test_audit_rowa_a_divergence_reported;
         ] );
       ("matrix", matrix_cases);
       ( "ids",

@@ -29,18 +29,6 @@ let test_kv_different_values_differ () =
   Kv.set b ~key:"x" ~value:"1" ~version:2;
   Alcotest.(check bool) "version differs" false (Kv.equal a b)
 
-let tid n = Rt_types.Ids.Txn_id.make ~origin:0 ~seq:n ~start_ts:0
-
-let test_wfg_permuted_edges () =
-  let edges = [ (tid 1, tid 2); (tid 2, tid 3); (tid 3, tid 1) ] in
-  let a = Rt_lock.Wfg.of_edges edges in
-  let b = Rt_lock.Wfg.of_edges (List.rev edges) in
-  Alcotest.(check string) "dumps equal" (Rt_lock.Wfg.dump a)
-    (Rt_lock.Wfg.dump b);
-  let c = Rt_lock.Wfg.of_edges [ (tid 1, tid 2); (tid 2, tid 3) ] in
-  Alcotest.(check bool) "different edge sets differ" true
-    (Rt_lock.Wfg.dump a <> Rt_lock.Wfg.dump c)
-
 let test_checkpoint_permuted_store () =
   let snap order =
     let kv = Kv.create () in
@@ -274,8 +262,6 @@ let () =
             test_kv_permuted_insertion;
           Alcotest.test_case "kv different values" `Quick
             test_kv_different_values_differ;
-          Alcotest.test_case "wfg permuted edges" `Quick
-            test_wfg_permuted_edges;
           Alcotest.test_case "checkpoint permuted store" `Quick
             test_checkpoint_permuted_store;
           Alcotest.test_case "wal contents distinguish" `Quick

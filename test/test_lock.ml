@@ -239,14 +239,69 @@ let test_upgrade_deadlock () =
   | Some _ -> ()
   | None -> Alcotest.fail "upgrade-upgrade deadlock not detected"
 
+(* A duplicated delivery queues a second request of [a] behind [b]'s:
+   [a] then waits behind [b] too, and the probes' [blocking] must say so
+   just as detection does. *)
+let test_blocking_covers_every_request () =
+  let t = Lock_table.create () in
+  let a = txn 1 and b = txn 2 and c = txn 3 in
+  let acquire txn mode =
+    ignore (Lock_table.acquire t ~txn ~key:"k" ~mode ~on_grant:(fun () -> ()))
+  in
+  acquire c Exclusive;
+  acquire a Shared;
+  acquire b Exclusive;
+  acquire a Shared;
+  Alcotest.(check (list (pair tid string)))
+    "queue" [ (a, "S"); (b, "X"); (a, "S") ]
+    (List.map
+       (fun (w, m) -> (w, Format.asprintf "%a" Lock_table.pp_mode m))
+       (Lock_table.waiters t ~key:"k"));
+  Alcotest.(check (list tid)) "blockers of both requests" [ b; c ]
+    (Lock_table.blocking t ~txn:a);
+  Alcotest.(check (list tid)) "b waits behind a and c" [ a; c ]
+    (Lock_table.blocking t ~txn:b);
+  Alcotest.(check (option tid)) "youngest of a <-> b" (Some b)
+    (Lock_table.detect_deadlock t)
+
+(* The one victim loop: it kills the youngest of each cycle until none
+   remains, and refuses a [kill] that leaves its victim waiting, which
+   would loop forever. *)
+let test_resolve_deadlocks () =
+  let deadlock () =
+    let t = Lock_table.create () in
+    let a = txn 1 and b = txn 2 in
+    let acquire txn key =
+      ignore
+        (Lock_table.acquire t ~txn ~key ~mode:Exclusive
+           ~on_grant:(fun () -> ()))
+    in
+    acquire a "x";
+    acquire b "y";
+    acquire a "y";
+    acquire b "x";
+    (t, a, b)
+  in
+  let t, a, b = deadlock () in
+  let killed = ref [] in
+  Lock_table.resolve_deadlocks t ~kill:(fun victim ->
+      killed := victim :: !killed;
+      Lock_table.release_all t ~txn:victim);
+  Alcotest.(check (list tid)) "one victim, the youngest" [ b ] !killed;
+  Alcotest.(check (list string)) "a holds both" [ "x"; "y" ]
+    (Lock_table.held_keys t ~txn:a);
+  let t, _, _ = deadlock () in
+  match Lock_table.resolve_deadlocks t ~kill:(fun _ -> ()) with
+  | () -> Alcotest.fail "a kill that leaves its victim waiting was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- Wfg primitives --------------------------------------------------- *)
 
 let test_wfg_cycle () =
   let a = txn 1 and b = txn 2 and c = txn 3 in
-  let g = Wfg.of_edges [ (a, b); (b, c) ] in
-  Alcotest.(check bool) "acyclic" true (Wfg.find_cycle g = None);
-  Wfg.add_edge g c a;
-  (match Wfg.find_cycle g with
+  let edges = [ (a, b); (b, c) ] in
+  Alcotest.(check bool) "acyclic" true (Wfg.find_cycle edges = None);
+  (match Wfg.find_cycle ((c, a) :: edges) with
   | Some cycle -> Alcotest.(check int) "cycle length" 3 (List.length cycle)
   | None -> Alcotest.fail "cycle expected");
   Alcotest.(check tid) "youngest victim" c
@@ -254,9 +309,12 @@ let test_wfg_cycle () =
 
 let test_wfg_self_edges_ignored () =
   let a = txn 1 in
-  let g = Wfg.of_edges [ (a, a) ] in
-  Alcotest.(check bool) "self edge no cycle" true (Wfg.find_cycle g = None)
+  Alcotest.(check bool) "self edge no cycle" true
+    (Wfg.find_cycle [ (a, a) ] = None)
 
+(* Sound and complete against a reachability reference; every cycle
+   returned is a simple cycle of the input; and the answer depends only
+   on the edge set, so reversed or repeated edges change nothing. *)
 let prop_wfg_cycle_detection_matches_reachability =
   let gen =
     QCheck.Gen.(small_list (pair (int_range 0 6) (int_range 0 6)))
@@ -268,7 +326,7 @@ let prop_wfg_cycle_detection_matches_reachability =
     (fun int_edges ->
       let node i = txn (i + 1) in
       let edges = List.map (fun (a, b) -> (node a, node b)) int_edges in
-      let g = Wfg.of_edges edges in
+      let found = Wfg.find_cycle edges in
       (* Reference: Floyd-Warshall style reachability over non-self edges. *)
       let n = 7 in
       let reach = Array.make_matrix n n false in
@@ -284,7 +342,29 @@ let prop_wfg_cycle_detection_matches_reachability =
       for i = 0 to n - 1 do
         if reach.(i).(i) then has_cycle := true
       done;
-      (Wfg.find_cycle g <> None) = !has_cycle)
+      let edge a b =
+        List.exists
+          (fun (x, y) -> Ids.Txn_id.equal x a && Ids.Txn_id.equal y b)
+          edges
+      in
+      let cycle_of_input = function
+        | None -> true
+        | Some cycle ->
+            let rec chain first = function
+              | [ last ] -> edge last first
+              | x :: (y :: _ as rest) -> edge x y && chain first rest
+              | [] -> false
+            in
+            List.length cycle >= 2
+            && List.length (List.sort_uniq Ids.Txn_id.compare cycle)
+               = List.length cycle
+            && chain (List.hd cycle) cycle
+      in
+      let same = Option.equal (List.equal Ids.Txn_id.equal) found in
+      (found <> None) = !has_cycle
+      && cycle_of_input found
+      && same (Wfg.find_cycle (List.rev edges))
+      && same (Wfg.find_cycle (edges @ List.rev edges)))
 
 (* Randomized lock workload: invariants hold at every step. *)
 let prop_lock_invariants =
@@ -437,6 +517,9 @@ let () =
         [
           Alcotest.test_case "cycle detected" `Quick test_deadlock_cycle_detected;
           Alcotest.test_case "upgrade deadlock" `Quick test_upgrade_deadlock;
+          Alcotest.test_case "blocking covers every request" `Quick
+            test_blocking_covers_every_request;
+          Alcotest.test_case "resolve deadlocks" `Quick test_resolve_deadlocks;
           Alcotest.test_case "wfg cycle" `Quick test_wfg_cycle;
           Alcotest.test_case "wfg self edges" `Quick test_wfg_self_edges_ignored;
           QCheck_alcotest.to_alcotest
