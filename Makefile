@@ -66,10 +66,11 @@ soak:
 	done; exit $$s
 
 # Bounded exhaustive schedule exploration with DPOR: the N=3 scenario
-# matrix across all six commit protocols (see docs/EXPLORER.md).  Every
-# non-Paxos scenario closes within its budget (Paxos F=1 explores a
-# capped prefix); exits 1 on any audit violation; output is
-# byte-identical run to run.
+# matrix across all six commit protocols, each scenario explored once
+# (see docs/EXPLORER.md).  Every non-Paxos scenario closes within its
+# budget (Paxos F=1 explores a capped prefix); exits 1 on any audit
+# violation; output is byte-identical run to run.  About 1¼ minutes on
+# a 2-core machine.
 explore:
 	dune build bin/explore.exe
 	dune exec bin/explore.exe -- > EXPLORE.md; s=$$?; cat EXPLORE.md; exit $$s
@@ -87,7 +88,7 @@ explore:
 # on every one of them; both 2PC-PrN seeds fork today (ROADMAP,
 # "Correctness residuals"), so their fix shows as a change in exit
 # status.  Run it on two checkouts and compare with `diff -r`.  About
-# 4½ minutes on a 2-core machine.
+# 2½ minutes on a 2-core machine.
 reports:
 	@test -n "$(OUT)" || { echo "usage: make reports OUT=<dir>"; exit 2; }
 	dune build bin/crashpoints.exe bin/nemesis.exe bin/disk_nemesis.exe \

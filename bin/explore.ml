@@ -1,9 +1,10 @@
 (* Command-line driver for bounded exhaustive schedule exploration: run
    the scenario matrix (all six commit protocols x full/sharded
-   placement x conflict and crash variants at N=3), print the per-config
-   state counts and DPOR reduction factors, and exit 0 when every
-   invariant holds and 1 on any violation (124 is a command-line error or
-   an unknown --replay scenario) so CI can gate on it.
+   placement x conflict and crash variants at N=3), explore each
+   scenario once with sleep sets and state dedup, print the per-config
+   state counts, and exit 0 when every invariant holds and 1 on any
+   violation (124 is a command-line error or an unknown --replay
+   scenario) so CI can gate on it.
    Output is byte-identical run to run: the explorer draws no randomness
    and prints no clocks.
 
@@ -16,14 +17,14 @@ open Cmdliner
 module Sweep = Rt_explore.Sweep
 module Explore = Rt_explore.Explore
 
-let run_sweep only budget =
+let run_sweep only =
   let filter =
     match only with
     | None -> fun _ -> true
     | Some name -> fun (sc : Sweep.scenario) -> sc.sc_name = name
   in
   let fmt = Format.std_formatter in
-  let violations = Sweep.run_matrix ~filter ?budget fmt in
+  let violations = Sweep.run_matrix ~filter fmt in
   Format.pp_print_flush fmt ();
   exit (if violations = 0 then 0 else 1)
 
@@ -93,23 +94,16 @@ let schedule_arg =
           "Decision indices for --replay (as printed in a counterexample); \
            decisions beyond the list take alternative 0.")
 
-let budget_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "budget" ] ~docv:"N"
-        ~doc:"Clamp the per-scenario execution budget (bounded sweeps).")
-
-let main only replay schedule budget =
+let main only replay schedule =
   match replay with
   | Some name -> run_replay name schedule
-  | None -> run_sweep only budget
+  | None -> run_sweep only
 
 let cmd =
   let exits = Cmd.Exit.info 1 ~doc:"on a failed audit." :: Cmd.Exit.defaults in
   let doc = "bounded exhaustive schedule exploration with DPOR" in
   Cmd.v
     (Cmd.info "explore" ~doc ~exits)
-    Term.(const main $ only_arg $ replay_arg $ schedule_arg $ budget_arg)
+    Term.(const main $ only_arg $ replay_arg $ schedule_arg)
 
 let () = exit (Cmd.eval cmd)

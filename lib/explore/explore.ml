@@ -69,7 +69,7 @@ type opts = {
   op_sleep : bool;
   op_dedup : bool;
   op_timer_total : int;
-  op_timer_class : site:int -> name:string -> [ `Choice | `Pending | `Eager ];
+  op_timer_class : site:int -> name:string -> [ `Choice | `Pending ];
   op_crash_budget : int;
   op_max_executions : int;
 }
@@ -164,11 +164,12 @@ let indep sc1 sc2 =
   && (not (List.mem (-1) sc2))
   && List.for_all (fun s -> not (List.mem s sc2)) sc1
 
-(* Fire every pending eager event — internals, harness-classified eager
-   deliveries, and timers classed [`Eager] (prompt completions such as
-   the WAL device) — in frontier order; returns the union of their
-   scopes.  The final frontier is kept in [rs_front] for [eligible] and
-   [state_digest], which run before the engine moves again. *)
+(* Fire every pending eager event — internals (zero-delay continuations,
+   WAL device cycles, group-commit and link-batch flushes) and
+   harness-classified eager deliveries — in frontier order; returns the
+   union of their scopes.  The final frontier is kept in [rs_front] for
+   [eligible] and [state_digest], which run before the engine moves
+   again. *)
 let drain_eager st =
   let scope = ref [] in
   let rec loop () =
@@ -182,9 +183,7 @@ let drain_eager st =
               match st.rs_sys.ys_delivery_class ~seq with
               | Eager -> true
               | Choice _ -> false)
-          | Engine.Timer { site; name } ->
-              st.rs_opts.op_timer_class ~site ~name = `Eager
-          | Engine.Recurring _ -> false)
+          | Engine.Timer _ | Engine.Recurring _ -> false)
         front
     in
     match pick with
@@ -195,8 +194,7 @@ let drain_eager st =
         (match lbl with
         | Engine.Internal s -> scope := s :: !scope
         | Engine.Delivery { dst; _ } -> scope := dst :: !scope
-        | Engine.Timer { site; _ } -> scope := site :: !scope
-        | _ -> ());
+        | Engine.Timer _ | Engine.Recurring _ -> ());
         ignore (Engine.fire st.rs_sys.ys_engine seq);
         loop ()
   in

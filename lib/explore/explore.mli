@@ -58,15 +58,14 @@ type opts = {
           bounded timeout injection in the CHESS preemption-bounding
           style: most timeout-interaction bugs need few untimely fires,
           and the bound keeps the space finite and small. *)
-  op_timer_class : site:int -> name:string -> [ `Choice | `Pending | `Eager ];
+  op_timer_class : site:int -> name:string -> [ `Choice | `Pending ];
       (** How a pending timer is scheduled.  [`Choice] timers are
           explorable decisions (timeouts racing deliveries).  [`Pending]
           timers stay pending until the leaf drain fires them in
           timestamp order — a scope bound for timeouts whose
-          interleavings are out of the question being asked.  [`Eager]
-          timers fire promptly inside the enclosing macro step (device
-          completions whose only observable effect is message timing,
-          which is explored directly). *)
+          interleavings are out of the question being asked.  Plumbing
+          that should fire inside the enclosing macro step is labelled
+          [Internal] where it is scheduled, not classed here. *)
   op_crash_budget : int;  (** Max crash injections per path. *)
   op_max_executions : int;  (** Execution budget; exceeding it marks the
                                 result incomplete. *)

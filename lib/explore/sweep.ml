@@ -5,35 +5,32 @@
    strict: every invariant violation counts, with no expected-violation
    carve-outs.
 
-   Every scenario runs twice — sleep sets on and off, both with state
-   dedup — so the reported reduction factor isolates the partial-order
-   reduction.  All randomness is neutralized: fixed link latency, no
-   drops, a fixed seed, and a heartbeat interval far beyond the horizon
-   (the t = 0 beat burst is drained before exploration starts, and the
-   re-arm events carry the [Recurring] label the explorer never fires). *)
+   Every scenario is explored once, with sleep sets and state dedup.
+   All randomness is neutralized: fixed link latency, no drops, a fixed
+   seed, and a heartbeat interval far beyond the horizon (the t = 0 beat
+   burst is drained before exploration starts, and the re-arm events
+   carry the [Recurring] label the explorer never fires). *)
 
 open Rt_sim
 open Rt_core
-
-type crash_spec = {
-  cr_sites : int list;
-  cr_points : string list;  (* empty = every announced point *)
-  cr_budget : int;
-}
 
 type scenario = {
   sc_name : string;
   sc_protocol : Config.commit_protocol;
   sc_sharded : bool;
   sc_batched : bool;
-      (* WAL group commit + link batching on: the flush-window timers and
-         envelope deliveries become schedule choices. *)
+      (* WAL group commit + link batching on: each flush window closes
+         with the macro step that opened it, and its envelopes are
+         schedule choices. *)
   sc_txns : (int * Rt_workload.Mix.op list) list;  (* (origin, ops) *)
-  sc_crash : crash_spec option;
+  sc_crash : bool;
+      (* One crash of site 0 at a log-force boundary, recovery a timer. *)
   sc_max_executions : int;
 }
 
 let sites = 3
+let crash_site = 0
+let crash_points = [ "wal:force-volatile"; "wal:force-durable" ]
 let recover_after = Time.ms 100
 let drain_horizon = Time.sec 3
 let settle = Time.sec 1
@@ -144,12 +141,9 @@ let make_sys sc () =
         | None -> Explore.Choice "?");
     ys_crash_ok =
       (fun ~site ~point ->
-        match sc.sc_crash with
-        | None -> false
-        | Some cr ->
-            List.mem site cr.cr_sites
-            && (cr.cr_points = [] || List.mem point cr.cr_points)
-            && Site.is_up (Cluster.site cluster site));
+        sc.sc_crash && site = crash_site
+        && List.mem point crash_points
+        && Site.is_up (Cluster.site cluster site));
     ys_crash =
       (fun ~site ->
         Cluster.crash_site cluster site;
@@ -192,16 +186,14 @@ let make_sys sc () =
    deterministic leaf drain: client-round timeouts and background sweeps
    fire against every protocol stage and multiply the space by an order
    of magnitude without touching the commit protocol's own decision
-   structure.  Protocol timers (the commit machines' timeouts) and crash
-   recovery remain explorable choices.  The WAL device completes
-   eagerly, inside the enclosing macro step: a slow force is observable
-   only through the timing of the messages it gates — and message timing
-   is explored directly — while durability nondeterminism is explored
-   through crash decisions at the force-boundary crash points.  This is
-   a documented scope bound, not a soundness claim: nemesis and soak
-   cover the excluded timers under randomized schedules. *)
-let pending_timers =
-  [ "orphan-sweep"; "op-timeout"; "lock-wait"; "catchup-retry"; "gc" ]
+   structure.  Protocol timers (the commit machines' timeouts), the
+   lock-wait timeout (which breaks the conflict rows' cross-site
+   deadlock) and crash recovery remain explorable choices.  This is a
+   documented scope bound, not a soundness claim: nemesis and soak cover
+   the excluded timers under randomized schedules.  WAL device cycles
+   and the two flush windows are not timers at all: Wal and Net label
+   them [Internal], so they complete inside the enclosing macro step. *)
+let pending_timers = [ "orphan-sweep"; "op-timeout"; "catchup-retry"; "gc" ]
 
 let opts_of sc ~sleep =
   {
@@ -214,11 +206,8 @@ let opts_of sc ~sleep =
     op_timer_total = 1;
     op_timer_class =
       (fun ~site:_ ~name ->
-        if name = "wal-device" then `Eager
-        else if List.mem name pending_timers then `Pending
-        else `Choice);
-    op_crash_budget =
-      (match sc.sc_crash with None -> 0 | Some cr -> cr.cr_budget);
+        if List.mem name pending_timers then `Pending else `Choice);
+    op_crash_budget = (if sc.sc_crash then 1 else 0);
     op_max_executions = sc.sc_max_executions;
   }
 
@@ -232,7 +221,7 @@ let full_txn = [ Rt_workload.Mix.Write ("a", "1") ]
 let shard_txn =
   [ Rt_workload.Mix.Write ("a", "1"); Rt_workload.Mix.Write ("b", "2") ]
 
-let scenario ?(sharded = false) ?(batched = false) ?crash
+let scenario ?(sharded = false) ?(batched = false) ?(crash = false)
     ?(max_executions = 50_000) ~name ~protocol ~txns () =
   {
     sc_name = name;
@@ -285,21 +274,16 @@ let default_matrix () =
           ();
         (* One transaction with a single coordinator crash at a
            log-force boundary, recovery explored as a schedule choice. *)
-        scenario ~max_executions
+        scenario ~crash:true ~max_executions
           ~name:(pname ^ "/crash")
           ~protocol
           ~txns:[ (0, full_txn) ]
-          ~crash:
-            {
-              cr_sites = [ 0 ];
-              cr_points = [ "wal:force-volatile"; "wal:force-durable" ];
-              cr_budget = 1;
-            }
           ();
         (* Two conflicting writers with group commit and batching on:
-           wal-flush and net-flush timers interleave with envelope
-           deliveries, and a shared flush must still release each
-           continuation only after the covering cycle is durable. *)
+           every flush window closes with the step that opened it, so
+           envelopes carry what one step sent, and a shared flush must
+           still release each continuation only after the covering
+           cycle is durable. *)
         scenario ~batched:true ~max_executions
           ~name:(pname ^ "/conflict+gcb")
           ~protocol
@@ -311,16 +295,10 @@ let default_matrix () =
           ();
         (* Coordinator crash at the (group-commit) force boundaries with
            batching on: the moved boundaries stay recoverable. *)
-        scenario ~batched:true ~max_executions
+        scenario ~batched:true ~crash:true ~max_executions
           ~name:(pname ^ "/crash+gcb")
           ~protocol
           ~txns:[ (0, full_txn) ]
-          ~crash:
-            {
-              cr_sites = [ 0 ];
-              cr_points = [ "wal:force-volatile"; "wal:force-durable" ];
-              cr_budget = 1;
-            }
           ();
       ])
     Rt_commit.Commit_protocol.all
@@ -332,8 +310,7 @@ let find_scenario name =
 
 type row = {
   rw_scenario : scenario;
-  rw_sleep : Explore.result;
-  rw_nosleep : Explore.result;
+  rw_result : Explore.result;
   rw_counterexamples : (int list * string list * (string * string) list) list;
       (* minimized schedule, trace, violations *)
   rw_violations : int;
@@ -342,16 +319,13 @@ type row = {
 }
 
 let run_scenario sc =
-  let sleep = Explore.explore ~opts:(opts_of sc ~sleep:true) (make_sys sc) in
-  let nosleep =
-    Explore.explore ~opts:(opts_of sc ~sleep:false) (make_sys sc)
-  in
+  let opts = opts_of sc ~sleep:true in
+  let result = Explore.explore ~opts (make_sys sc) in
   let counterexamples =
     (* Minimize and re-derive each distinct violation (cap 3). *)
-    let take3 = List.filteri (fun i _ -> i < 3) sleep.r_violating in
+    let take3 = List.filteri (fun i _ -> i < 3) result.r_violating in
     List.map
       (fun (lr : Explore.leaf_report) ->
-        let opts = opts_of sc ~sleep:true in
         let min_sched =
           Explore.minimize ~opts (make_sys sc) lr.lf_schedule
         in
@@ -366,17 +340,11 @@ let run_scenario sc =
   let violations =
     List.concat_map
       (fun (lr : Explore.leaf_report) -> lr.lf_violations)
-      sleep.r_violating
+      result.r_violating
     |> List.length
   in
-  { rw_scenario = sc; rw_sleep = sleep; rw_nosleep = nosleep;
+  { rw_scenario = sc; rw_result = result;
     rw_counterexamples = counterexamples; rw_violations = violations }
-
-let reduction_factor row =
-  let s = row.rw_sleep.r_stats.st_executions in
-  let n = row.rw_nosleep.r_stats.st_executions in
-  if s = 0 then (1.0, false)
-  else (float_of_int n /. float_of_int s, not row.rw_nosleep.r_complete)
 
 let pp_schedule fmt sched =
   Format.fprintf fmt "[%s]"
@@ -386,29 +354,21 @@ let render_report fmt rows =
   Format.fprintf fmt "# Schedule exploration (rt_explore)\n\n";
   Format.fprintf fmt
     "N=%d sites, deterministic config (fixed 10us links, no drops, seed 0).\n\
-     Each scenario explored twice: sleep sets on and off, both with\n\
-     canonical-state dedup.  `reduction` = executions(no-sleep) /\n\
-     executions(sleep); prefixed `>=` when the no-sleep run hit its\n\
-     execution budget.  Regenerate with `make explore`.\n\n"
+     Each scenario explored once, with sleep sets and canonical-state\n\
+     dedup.  Regenerate with `make explore`.\n\n"
     sites;
   Format.fprintf fmt
     "| scenario | execs | states | dedup | sleep-cut | leaves | depth | \
-     complete | no-sleep execs | reduction | violations |\n";
-  Format.fprintf fmt "|---|---|---|---|---|---|---|---|---|---|---|\n";
+     complete | violations |\n";
+  Format.fprintf fmt "|---|---|---|---|---|---|---|---|---|\n";
   List.iter
     (fun row ->
-      let s = row.rw_sleep.r_stats in
-      let n = row.rw_nosleep.r_stats in
-      let factor, capped = reduction_factor row in
-      Format.fprintf fmt
-        "| %s | %d | %d | %d | %d | %d | %d | %s | %d | %s%.2f | %d |\n"
+      let s = row.rw_result.r_stats in
+      Format.fprintf fmt "| %s | %d | %d | %d | %d | %d | %d | %s | %d |\n"
         row.rw_scenario.sc_name s.st_executions s.st_states s.st_dedup_hits
         s.st_sleep_prunes s.st_leaves s.st_max_depth
-        (if row.rw_sleep.r_complete then "yes" else "no")
-        n.st_executions
-        (if capped then ">=" else "")
-        factor
-        (List.length row.rw_sleep.r_violating))
+        (if row.rw_result.r_complete then "yes" else "no")
+        (List.length row.rw_result.r_violating))
     rows;
   let violating = List.filter (fun r -> r.rw_counterexamples <> []) rows in
   if violating <> [] then begin
@@ -439,14 +399,6 @@ let render_report fmt rows =
   Format.fprintf fmt "\n%d violation(s).\n" total_violations;
   total_violations
 
-let run_matrix ?(filter = fun _ -> true) ?budget fmt =
-  let clamp sc =
-    match budget with
-    | None -> sc
-    | Some b -> { sc with sc_max_executions = b }
-  in
-  let rows =
-    default_matrix () |> List.filter filter |> List.map clamp
-    |> List.map run_scenario
-  in
-  render_report fmt rows
+let run_matrix ?(filter = fun _ -> true) fmt =
+  render_report fmt
+    (default_matrix () |> List.filter filter |> List.map run_scenario)

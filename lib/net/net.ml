@@ -218,10 +218,8 @@ let send t ~src ~dst msg =
         if not t.pending_armed.(src).(dst) then begin
           t.pending_armed.(src).(dst) <- true;
           ignore
-            (Engine.schedule_after
-               ~label:(Engine.Timer { site = src; name = "net-flush" })
-               t.engine window
-               (flush_link t ~src ~dst))
+            (Engine.schedule_after ~label:(Engine.Internal src) t.engine
+               window (flush_link t ~src ~dst))
         end
 
 let broadcast t ~src msg =

@@ -51,8 +51,8 @@ val create :
 (** [create engine ~nodes ~default] builds a network of [nodes] nodes whose
     links all use [default].  [batch] (default off) enables per-link
     batching with the given flush window (must be positive); the flush
-    event is labelled [Timer {site = src; name = "net-flush"}].  The RNG
-    is split from the engine's root RNG. *)
+    event is plumbing, labelled [Engine.Internal src].  The RNG is split
+    from the engine's root RNG. *)
 
 val nodes : 'msg t -> int
 

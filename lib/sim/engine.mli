@@ -20,8 +20,9 @@ type event_id
     Labels are free for normal runs — {!run} ignores them.
 
     - [Internal site]: a glue step (zero-delay continuation, local
-      loopback, device completion plumbing) that is not an independent
-      scheduling choice; [-1] means "no owning site".  The default.
+      loopback, and plumbing: the WAL device cycle, the group-commit and
+      link-batch flushes) that is not an independent scheduling choice;
+      [-1] means "no owning site".  The default.
     - [Delivery]: a network message arrival at [dst].
     - [Timer]: a one-shot timeout whose early/late firing is a real
       protocol schedule (resend, vote-collect, lock-wait, recovery).

@@ -147,15 +147,13 @@ let rec start_device_cycle t =
   t.cycle_base <- t.durable;
   t.cycle_size <- target - t.durable;
   let epoch = t.epoch in
-  (* Device completion is a real scheduling choice for an explorer: its
-     ordering against message deliveries decides which records survive a
-     crash.  Anonymous logs stay internal. *)
-  let label =
-    if t.owner >= 0 then Engine.Timer { site = t.owner; name = "wal-device" }
-    else Engine.Internal (-1)
-  in
+  (* The device cycle is plumbing, not a scheduling choice for an
+     explorer: its latency shapes only the timing of the messages its
+     continuations send, and a crash on either side of it is explored at
+     the two force crash points. *)
   ignore
-    (Engine.schedule_after ~label t.engine t.force_latency (fun () ->
+    (Engine.schedule_after ~label:(Engine.Internal t.owner) t.engine
+       t.force_latency (fun () ->
          if t.epoch = epoch then begin
            t.device_busy <- false;
            t.completed <- t.completed + 1;
@@ -188,12 +186,9 @@ let rec start_device_cycle t =
 let arm_flush t =
   t.flush_armed <- true;
   let epoch = t.epoch in
-  let label =
-    if t.owner >= 0 then Engine.Timer { site = t.owner; name = "wal-flush" }
-    else Engine.Internal (-1)
-  in
   ignore
-    (Engine.schedule_after ~label t.engine t.group_window (fun () ->
+    (Engine.schedule_after ~label:(Engine.Internal t.owner) t.engine
+       t.group_window (fun () ->
          if t.epoch = epoch then begin
            t.flush_armed <- false;
            if t.waiting <> [] && not t.device_busy then start_device_cycle t

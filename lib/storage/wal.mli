@@ -39,10 +39,12 @@ val create :
     injector can crash the site exactly at those boundaries.
 
     [group_window] (default zero) is the group-commit flush window: the
-    first {!force} of a group arms a per-site flush timer (labelled
-    ["wal-flush"]) and the device starts only when it fires, so every
-    force arriving inside the window shares one device cycle.  Zero
-    starts the device on the first force — the classical behaviour.
+    first {!force} of a group arms a per-site flush timer and the device
+    starts only when it fires, so every force arriving inside the window
+    shares one device cycle.  Zero starts the device on the first force
+    — the classical behaviour.  The flush and the device completion are
+    both labelled [Engine.Internal owner]: plumbing, not scheduling
+    choices.
 
     Each record's checksum is a digest of its marshalled bytes. *)
 

@@ -117,6 +117,31 @@ let test_follow_trace_text () =
         "crash site 0 at wal:force-volatile"
         (List.nth out.rp_trace 4)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Every matrix row must reach its commit protocol inside the explored
+   phase, not only in the leaf drain: the default schedule of each
+   scenario fires at least one commit-protocol message as a decision. *)
+let test_every_row_explores_protocol () =
+  let vacuous =
+    List.filter
+      (fun (sc : Sweep.scenario) ->
+        let out =
+          Explore.follow ~opts:(Sweep.opts_of sc ~sleep:true)
+            (Sweep.make_sys sc) []
+        in
+        not (List.exists (contains ~sub:"commit[") out.rp_trace))
+      (Sweep.default_matrix ())
+  in
+  Alcotest.(check (list string))
+    "rows whose default schedule fires no commit-protocol decision" []
+    (List.map (fun (sc : Sweep.scenario) -> sc.sc_name) vacuous)
+
 (* --- sleep-set DPOR on hand-enumerable toys ---------------------------- *)
 
 (* A toy system: [nsites] append-only logs, one Delivery-labelled event
@@ -274,6 +299,8 @@ let () =
           Alcotest.test_case "2PC-PrC/crash counts" `Quick
             test_sweep_counts_pinned;
           Alcotest.test_case "follow trace text" `Quick test_follow_trace_text;
+          Alcotest.test_case "every row explores the protocol" `Quick
+            test_every_row_explores_protocol;
         ] );
       ( "dpor",
         [
