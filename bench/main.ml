@@ -33,11 +33,6 @@ type probe = {
          deliveries, which per-link batching amortizes.  Without batching
          every message is its own envelope. *)
   forces_per_commit : float;
-  wal_torn : int;
-      (* Device cycles a crash left partially durable, summed over
-         sites.  The bench never crashes, so this is always 0 — it is in
-         the snapshot so the perf gate watches the counter's plumbing,
-         and bench_diff tolerates baselines that predate it. *)
   committed : int;
   aborted : int;
 }
@@ -106,10 +101,6 @@ let run_probe ?(clients = 8) ?(tune = Fun.id) ~name
     p99_latency_ms = Sample.percentile lat 99. *. 1e3;
     msgs_per_commit = per_commit envelopes;
     forces_per_commit = per_commit forces;
-    wal_torn =
-      Array.fold_left
-        (fun acc site -> acc + (Site.wal_stats site).Rt_storage.Wal.st_torn)
-        0 (Cluster.sites cluster);
     committed = stats.committed;
     aborted = stats.aborted;
   }
@@ -122,11 +113,10 @@ let probe_to_json b p =
        "    {\"probe\": %S, \"protocol\": %S, \"placement\": %S, \
         \"throughput_txn_s\": %.1f, \"mean_latency_ms\": %.3f, \
         \"p99_latency_ms\": %.3f, \"msgs_per_commit\": %.2f, \
-        \"forces_per_commit\": %.2f, \"wal_torn\": %d, \"committed\": %d, \
-        \"aborted\": %d}"
+        \"forces_per_commit\": %.2f, \"committed\": %d, \"aborted\": %d}"
        p.probe p.protocol p.placement_name p.throughput_txn_s
        p.mean_latency_ms p.p99_latency_ms p.msgs_per_commit
-       p.forces_per_commit p.wal_torn p.committed p.aborted)
+       p.forces_per_commit p.committed p.aborted)
 
 (* The next index after the highest existing BENCH_<n>.json — NOT the
    first free slot from 0, which would silently shadow a newer artifact

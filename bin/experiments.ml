@@ -44,8 +44,8 @@ let list_experiments () =
 
 let ids_arg =
   let doc =
-    "Experiment identifiers (T1..T6, F1..F8, case-insensitive).  With no \
-     ids, every experiment runs in order."
+    "Experiment identifiers (T1..T6, F1..F8, A1..A5, S1..S2, \
+     case-insensitive).  With no ids, every experiment runs in order."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
 

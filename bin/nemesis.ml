@@ -44,7 +44,7 @@ let experiment_n1 ~seed ~sites ~clients ~duration =
       List.iter
         (fun drop ->
           let scenario = Scenario.lossy ~drop ~duplicate:(drop /. 2.) () in
-          let r =
+          let r, _ =
             Campaign.run_one ~seed ~sites ~clients ~duration ~scenario
               ~protocol ~placement:("full", None) ()
           in
@@ -71,7 +71,7 @@ let experiment_n2 ~seed ~sites ~clients ~duration =
     (fun scenario ->
       List.iter
         (fun protocol ->
-          let r =
+          let r, _ =
             Campaign.run_one ~seed ~sites ~clients ~duration ~scenario
               ~protocol ~placement:("full", None) ()
           in

@@ -25,9 +25,6 @@ val abort : t -> Ids.Txn_id.t -> unit
 
 val committed : t -> Ids.Txn_id.t list
 
-val conflict_edges : t -> (Ids.Txn_id.t * Ids.Txn_id.t) list
-(** Edges between committed transactions, deduplicated. *)
-
 val serializable : t -> bool
 
 val cycle : t -> Ids.Txn_id.t list option

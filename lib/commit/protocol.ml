@@ -128,8 +128,6 @@ let timer_point = function
   | T_state -> "state"
   | T_resend -> "resend"
 
-let pp_timer fmt t = Format.pp_print_string fmt (timer_point t)
-
 type action =
   | Send of Ids.site_id * msg
   | Log of log_tag * [ `Forced | `Lazy ]
@@ -145,8 +143,8 @@ let pp_action fmt = function
   | Log (tag, `Lazy) -> Format.fprintf fmt "log(%a)" pp_log_tag tag
   | Deliver d -> Format.fprintf fmt "deliver(%a)" pp_decision d
   | Set_timer (t, d) ->
-      Format.fprintf fmt "set-timer(%a,%a)" pp_timer t Rt_sim.Time.pp d
-  | Clear_timer t -> Format.fprintf fmt "clear-timer(%a)" pp_timer t
+      Format.fprintf fmt "set-timer(%s,%a)" (timer_point t) Rt_sim.Time.pp d
+  | Clear_timer t -> Format.fprintf fmt "clear-timer(%s)" (timer_point t)
   | Blocked -> Format.pp_print_string fmt "blocked"
   | Forget -> Format.pp_print_string fmt "forget"
 
@@ -220,9 +218,9 @@ let send_to set msg = List.map (fun p -> Send (p, msg)) (Sset.elements set)
 let set_str s = String.concat "," (List.map string_of_int (Sset.elements s))
 let dec_str = function Commit -> "C" | Abort -> "A"
 let epoch_str (r, s) = Printf.sprintf "%d.%d" r s
-let pstate_str st = Format.asprintf "%a" pp_participant_state st
 
 let reports_str rs =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) rs
-  |> List.map (fun (s, st) -> Printf.sprintf "%d=%s" s (pstate_str st))
+  |> List.map (fun (s, st) ->
+         Format.asprintf "%d=%a" s pp_participant_state st)
   |> String.concat ","

@@ -84,8 +84,6 @@ and epoch = int * Ids.site_id
 
 val epoch_compare : epoch -> epoch -> int
 
-val pp_participant_state : Format.formatter -> participant_state -> unit
-
 val pp_msg : Format.formatter -> msg -> unit
 
 (** Log records the machines ask the environment to write.  [`Forced]
@@ -99,8 +97,6 @@ type log_tag =
   | L_decision of decision
   | L_end
 
-val pp_log_tag : Format.formatter -> log_tag -> unit
-
 type timer = T_votes | T_decision | T_precommit_ack | T_state | T_resend
 
 val timer_compare : timer -> timer -> int
@@ -108,9 +104,7 @@ val timer_compare : timer -> timer -> int
 
 val timer_point : timer -> string
 (** Stable name, e.g. ["votes"]: engine label, crash-point suffix, and
-    what {!pp_timer} prints. *)
-
-val pp_timer : Format.formatter -> timer -> unit
+    what {!pp_action} prints. *)
 
 type action =
   | Send of Ids.site_id * msg
@@ -176,5 +170,4 @@ val send_to : Sset.t -> msg -> action list
 val set_str : Sset.t -> string
 val dec_str : decision -> string
 val epoch_str : epoch -> string
-val pstate_str : participant_state -> string
 val reports_str : (Ids.site_id * participant_state) list -> string

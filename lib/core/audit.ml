@@ -14,9 +14,11 @@ type violation = { inv : string; detail : string }
 let v inv detail = { inv; detail }
 let pp_violation fmt x = Format.fprintf fmt "%s: %s" x.inv x.detail
 
-let forked_keys cluster =
+(* Keys holding the same version with different values on two sites:
+   split-brain evidence, counted once per key and site pair. *)
+let fork_freedom cluster =
   let sites = Cluster.sites cluster in
-  let forks = ref [] in
+  let forks = ref 0 in
   Array.iteri
     (fun i a ->
       Array.iteri
@@ -26,27 +28,12 @@ let forked_keys cluster =
                 match Kv.get (Site.kv b) key with
                 | Some ib when ia.version = ib.version && ia.value <> ib.value
                   ->
-                    forks := (key, i, j) :: !forks
+                    incr forks
                 | _ -> ()))
         sites)
     sites;
-  let fork_compare (k1, a1, b1) (k2, a2, b2) =
-    let c = String.compare k1 k2 in
-    if c <> 0 then c
-    else
-      let c = Int.compare a1 a2 in
-      if c <> 0 then c else Int.compare b1 b2
-  in
-  List.sort_uniq fork_compare !forks
-
-let fork_freedom cluster =
-  match forked_keys cluster with
-  | [] -> []
-  | fs ->
-      [
-        v "agreement"
-          (Printf.sprintf "%d forked keys (split brain!)" (List.length fs));
-      ]
+  if !forks = 0 then []
+  else [ v "agreement" (Printf.sprintf "%d forked keys (split brain!)" !forks) ]
 
 let site_hygiene cluster =
   let out = ref [] in
@@ -160,6 +147,8 @@ let durability cluster ~writes =
         (Rt_placement.Placement.replicas_of_key placement key))
     writes
 
+let divergence = v "durability" "replica stores diverge within a shard"
+
 (* A quorum write reaches a write quorum, not every copy, and reads
    resolve versions past the stale ones: such copies may differ. *)
 let convergence cluster =
@@ -168,7 +157,7 @@ let convergence cluster =
     Rt_replica.Replica_control.read_needs_version_resolution rc
     || Cluster.converged cluster
   then []
-  else [ v "durability" "replica stores diverge within a shard" ]
+  else [ divergence ]
 
 let quiescence cluster ~settle =
   let msgs () =

@@ -17,13 +17,6 @@ type violation = { inv : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val forked_keys : Cluster.t -> (string * Ids.site_id * Ids.site_id) list
-(** Keys holding the same version with different values on two sites —
-    split-brain evidence.  Sorted, deduplicated. *)
-
-val fork_freedom : Cluster.t -> violation list
-(** [forked_keys] as an agreement violation (empty when fork-free). *)
-
 val site_hygiene : Cluster.t -> violation list
 (** Every site is serving, with no unresolved or blocked commit
     participants, no held locks, and no pending protocol timers. *)
@@ -36,21 +29,25 @@ val decisions :
 val agreement : Cluster.t -> violation list
 (** No transaction both committed at one site and aborted at another. *)
 
-val any_committed : Cluster.t -> bool
-(** Whether any site recorded a commit decision for any transaction. *)
-
 val durability : Cluster.t -> writes:(string * string) list -> violation list
 (** Each (key, value) write is present on every replica of the key's
-    shard.  Only meaningful for writes known to have committed — gate on
-    {!any_committed} (or the client outcome) before calling. *)
+    shard.  Only meaningful for writes known to have committed: gate on
+    the client outcome before calling ({!standard} calls it only when
+    some site recorded a commit). *)
+
+val divergence : violation
+(** The one violation {!convergence} raises:
+    [durability: replica stores diverge within a shard]. *)
 
 val convergence : Cluster.t -> violation list
-(** Per-shard replica convergence ({!Cluster.converged}) as a durability
-    violation.  Empty when the cluster's replica control resolves
-    versions on read (majority quorum): its writes reach a write quorum,
-    not every copy, so stale copies are legal.  Callers may downgrade
-    this to a note for replica-control schemes that document divergence
-    under partitions (ROWA-A). *)
+(** Per-shard replica convergence ({!Cluster.converged}): [[divergence]]
+    when two copies of one shard differ.  Empty when the cluster's
+    replica control resolves versions on read (majority quorum): its
+    writes reach a write quorum, not every copy, so stale copies are
+    legal.  Under every other scheme it is a violation like any other;
+    only a safety envelope declared before the run (the nemesis
+    campaign's, for available copies and primary copy under site
+    crashes or cuts) may set it aside. *)
 
 val quiescence : Cluster.t -> settle:Time.t -> violation list
 (** Runs the cluster [settle] further and fails if any commit-protocol

@@ -52,22 +52,6 @@ val opts_of : scenario -> sleep:bool -> Explore.opts
     injection per schedule (CHESS-style bounded), infrastructure timers
     held pending until the leaf drain. *)
 
-type row = {
-  rw_scenario : scenario;
-  rw_result : Explore.result;
-  rw_counterexamples : (int list * string list * (string * string) list) list;
-      (** Minimized schedule, trace, violations. *)
-  rw_violations : int;
-      (** Every violation found; no expected-violation filter exists. *)
-}
-
-val run_scenario : scenario -> row
-(** Explore with sleep sets and dedup, minimize up to three violating
-    leaves, and count every violation. *)
-
-val render_report : Format.formatter -> row list -> int
-(** Write the markdown report; returns the total violation count. *)
-
 val run_matrix : ?filter:(scenario -> bool) -> Format.formatter -> int
 (** Run (a filtered subset of) the default matrix, render the report,
     and return the total number of violations. *)

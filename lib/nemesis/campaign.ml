@@ -7,23 +7,55 @@ open Rt_sim
 open Rt_core
 module Mix = Rt_workload.Mix
 
-(* Safety envelopes, declared per protocol before anything runs.  Basic
-   3PC reaches termination by trusting its failure detector, so a
-   scenario that severs reachability can split its decision
-   (docs/PROTOCOLS.md); that cell is OUTSIDE the protocol's envelope and
-   the report shouts about it instead of quietly dropping the
-   divergence.  Every other cell — including all of Paxos Commit, which
-   replaces the detector with ballots and acceptor quorums — is strict:
-   any audit violation is a failure. *)
-let outside_safety_envelope ~protocol ~steps =
-  match protocol with
-  | Config.Three_phase when Scenario.cuts_reachability steps ->
-      Some
-        "basic 3PC termination trusts its failure detector; severed \
-         reachability can split the decision"
+(* Safety envelopes, declared per cell before anything runs, from the
+   protocol, the replica control and the fault plan alone (arms and
+   reasons in campaign.mli and docs/NEMESIS.md).  Every other cell,
+   Paxos Commit, ROWA and quorums included, is strict. *)
+type excuse = Split_decision | Divergent_copies
+type envelope = (string * excuse) list
+
+let crashes_a_site =
+  List.exists (function
+    | _, Failure.(Crash _ | Torn_crash _ | Recrash _) -> true
+    | _ -> false)
+
+let safety_envelope ~protocol ~rc ~steps =
+  let cuts = Scenario.cuts_reachability steps in
+  (match protocol with
+  | Config.Three_phase when cuts ->
+      [
+        ( "basic 3PC termination trusts its failure detector; severed \
+           reachability can split the decision",
+          Split_decision );
+      ]
   | Config.Three_phase | Config.Two_phase _ | Config.Quorum_commit _
   | Config.Paxos_commit _ ->
-      None
+      [])
+  @
+  if
+    Rt_replica.Replica_control.trusts_failure_detector rc
+    && (cuts || crashes_a_site steps)
+  then
+    [
+      ( Printf.sprintf
+          "%s trusts its failure detector; a site crash or cut it sees \
+           late can leave a shard's copies diverged"
+          (Rt_replica.Replica_control.name rc),
+        Divergent_copies );
+    ]
+  else []
+
+(* Split_decision sets aside agreement and durability findings (the
+   decision split and its data-level shadows); Divergent_copies only the
+   convergence finding.  Hygiene, termination and the rest stay strict
+   in every cell. *)
+let declared envelope =
+  List.partition (fun (v : Audit.violation) ->
+      List.exists
+        (function
+          | _, Split_decision -> v.inv = "agreement" || v.inv = "durability"
+          | _, Divergent_copies -> v = Audit.divergence)
+        envelope)
 
 let default_scenarios =
   [
@@ -72,21 +104,17 @@ type result = {
       (* Heal-to-quiet time: how long after the last fault until every
          site is hygiene-clean.  [None] = never within the drain cap. *)
   r_violations : Audit.violation list;
-  r_envelope : string option;
-      (* [Some reason] when this (protocol, scenario) cell lies outside
-         the protocol's declared safety envelope — decided up front from
-         the fault plan, never from what the audit happened to find. *)
+  r_envelope : envelope;
+      (* Decided from the fault plan, never from what the audit found. *)
   r_expected_divergence : Audit.violation list;
-      (* Agreement/durability divergences observed while outside the
-         envelope: rendered loudly in the report, excluded from the exit
-         code.  Always empty when [r_envelope = None]. *)
+      (* Set aside by the envelope: printed loudly, not counted. *)
 }
 
 let drain_step = Time.ms 50
 let drain_cap = Time.sec 5
 
 let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
-    ?(rc = Rt_replica.Replica_control.rowa) ?(tune = Fun.id)
+    ?(keys = 48) ?(rc = Rt_replica.Replica_control.rowa) ?(tune = Fun.id)
     ~scenario ~protocol:(protocol_name, commit_protocol)
     ~placement:(placement_name, placement) () =
   let config =
@@ -103,13 +131,16 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
   let cluster = Cluster.create config in
   let mix =
     { Mix.default with
-      keys = 48; read_fraction = 0.5; theta = 0.8; ops_per_txn = 3 }
+      keys; read_fraction = 0.5; theta = 0.8; ops_per_txn = 3 }
   in
   Cluster.populate cluster mix;
   let fleet = Client.start_fleet ~cluster ~clients ~mix () in
-  let steps = Scenario.steps scenario ~sites ~duration in
+  let steps = Scenario.steps scenario cluster ~duration in
   (* Envelope verdict first, from the fault plan alone. *)
-  let envelope = outside_safety_envelope ~protocol:commit_protocol ~steps in
+  let envelope =
+    safety_envelope ~protocol:config.commit_protocol
+      ~rc:config.replica_control ~steps
+  in
   Failure.schedule cluster steps;
   Cluster.run ~until:duration cluster;
   List.iter Client.stop fleet;
@@ -139,38 +170,29 @@ let run_one ?(seed = 1) ?(sites = 5) ?(clients = 4) ?(duration = Time.ms 300)
               (drain_cap / Time.sec 1) }
         :: violations
   in
-  (* Outside the envelope only the declared divergence class
-     (agreement splits and their data-level shadows) is reclassified;
-     hygiene, termination and fork-freedom stay strict even there. *)
-  let expected_divergence, violations =
-    match envelope with
-    | None -> ([], violations)
-    | Some _ ->
-        List.partition
-          (fun { Audit.inv; _ } -> inv = "agreement" || inv = "durability")
-          violations
-  in
+  let expected_divergence, violations = declared envelope violations in
   let stats = Client.total fleet in
   let net = Cluster.net_stats cluster in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 (Cluster.sites cluster) in
-  {
-    r_scenario = Scenario.name scenario;
-    r_protocol = protocol_name;
-    r_placement = placement_name;
-    r_committed = stats.committed;
-    r_aborted = stats.aborted;
-    r_retries = stats.retries;
-    r_sent = net.sent;
-    r_dropped_link = net.dropped_link;
-    r_dropped_partition = net.dropped_partition;
-    r_duplicated = net.duplicated;
-    r_torn = sum Site.torn_truncated;
-    r_cp_fallbacks = sum Site.checkpoint_fallbacks;
-    r_drain;
-    r_violations = violations;
-    r_envelope = envelope;
-    r_expected_divergence = expected_divergence;
-  }
+  ( {
+      r_scenario = Scenario.name scenario;
+      r_protocol = protocol_name;
+      r_placement = placement_name;
+      r_committed = stats.committed;
+      r_aborted = stats.aborted;
+      r_retries = stats.retries;
+      r_sent = net.sent;
+      r_dropped_link = net.dropped_link;
+      r_dropped_partition = net.dropped_partition;
+      r_duplicated = net.duplicated;
+      r_torn = sum Site.torn_truncated;
+      r_cp_fallbacks = sum Site.checkpoint_fallbacks;
+      r_drain;
+      r_violations = violations;
+      r_envelope = envelope;
+      r_expected_divergence = expected_divergence;
+    },
+    cluster )
 
 let run ?seed ?sites:(n = 5) ?clients ?duration ?rc ?tune
     ?(scenarios = default_scenarios) ?placements () =
@@ -185,8 +207,9 @@ let run ?seed ?sites:(n = 5) ?clients ?duration ?rc ?tune
         (fun protocol ->
           List.map
             (fun placement ->
-              run_one ?seed ~sites:n ?clients ?duration ?rc ?tune ~scenario
-                ~protocol ~placement ())
+              fst
+                (run_one ?seed ~sites:n ?clients ?duration ?rc ?tune ~scenario
+                   ~protocol ~placement ()))
             placements)
         Rt_commit.Commit_protocol.all)
     scenarios
@@ -205,6 +228,30 @@ let violation_lines results =
         r.r_violations)
     results
 
+let render_envelope r =
+  let cell =
+    Printf.sprintf "[%s %s %s]" r.r_scenario r.r_protocol r.r_placement
+  in
+  let headers =
+    List.map
+      (fun (reason, _) ->
+        Printf.sprintf "!! OUTSIDE SAFETY ENVELOPE %s: %s\n" cell reason)
+      r.r_envelope
+  in
+  let findings =
+    match r.r_expected_divergence with
+    | [] ->
+        [
+          "!!   no divergence observed this run (the envelope bound is \
+           about possibility, not certainty)\n";
+        ]
+    | vs ->
+        List.map
+          (Format.asprintf "!!   divergence: %a\n" Audit.pp_violation)
+          vs
+  in
+  if headers = [] then "" else String.concat "" (headers @ findings)
+
 let render results =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -221,39 +268,19 @@ let render results =
            (List.length r.r_violations)))
     results;
   let violation_lines = violation_lines results in
-  let envelope_cells =
-    List.filter (fun r -> r.r_envelope <> None) results
-  in
   Buffer.add_string buf
     (Printf.sprintf
        "\ntotal: %d runs, %d violations, %d cells outside the safety \
         envelope\n"
        (List.length results)
        (List.length violation_lines)
-       (List.length envelope_cells));
+       (List.length (List.filter (fun r -> r.r_envelope <> []) results)));
   List.iter
     (fun line ->
       Buffer.add_string buf line;
       Buffer.add_char buf '\n')
     violation_lines;
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "!! OUTSIDE SAFETY ENVELOPE [%s %s %s]: %s\n"
-           r.r_scenario r.r_protocol r.r_placement
-           (Option.value r.r_envelope ~default:""));
-      match r.r_expected_divergence with
-      | [] ->
-          Buffer.add_string buf
-            "!!   no divergence observed this run (the envelope bound is \
-             about possibility, not certainty)\n"
-      | vs ->
-          List.iter
-            (fun v ->
-              Buffer.add_string buf
-                (Format.asprintf "!!   divergence: %a\n" Audit.pp_violation v))
-            vs)
-    envelope_cells;
+  List.iter (fun r -> Buffer.add_string buf (render_envelope r)) results;
   Buffer.contents buf
 
 let total_violations results =

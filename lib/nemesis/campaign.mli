@@ -9,15 +9,44 @@
 open Rt_sim
 open Rt_core
 
-val outside_safety_envelope :
-  protocol:Config.commit_protocol -> steps:Scenario.step list -> string option
-(** Upfront safety-envelope verdict for one campaign cell, decided from
-    the fault plan alone: [Some reason] iff the protocol's documented
-    assumptions do not cover the scenario's faults.  The only cell
-    outside any envelope today is basic 3PC under severed reachability —
-    its termination rule trusts a failure detector that partitions can
-    fool.  Everything else, Paxos Commit included, is strict: any audit
-    violation fails the campaign. *)
+(** {2 The safety envelope}
+
+    Declared per cell before it runs, from the commit protocol, the
+    replica control and the fault plan alone.  A declared cell may
+    produce the findings its arms name; the report prints them under a
+    loud [!! OUTSIDE SAFETY ENVELOPE] block instead of counting them.
+    Every other finding, in every cell, fails the campaign. *)
+
+type excuse =
+  | Split_decision
+      (** The decision itself may split: agreement and durability
+          findings (fork-freedom reports as agreement). *)
+  | Divergent_copies
+      (** Only {!Rt_core.Audit.divergence}, the finding of
+          {!Rt_core.Audit.convergence}. *)
+
+type envelope = (string * excuse) list
+(** The declared arms covering a cell, each with its reason; [[]] is a
+    strict cell. *)
+
+val safety_envelope :
+  protocol:Config.commit_protocol ->
+  rc:Rt_replica.Replica_control.t ->
+  steps:Scenario.step list ->
+  envelope
+(** Two arms.  Basic 3PC under steps that cut reachability
+    ({!Scenario.cuts_reachability}): its termination rule trusts a
+    failure detector that a cut can fool, so it may {!Split_decision}.
+    A replica control that trusts its failure detector
+    ({!Rt_replica.Replica_control.trusts_failure_detector}: available
+    copies, primary copy) under steps that crash a site or cut
+    reachability: {!Divergent_copies}.  ROWA and quorums, and every
+    protocol but basic 3PC, stay strict otherwise. *)
+
+val declared :
+  envelope -> Audit.violation list -> Audit.violation list * Audit.violation list
+(** [(set_aside, kept)]: the findings some arm of the envelope names,
+    and the rest. *)
 
 val default_scenarios : Scenario.t list
 (** Calm control plus lossy, gray, flapping, one-way, churn, and
@@ -50,15 +79,14 @@ type result = {
           the cluster never drained within the cap (also reported as a
           termination violation). *)
   r_violations : Audit.violation list;
-  r_envelope : string option;
-      (** [Some reason] when this cell lies outside the protocol's
-          declared safety envelope (see {!outside_safety_envelope});
-          rendered as a shouted [!! OUTSIDE SAFETY ENVELOPE] block, never
-          silently dropped. *)
+  r_envelope : envelope;
+      (** The arms of {!safety_envelope} covering this cell, decided
+          before the run; rendered as a shouted
+          [!! OUTSIDE SAFETY ENVELOPE] block, never silently dropped. *)
   r_expected_divergence : Audit.violation list;
-      (** Agreement/durability divergences observed while outside the
-          envelope; excluded from {!total_violations} but printed loudly.
-          Always empty when [r_envelope = None]. *)
+      (** The findings {!declared} set aside: excluded from
+          {!total_violations} but printed loudly.  Always empty for a
+          strict cell. *)
 }
 
 val run_one :
@@ -66,17 +94,21 @@ val run_one :
   ?sites:int ->
   ?clients:int ->
   ?duration:Time.t ->
+  ?keys:int ->
   ?rc:Rt_replica.Replica_control.t ->
   ?tune:(Config.t -> Config.t) ->
   scenario:Scenario.t ->
   protocol:string * Config.commit_protocol ->
   placement:string * Rt_placement.Placement.t option ->
   unit ->
-  result
+  result * Cluster.t
 (** One cell: run [scenario] for [duration] against the given protocol,
-    replica control (default ROWA) and placement, then drain and audit.
+    replica control (default ROWA) and placement over a [keys]-key
+    keyspace (default 48), then heal, drain until hygiene-clean (5 s
+    cap) and audit ({!Audit.standard} with a 1 s quiescence window).
     [tune] adjusts the built config before the cluster is created (e.g.
-    enable WAL group commit or link batching). *)
+    enable WAL group commit or link batching).  The drained cluster is
+    returned beside the result, for callers that report more of it. *)
 
 val run :
   ?seed:int ->
@@ -100,6 +132,11 @@ val violation_lines : result list -> string list
 (** One [[scenario protocol placement] invariant: detail] line per
     violation, in result order: the violation list of both nemesis
     reports. *)
+
+val render_envelope : result -> string
+(** The [!! OUTSIDE SAFETY ENVELOPE] block of a declared cell, one
+    header line per arm and one line per finding set aside; [""] for a
+    strict cell. *)
 
 val render : result list -> string
 (** Markdown table plus one line per violation.  Contains no wall-clock

@@ -10,35 +10,16 @@
 
 open Rt_sim
 
-val calm_disk : Scenario.t
-(** Storage faults armed, nothing injected — the campaign's control row
-    must behave exactly like a calm run. *)
-
-val torn_churn : Scenario.t
-(** Round-robin torn crashes: each round tears the victim's in-flight
-    WAL device cycle at a different survivor count (0, 1, 2 records
-    kept), then recovers it.  A crash every 60 ms, down for 30 ms. *)
-
-val checkpoint_corrupt : Scenario.t
-(** Crash a site, corrupt its latest checkpoint snapshot while it is
-    down, then recover it: restoration must fall back to the previous
-    snapshot or a full log replay, never install garbage.  Every 90 ms,
-    down for 45 ms. *)
-
-val recovery_recrash : Scenario.t
-(** Crash; crash again while still down; recover; re-crash the instant
-    replay finishes; recover once more.  The double replay must be
-    idempotent and the log must survive repeated hits.  Every 100 ms. *)
-
-val torn_plus_checkpoint : Scenario.t
-(** The composed worst case: a torn crash AND a corrupted latest
-    checkpoint on the same site, so one recovery must both truncate the
-    garbled tail and fall back past the bad snapshot.  Every 80 ms, down
-    for 40 ms. *)
-
 val default_scenarios : Scenario.t list
-(** {!calm_disk}, {!torn_churn}, {!checkpoint_corrupt},
-    {!recovery_recrash}, and {!torn_plus_checkpoint}. *)
+(** Five scenarios: [calm-disk], storage faults armed and nothing
+    injected (the control row); [torn-churn], round-robin torn crashes
+    that keep 0, 1 or 2 records of the in-flight device cycle;
+    [cp-corrupt], a crash whose latest checkpoint is corrupted while the
+    site is down, so recovery must fall back to the previous snapshot
+    or a full replay; [recovery-recrash], a crash during recovery and
+    another the instant replay finishes, so the double replay must be
+    idempotent; and [torn+cp], a torn crash plus a corrupt checkpoint on
+    one site. *)
 
 val arm : Rt_core.Config.t -> Rt_core.Config.t
 (** The campaign's tune: arm [storage_faults] on a slow device — 400 µs

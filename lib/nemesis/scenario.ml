@@ -1,25 +1,33 @@
 (* Fault scenarios.
 
-   A scenario is a recipe: given the cluster size and the fault window it
-   emits a deterministic, time-sorted list of Failure.fault steps.
-   Scenarios are pure data: the campaign runner schedules the steps
-   against a live cluster. *)
+   A scenario is a recipe: given the live cluster and the fault window it
+   emits a deterministic, time-sorted list of Failure.fault steps, which
+   the campaign runner schedules.  Most recipes read only the cluster's
+   size; [random_crashes] draws from the cluster's engine. *)
 
 open Rt_sim
+open Rt_core
 open Rt_core.Failure
 
 type step = Time.t * fault
 
 type t = {
   name : string;
-  build : sites:int -> duration:Time.t -> step list;
+  build : Cluster.t -> duration:Time.t -> step list;
 }
 
-let make name build = { name; build }
+let make name build =
+  {
+    name;
+    build =
+      (fun cluster ~duration ->
+        build ~sites:(Cluster.config cluster).Config.sites ~duration);
+  }
+
 let name t = t.name
 
-let steps t ~sites ~duration =
-  t.build ~sites ~duration
+let steps t cluster ~duration =
+  t.build cluster ~duration
   |> List.filter (fun (at, _) -> Time.(at >= zero) && Time.(at < duration))
   |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
 
@@ -129,6 +137,25 @@ let coordinator_faults =
                [ (at, Crash 0); (Time.add at down_for, Recover 0) ]
              else
                [ (at, Sever out); (Time.add at down_for, Restore out) ])))
+
+let random_crashes ~mttf ~mttr ~partition =
+  {
+    name =
+      Printf.sprintf "random-crashes(%dms/%dms)%s" (mttf / Time.ms 1)
+        (mttr / Time.ms 1)
+        (if partition then "+split" else "");
+    build =
+      (fun cluster ~duration ->
+        let left, right = halves (Cluster.config cluster).Config.sites in
+        Failure.random_crashes cluster ~mttf ~mttr ~until:duration
+        @
+        if partition then
+          [
+            (duration / 3, Partition [ left; right ]);
+            (2 * duration / 3, Heal_partition);
+          ]
+        else []);
+  }
 
 (* Whether a step list severs reachability (as opposed to degrading
    links).  Protocols that are only safe under crash-stop failures — 3PC

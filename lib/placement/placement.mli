@@ -22,8 +22,6 @@ open Rt_types
 
 type layout = Round_robin | Spread
 
-val layout_name : layout -> string
-
 type t
 
 val create :

@@ -133,6 +133,6 @@ let needs_catchup_on_recovery = function
   | Available_copies | Rowa | Primary_copy _ -> true
   | Quorum _ -> false
 
-let tolerates_partitions = function
-  | Quorum _ -> true
-  | Rowa | Available_copies | Primary_copy _ -> false
+let trusts_failure_detector = function
+  | Available_copies | Primary_copy _ -> true
+  | Rowa | Quorum _ -> false

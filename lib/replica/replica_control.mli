@@ -85,5 +85,10 @@ val needs_catchup_on_recovery : t -> bool
 (** Available-copies (and ROWA after repair) require a recovering copy to
     validate/catch up from a live copy before serving reads. *)
 
-val tolerates_partitions : t -> bool
-(** Whether concurrent operation on both sides of a partition is safe. *)
+val trusts_failure_detector : t -> bool
+(** Whether keeping the copies identical rests on an accurate failure
+    detector: available copies writes only the copies it believes up,
+    and primary copy promotes a successor when it believes the primary
+    down, so a wrong suspicion (a crash seen late, or a cut) lets copies
+    diverge.  ROWA writes every copy and quorums intersect, so neither
+    does. *)

@@ -47,7 +47,5 @@ val to_float_s : t -> float
 
 val to_float_ms : t -> float
 
-val to_float_us : t -> float
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)

@@ -18,7 +18,9 @@ let test_rowa_plans () =
     (RC.write_plan rc ~self:1 ~up:(down [ 2 ]) ~replicas:(ids 3));
   Alcotest.(check (option (list int))) "read falls over to another up site"
     (Some [ 0 ])
-    (RC.read_plan rc ~self:1 ~up:(down [ 1 ]) ~replicas:(ids 3))
+    (RC.read_plan rc ~self:1 ~up:(down [ 1 ]) ~replicas:(ids 3));
+  Alcotest.(check bool) "does not trust the failure detector" false
+    (RC.trusts_failure_detector rc)
 
 let test_available_copies_plans () =
   let rc = RC.available_copies in
@@ -28,7 +30,8 @@ let test_available_copies_plans () =
     (RC.write_plan rc ~self:0 ~up:(down [ 0; 1; 2 ]) ~replicas:(ids 3));
   Alcotest.(check bool) "needs catch-up on recovery" true
     (RC.needs_catchup_on_recovery rc);
-  Alcotest.(check bool) "not partition safe" false (RC.tolerates_partitions rc)
+  Alcotest.(check bool) "trusts the failure detector" true
+    (RC.trusts_failure_detector rc)
 
 let test_quorum_plans () =
   let rc = RC.majority ~sites:5 in
@@ -47,7 +50,8 @@ let test_quorum_plans () =
     (RC.write_plan rc ~self:0 ~up:(down [ 2; 3; 4 ]) ~replicas:(ids 5));
   Alcotest.(check bool) "needs version resolution" true
     (RC.read_needs_version_resolution rc);
-  Alcotest.(check bool) "partition safe" true (RC.tolerates_partitions rc)
+  Alcotest.(check bool) "does not trust the failure detector" false
+    (RC.trusts_failure_detector rc)
 
 let test_primary_plans () =
   let rc = RC.primary 1 in
@@ -61,7 +65,9 @@ let test_primary_plans () =
     (Some [ 0 ])
     (RC.read_plan rc ~self:0 ~up:(down [ 1 ]) ~replicas:(ids 3));
   Alcotest.(check (option (list int))) "no site up = unavailable" None
-    (RC.read_plan rc ~self:0 ~up:(down [ 0; 1; 2 ]) ~replicas:(ids 3))
+    (RC.read_plan rc ~self:0 ~up:(down [ 0; 1; 2 ]) ~replicas:(ids 3));
+  Alcotest.(check bool) "trusts the failure detector" true
+    (RC.trusts_failure_detector rc)
 
 let test_weighted_quorum_plan () =
   let rc = RC.Quorum (Rt_quorum.Votes.make ~votes:[| 3; 1; 1 |] ~read_quorum:3 ~write_quorum:3) in
